@@ -3,18 +3,19 @@
 GO ?= go
 
 # Label for `make bench`'s BENCH_engine.json entry; labels are
-# append-only — bench refuses to overwrite an existing one.
+# append-only — cmd/benchjson refuses to overwrite an existing one.
 BENCH_LABEL ?= current
 
-.PHONY: verify fmt vet build examples docs-check test test-race test-parallel test-pool test-dist test-skip test-mem test-svc test-chaos test-scenarios bench bench-mem
+.PHONY: verify fmt vet build examples docs-check perfbench test test-race test-parallel test-pool test-dist test-skip test-mem test-svc test-chaos test-scenarios bench bench-mem
 
 ## verify: the full tier-1 gate — formatting, vet, build (`go build
 ## ./...` compiles the examples too), the package-doc check, the quick
 ## pooled-parity, distributed-parity, fast-forward-equivalence,
 ## memory/compaction, sweep-service, and fault-tolerance checks, and
 ## the race test suite (~6 min; internal/dist's statistical tests
-## dominate).
-verify: fmt vet build docs-check test-pool test-dist test-skip test-mem test-svc test-chaos test-scenarios test-race
+## dominate), plus vet and tests of the perfbench module, which the root
+## `go test ./...` never compiles.
+verify: fmt vet build docs-check perfbench test-pool test-dist test-skip test-mem test-svc test-chaos test-scenarios test-race
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -38,6 +39,12 @@ examples:
 ## what it is (and, for the concurrent ones, its ownership contract).
 docs-check:
 	sh scripts/docs_check.sh
+
+## perfbench: vet and test the benchmark module (perfbench/ is a Go
+## module of its own, so the root ./... patterns skip it; it imports
+## internal packages, so an internal API change can break it).
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 test:
 	$(GO) test ./...
@@ -117,20 +124,15 @@ test-scenarios:
 	$(GO) test -race -short -run 'Scenario|Churn|Weighted|Partition|Bursty|CrossCheck|Threshold|Compile|SkewedWeights|ParseRoundTrip|ValidateRejects|Fuzz' \
 		./internal/network/ ./internal/engine/ ./internal/scenario/... ./internal/sweep/ ./internal/distsweep/ .
 
-## bench: run the façade benchmarks, then append the BENCH_engine.json
-## entry labeled $(BENCH_LABEL) — the core count is stamped
+## bench: append the BENCH_engine.json entry labeled $(BENCH_LABEL),
+## then run the façade benchmarks — the core count is stamped
 ## automatically, so entries are comparable across machines. Labels are
 ## append-only: the measured trajectory is hand-curated per change, so
-## overwriting an existing label is refused rather than silently
-## rewriting history.
+## cmd/benchjson refuses an existing label (before measuring anything)
+## rather than silently rewriting history.
 bench:
-	@if [ -f BENCH_engine.json ] && grep -q '"label": "$(BENCH_LABEL)"' BENCH_engine.json; then \
-		echo "bench: label '$(BENCH_LABEL)' already exists in BENCH_engine.json —" \
-			"pick a fresh BENCH_LABEL=<name> (the trajectory is append-only)" >&2; \
-		exit 1; \
-	fi
-	$(GO) test -bench . -benchmem -run '^$$' .
 	$(GO) run ./cmd/benchjson -label $(BENCH_LABEL) -out BENCH_engine.json
+	$(GO) test -bench . -benchmem -run '^$$' .
 
 ## bench-mem: the n = 10⁶ sparse-p memory benchmark (n·p = 0.1, 10⁵
 ## rounds) with fast-forward, arena compaction, and a bounded checker
@@ -139,11 +141,6 @@ bench:
 ## pr7-mem-n1e6 configuration). Same append-only label discipline as
 ## bench; ~1 min.
 bench-mem:
-	@if [ -f BENCH_engine.json ] && grep -q '"label": "$(BENCH_LABEL)"' BENCH_engine.json; then \
-		echo "bench-mem: label '$(BENCH_LABEL)' already exists in BENCH_engine.json —" \
-			"pick a fresh BENCH_LABEL=<name> (the trajectory is append-only)" >&2; \
-		exit 1; \
-	fi
 	$(GO) run ./cmd/benchjson -label $(BENCH_LABEL) -out BENCH_engine.json \
 		-n 1000000 -p 1e-7 -delta 10 -nu 0.3 -rounds 100000 -iters 3 \
 		-fast-forward -compact-every 2000 -checker-retention 4

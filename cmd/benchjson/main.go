@@ -3,18 +3,22 @@
 // result in BENCH_engine.json, so the simulation throughput trajectory
 // (rounds/s, ns/round, allocs/round) is tracked across PRs.
 //
-// Each run appends or replaces one labeled entry:
+// Each run appends one labeled entry:
 //
 //	go run ./cmd/benchjson -label flat-arena -out BENCH_engine.json
 //
-// Entries with the same label are replaced in place, so re-running a
-// measurement updates it instead of duplicating it.
+// The trajectory is append-only: a label already present in the output
+// file is refused before anything is measured, so a recorded entry is
+// never silently rewritten.
 package main
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"os"
 	"runtime"
 	"time"
@@ -86,7 +90,7 @@ type file struct {
 
 func main() {
 	var (
-		label   = flag.String("label", "current", "entry label (same label replaces)")
+		label   = flag.String("label", "current", "entry label (must be new: the output file is append-only)")
 		out     = flag.String("out", "BENCH_engine.json", "output JSON path")
 		n       = flag.Int("n", 1000, "players")
 		p       = flag.Float64("p", 1e-4, "per-query success probability")
@@ -110,6 +114,10 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	f, err := load(*out, *label)
+	if err != nil {
+		fatal(err)
+	}
 	e, err := measure(pr, *rounds, *iters, *shards, *ff, *compact, *retain, spec)
 	if err != nil {
 		fatal(err)
@@ -118,23 +126,7 @@ func main() {
 	e.Label = *label
 	e.Date = time.Now().UTC().Format("2006-01-02")
 
-	f := file{Benchmark: "BenchmarkSimulationRound"}
-	if data, err := os.ReadFile(*out); err == nil {
-		if err := json.Unmarshal(data, &f); err != nil {
-			fatal(fmt.Errorf("benchjson: existing %s is not valid: %w", *out, err))
-		}
-	}
-	replaced := false
-	for i := range f.Entries {
-		if f.Entries[i].Label == e.Label {
-			f.Entries[i] = e
-			replaced = true
-			break
-		}
-	}
-	if !replaced {
-		f.Entries = append(f.Entries, e)
-	}
+	f.Entries = append(f.Entries, e)
 	data, err := json.MarshalIndent(f, "", "  ")
 	if err != nil {
 		fatal(err)
@@ -147,6 +139,29 @@ func main() {
 		float64(e.HeapPeakBytes)/(1<<20), e.LiveBlocks, e.TotalBlocks)
 }
 
+// load reads the trajectory at path (a missing file starts an empty
+// one) and refuses label when an entry already carries it: the
+// trajectory is append-only.
+func load(path, label string) (file, error) {
+	f := file{Benchmark: "BenchmarkSimulationRound"}
+	data, err := os.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return f, nil
+	}
+	if err != nil {
+		return f, fmt.Errorf("benchjson: %w", err)
+	}
+	if err := json.Unmarshal(data, &f); err != nil {
+		return f, fmt.Errorf("benchjson: existing %s is not valid: %w", path, err)
+	}
+	for _, e := range f.Entries {
+		if e.Label == label {
+			return f, fmt.Errorf("benchjson: label %q already exists in %s — pick a fresh label (the trajectory is append-only)", label, path)
+		}
+	}
+	return f, nil
+}
+
 // measure times iters runs of a rounds-long simulation (the
 // BenchmarkSimulationRound body) and reports per-round cost. Allocation
 // counts come from runtime.MemStats deltas, matching -benchmem; peak
@@ -155,16 +170,21 @@ func measure(pr params.Params, rounds, iters, shards int, fastForward bool, comp
 	if iters < 1 || rounds < 1 {
 		return entry{}, fmt.Errorf("benchjson: iters and rounds must be ≥ 1")
 	}
-	var rep neatbound.SimulationReport
+	opts := []neatbound.Option{
+		neatbound.WithRounds(rounds),
+		neatbound.WithConsistency(6, 0),
+		neatbound.WithShards(shards),
+		neatbound.WithCompaction(compactEvery, 0),
+		neatbound.WithCheckerRetention(retention),
+		neatbound.WithScenario(scenario),
+	}
+	if fastForward {
+		opts = append(opts, neatbound.WithFastForward())
+	}
+	var rep *neatbound.RunReport
 	run := func(seed uint64) error {
 		var err error
-		rep, err = neatbound.Simulate(neatbound.SimulationConfig{
-			Params: pr, Rounds: rounds, Seed: seed, T: 6, Shards: shards,
-			FastForward:      fastForward,
-			CompactEvery:     compactEvery,
-			CheckerRetention: retention,
-			Scenario:         scenario,
-		})
+		rep, err = neatbound.Run(context.Background(), pr, append(opts, neatbound.WithSeed(seed))...)
 		return err
 	}
 	// Warm-up run, excluded from the measurement.

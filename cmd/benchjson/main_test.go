@@ -2,7 +2,10 @@ package main
 
 import (
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"neatbound/internal/params"
@@ -53,5 +56,32 @@ func TestMeasureValidation(t *testing.T) {
 	}
 	if _, err := measure(pr, 10, 0, 0, false, 0, 0, nil); err == nil {
 		t.Error("0 iters accepted")
+	}
+}
+
+func TestLoadRefusesExistingLabel(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH.json")
+	if f, err := load(path, "first"); err != nil || len(f.Entries) != 0 {
+		t.Fatalf("missing file: %+v, %v — want an empty trajectory", f, err)
+	}
+	data, err := json.Marshal(file{Benchmark: "BenchmarkSimulationRound", Entries: []entry{{Label: "first"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := load(path, "first"); err == nil || !strings.Contains(err.Error(), "append-only") {
+		t.Errorf("existing label: err = %v, want an append-only refusal", err)
+	}
+	f, err := load(path, "second")
+	if err != nil || len(f.Entries) != 1 || f.Entries[0].Label != "first" {
+		t.Errorf("fresh label: %+v, %v — want the existing entry kept", f, err)
+	}
+	if err := os.WriteFile(path, []byte("{"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := load(path, "second"); err == nil {
+		t.Error("corrupt trajectory accepted")
 	}
 }

@@ -48,6 +48,10 @@ import (
 	"neatbound/internal/sweepsvc"
 )
 
+// readHeaderTimeout bounds how long a client may take to send its
+// request headers, so idle half-open connections cannot pile up.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -114,7 +118,9 @@ func run(ctx context.Context, args []string, stderr io.Writer, ready chan<- stri
 	if err != nil {
 		return err
 	}
-	server := &http.Server{Handler: svc.Handler()}
+	// Bound only the header read: a Read or Write timeout would cut
+	// long-lived SSE event streams.
+	server := &http.Server{Handler: svc.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	fmt.Fprintf(stderr, "sweepd: serving on %s (store %s, %d cells cached)\n", ln.Addr(), *storeDir, st.Len())
 	if ready != nil {
 		ready <- ln.Addr().String()

@@ -7,13 +7,11 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"neatbound"
-
-	"neatbound/internal/consistency"
-	"neatbound/internal/engine"
 )
 
 func main() {
@@ -29,30 +27,18 @@ func main() {
 		}
 		return 0.10
 	}
-	checker, err := consistency.NewChecker(8, 2000)
-	if err != nil {
-		log.Fatal(err)
-	}
 	var advBlocks, honestBlocks int
-	cfg := engine.Config{
-		Params: pr, Rounds: 100000, Seed: 3,
-		Adversary:  neatbound.NewMaxDelayAdversary(),
-		NuSchedule: schedule,
-		OnRound: func(e *engine.Engine, rec engine.RoundRecord) {
-			checker.OnRound(e, rec)
+	rep, err := neatbound.Run(context.Background(), pr,
+		neatbound.WithRounds(100000),
+		neatbound.WithSeed(3),
+		neatbound.WithAdversary(neatbound.NewMaxDelayAdversary()),
+		neatbound.WithNuSchedule(schedule),
+		neatbound.WithConsistency(8, 2000),
+		neatbound.WithObserver(neatbound.ObserverFunc(func(_ *neatbound.Engine, rec neatbound.RoundRecord) {
 			advBlocks += rec.AdversaryMined
 			honestBlocks += rec.HonestMined
-		},
-	}
-	e, err := engine.New(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	res, err := e.Run()
-	if err != nil {
-		log.Fatal(err)
-	}
-	viols, err := checker.Check(res.Tree)
+		})),
+	)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -61,7 +47,7 @@ func main() {
 	fmt.Printf("blocks: honest %d, adversarial %d (adversarial share %.3f vs mean ν %.3f)\n",
 		honestBlocks, advBlocks,
 		float64(advBlocks)/float64(advBlocks+honestBlocks), meanNu)
-	fmt.Printf("consistency at T=8: %d violations\n", len(viols))
+	fmt.Printf("consistency at T=8: %d violations\n", rep.Violations)
 
 	bound, err := neatbound.NeatBoundC(0.45)
 	if err != nil {

@@ -18,7 +18,7 @@ func run(t *testing.T, pr params.Params, rounds int, seed uint64, adv engine.Adv
 		t.Fatal(err)
 	}
 	e, err := engine.New(engine.Config{
-		Params: pr, Rounds: rounds, Seed: seed, Adversary: adv, OnRound: ck.OnRound,
+		Params: pr, Rounds: rounds, Seed: seed, Adversary: adv, Observer: ck,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -44,3 +44,16 @@ func ByName(name string, forkDepth int) (engine.Adversary, error) {
 			name, strings.Join(Names(), "|"))
 	}
 }
+
+// Factory validates name once and returns a constructor that builds a
+// fresh strategy per call and cannot fail — what a sweep needs, since
+// every cell runs its own stateful instance.
+func Factory(name string, forkDepth int) (func() engine.Adversary, error) {
+	if _, err := ByName(name, forkDepth); err != nil {
+		return nil, err
+	}
+	return func() engine.Adversary {
+		adv, _ := ByName(name, forkDepth) // validated above
+		return adv
+	}, nil
+}

@@ -91,18 +91,9 @@ func runShard(ctx context.Context, spec ShardSpec, opts WorkerOptions, enc *json
 	}
 	var factory func() engine.Adversary
 	if spec.Adversary != "" {
-		// Validate the name once up front; the per-cell factory then
-		// cannot fail.
-		if _, err := adversary.ByName(spec.Adversary, spec.ForkDepth); err != nil {
+		var err error
+		if factory, err = adversary.Factory(spec.Adversary, spec.ForkDepth); err != nil {
 			return failPerm(err)
-		}
-		name, forkDepth := spec.Adversary, spec.ForkDepth
-		factory = func() engine.Adversary {
-			adv, err := adversary.ByName(name, forkDepth)
-			if err != nil {
-				panic(err) // unreachable: validated above
-			}
-			return adv
 		}
 	}
 	cfg := sweep.Config{

@@ -18,7 +18,7 @@ func TestDynamicCorruptionRecordsNu(t *testing.T) {
 	var nus []float64
 	cfg := Config{
 		Params: pr, Rounds: 100, Seed: 1, NuSchedule: schedule,
-		OnRound: func(e *Engine, rec RoundRecord) { nus = append(nus, rec.Nu) },
+		Observer: ObserverFunc(func(e *Engine, rec RoundRecord) { nus = append(nus, rec.Nu) }),
 	}
 	e, err := New(cfg)
 	if err != nil {
@@ -53,7 +53,7 @@ func TestDynamicCorruptionClamps(t *testing.T) {
 				return 0.3
 			}
 		},
-		OnRound: func(e *Engine, rec RoundRecord) { recorded = append(recorded, rec.Nu) },
+		Observer: ObserverFunc(func(e *Engine, rec RoundRecord) { recorded = append(recorded, rec.Nu) }),
 	}
 	e, err := New(cfg)
 	if err != nil {
@@ -145,11 +145,11 @@ func TestDynamicViewsMaintainedThroughCorruption(t *testing.T) {
 			}
 			return 0.1
 		},
-		OnRound: func(e *Engine, rec RoundRecord) {
+		Observer: ObserverFunc(func(e *Engine, rec RoundRecord) {
 			if s := rec.MaxHonestHeight - rec.MinHonestHeight; s > worstSpread {
 				worstSpread = s
 			}
-		},
+		}),
 	}
 	e, err := New(cfg)
 	if err != nil {
@@ -174,11 +174,11 @@ func TestStaticModeUnchangedByRefactor(t *testing.T) {
 	// Without a schedule, players == honest and records carry Params.Nu.
 	pr := params.Params{N: 20, P: 0.01, Delta: 3, Nu: 0.25}
 	cfg := Config{Params: pr, Rounds: 50, Seed: 2}
-	cfg.OnRound = func(e *Engine, rec RoundRecord) {
+	cfg.Observer = ObserverFunc(func(e *Engine, rec RoundRecord) {
 		if rec.Nu != 0.25 {
 			t.Fatalf("static record ν = %g", rec.Nu)
 		}
-	}
+	})
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -179,7 +179,7 @@ func TestTreeConsistentWithRecords(t *testing.T) {
 func TestHonestViewsOnlyGrow(t *testing.T) {
 	prevMax, prevMin := 0, 0
 	cfg := Config{Params: testParams(), Rounds: 3000, Seed: 10}
-	cfg.OnRound = func(e *Engine, rec RoundRecord) {
+	cfg.Observer = ObserverFunc(func(e *Engine, rec RoundRecord) {
 		if rec.MaxHonestHeight < prevMax {
 			t.Fatalf("round %d: max honest height decreased %d→%d", rec.Round, prevMax, rec.MaxHonestHeight)
 		}
@@ -187,7 +187,7 @@ func TestHonestViewsOnlyGrow(t *testing.T) {
 			t.Fatalf("round %d: min honest height decreased %d→%d", rec.Round, prevMin, rec.MinHonestHeight)
 		}
 		prevMax, prevMin = rec.MaxHonestHeight, rec.MinHonestHeight
-	}
+	})
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -206,7 +206,7 @@ func TestHonestViewsConvergeAfterQuietPeriod(t *testing.T) {
 	lastConverged := 0
 	quiet := 0
 	cfg := Config{Params: pr, Rounds: 5000, Seed: 11}
-	cfg.OnRound = func(e *Engine, rec RoundRecord) {
+	cfg.Observer = ObserverFunc(func(e *Engine, rec RoundRecord) {
 		if rec.HonestMined == 0 && rec.AdversaryMined == 0 {
 			quiet++
 		} else {
@@ -221,7 +221,7 @@ func TestHonestViewsConvergeAfterQuietPeriod(t *testing.T) {
 		if rec.DistinctTips == 1 {
 			lastConverged = rec.Round
 		}
-	}
+	})
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

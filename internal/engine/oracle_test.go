@@ -88,9 +88,9 @@ func TestOraclePathBlockDistribution(t *testing.T) {
 	const rounds = 30000
 	var counts []int
 	cfg := Config{Params: pr, Rounds: rounds, Seed: 4}
-	cfg.OnRound = func(e *Engine, rec RoundRecord) {
+	cfg.Observer = ObserverFunc(func(e *Engine, rec RoundRecord) {
 		counts = append(counts, rec.HonestMined)
-	}
+	})
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

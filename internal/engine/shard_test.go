@@ -82,14 +82,14 @@ func TestBranchBestMatchesScan(t *testing.T) {
 			},
 			Adversary: adv,
 		}
-		cfg.OnRound = func(e *Engine, rec RoundRecord) {
+		cfg.Observer = ObserverFunc(func(e *Engine, rec RoundRecord) {
 			gotTips, gotHeights := e.BranchBest()
 			wantTips, wantHeights := branchBestBrute(e)
 			if gotTips != wantTips || gotHeights != wantHeights {
 				t.Fatalf("shards=%d round %d: BranchBest (%v, %v), reference scan (%v, %v)",
 					shards, rec.Round, gotTips, gotHeights, wantTips, wantHeights)
 			}
-		}
+		})
 		e, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -184,13 +184,6 @@ func TestShardedParityLargeN(t *testing.T) {
 // against a direct scan of all honest views after a contentious run.
 func TestDistinctTipsMatchesViewScan(t *testing.T) {
 	for _, shards := range []int{1, 4} {
-		e, err := New(Config{
-			Params: params.Params{N: 25, P: 0.02, Delta: 4, Nu: 0.2},
-			Rounds: 500, Seed: 11, Shards: shards,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		check := func(e *Engine, rec RoundRecord) {
 			seen := map[blockchain.BlockID]struct{}{}
 			for _, tip := range e.tips[:e.honest] {
@@ -209,7 +202,14 @@ func TestDistinctTipsMatchesViewScan(t *testing.T) {
 				}
 			}
 		}
-		e.cfg.OnRound = check
+		e, err := New(Config{
+			Params: params.Params{N: 25, P: 0.02, Delta: 4, Nu: 0.2},
+			Rounds: 500, Seed: 11, Shards: shards,
+			Observer: ObserverFunc(check),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 		if _, err := e.Run(); err != nil {
 			t.Fatal(err)
 		}

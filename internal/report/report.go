@@ -7,6 +7,7 @@
 package report
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -18,7 +19,6 @@ import (
 	"neatbound/internal/engine"
 	"neatbound/internal/figures"
 	"neatbound/internal/markov"
-	"neatbound/internal/metrics"
 	"neatbound/internal/params"
 	"neatbound/internal/rng"
 	"neatbound/internal/stats"
@@ -262,13 +262,13 @@ func sectionS4Sweep(w io.Writer, cfg Config) error {
 	fmt.Fprintf(w, "\n## S4 — consistency across the bound (%s attack)\n\n", name)
 	fmt.Fprintf(w, "n=40 Δ=8 ν=0.45 (neat bound c > 5.48), T=3, %d rounds × %d replicates\n\n",
 		cfg.Rounds/3, cfg.Replicates)
-	cells, err := sweep.RunReplicated(sweep.Config{
+	cells, err := sweep.RunGrid(context.Background(), sweep.Config{
 		N: 40, Delta: 8,
 		NuValues: []float64{0.45},
 		CValues:  []float64{0.6, 2, 5.5, 25},
 		Rounds:   cfg.Rounds / 3, Seed: cfg.Seed + 21, T: 3, Workers: cfg.Workers,
 		NewAdversary: newAdv,
-	}, cfg.Replicates)
+	}, cfg.Replicates, nil)
 	if err != nil {
 		return err
 	}
@@ -304,21 +304,14 @@ func sectionS5GrowthQuality(w io.Writer, cfg Config) error {
 		&adversary.Selfish{},
 	}
 	for _, adv := range strategies {
-		e, err := engine.New(engine.Config{Params: pr, Rounds: cfg.Rounds, Seed: cfg.Seed + 31, Adversary: adv})
-		if err != nil {
-			return err
-		}
-		res, err := e.Run()
-		if err != nil {
-			return err
-		}
-		tree := res.Tree
-		quality, err := metrics.ChainQuality(tree, tree.Best(), 0)
+		rep, _, err := sweep.RunOne(context.Background(),
+			engine.Config{Params: pr, Rounds: cfg.Rounds, Seed: cfg.Seed + 31, Adversary: adv},
+			0, sweep.ResolveSampleEvery(0, cfg.Rounds), 0, nil)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "| %s | %.5f | %.3f | %.3f |\n",
-			adv.Name(), metrics.ChainGrowthRate(res.Records), quality, metrics.MainChainShare(tree))
+			adv.Name(), rep.ChainGrowthRate, rep.ChainQuality, rep.MainChainShare)
 	}
 	return nil
 }

@@ -14,9 +14,11 @@ import (
 func fakeCell(nu, c float64, conv, adv, fork, viols int) Cell {
 	return Cell{
 		Nu: nu, C: c,
-		Violations:   viols,
-		MaxForkDepth: fork,
-		Ledger:       consistency.Accounting{Rounds: 100, Convergence: conv, Adversary: adv},
+		Report: Report{
+			Violations:   viols,
+			MaxForkDepth: fork,
+			Ledger:       consistency.Accounting{Rounds: 100, Convergence: conv, Adversary: adv},
+		},
 	}
 }
 

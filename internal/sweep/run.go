@@ -1,0 +1,131 @@
+package sweep
+
+import (
+	"context"
+
+	"neatbound/internal/consistency"
+	"neatbound/internal/engine"
+	"neatbound/internal/metrics"
+	"neatbound/internal/pool"
+	"neatbound/internal/scenario"
+)
+
+// Report summarizes one executed simulation with its consistency
+// analysis — what the façade's Run returns and what every sweep cell
+// replicate folds into its aggregate.
+type Report struct {
+	// Violations counts Definition-1 breaches at chop T.
+	Violations int
+	// ViolationList holds the individual breaches (round pairs, tips,
+	// fork depths).
+	ViolationList []consistency.Violation
+	// MaxForkDepth is the deepest observed divergence (the smallest T
+	// that would have been violation-free).
+	MaxForkDepth int
+	// Ledger is the Lemma-1 accounting.
+	Ledger consistency.Accounting
+	// PredictedConvergence is T·ᾱ^{2Δ}α₁ (Eq. 26).
+	PredictedConvergence float64
+	// PredictedAdversary is T·pνn (Eq. 27).
+	PredictedAdversary float64
+	// HonestBlocks and AdversaryBlocks count mined blocks.
+	HonestBlocks, AdversaryBlocks int
+	// ChainGrowthRate is blocks of honest-chain height per round.
+	ChainGrowthRate float64
+	// ChainQuality is the honest fraction of the final main chain, scored
+	// on the chain ending at Tree.Best(). Tie-break caveat: Best keeps
+	// the first block to reach the maximal height (the pre-arena Tips
+	// scan took the largest ID), so when the run ends mid-race between
+	// equally tall tips, quality is scored on one of the tied — equally
+	// tall — chains, and which one differs from the historical map-based
+	// scorer.
+	ChainQuality float64
+	// MainChainShare is the fraction of mined blocks on the main chain.
+	MainChainShare float64
+	// TotalBlocks counts every block ever added to the tree (genesis
+	// excluded); LiveBlocks counts the blocks still resident in the
+	// arena at the end of the run — equal to TotalBlocks+1 unless arena
+	// compaction retired history.
+	TotalBlocks, LiveBlocks int
+}
+
+// RunOne is the one place a simulation runs together with its
+// consistency analysis; the façade's Run and every sweep cell call it.
+// It applies the scenario spec (nil is the default model) to ecfg,
+// installs the Definition-1 checker (chop tee, snapshot interval
+// sampleEvery — already resolved, see ResolveSampleEvery — and
+// retention, 0 keeping the whole run) and the Lemma-1 ledger ahead of
+// ecfg.Observer, runs the engine, and assembles the report.
+//
+// The report covers the rounds actually executed, so a run cut short by
+// ctx still yields one: RunOne then returns it, the engine's result
+// (Partial set) and the run's error together. res is nil only when no
+// report could be built — an invalid configuration or a failed analysis.
+func RunOne(ctx context.Context, ecfg engine.Config, tee, sampleEvery, retention int, spec *scenario.Spec) (Report, *engine.Result, error) {
+	if spec != nil {
+		compiled, err := spec.Compile(ecfg.Params)
+		if err != nil {
+			return Report{}, nil, err
+		}
+		if compiled.Policy != nil {
+			if ecfg.Adversary == nil {
+				ecfg.Adversary = engine.PassiveAdversary{}
+			}
+			ecfg.Adversary = scenario.Wrap(ecfg.Adversary, compiled.Policy)
+		}
+		ecfg.Churn = compiled.Churn
+		ecfg.MiningWeights = compiled.Weights
+	}
+	checker, err := consistency.NewChecker(tee, sampleEvery)
+	if err != nil {
+		return Report{}, nil, err
+	}
+	// The post-run pairwise scan shares the worker pool the engine's
+	// sharded phases use.
+	p := ecfg.Pool
+	if p == nil {
+		p = pool.Default()
+	}
+	checker.UsePool(p)
+	checker.SetRetention(retention)
+	ledger, err := consistency.NewLedgerRecorder(ecfg.Params.Delta)
+	if err != nil {
+		return Report{}, nil, err
+	}
+	ecfg.Observer = engine.Observers(checker, ledger, ecfg.Observer)
+	e, err := engine.New(ecfg)
+	if err != nil {
+		return Report{}, nil, err
+	}
+	res, runErr := e.RunContext(ctx)
+	viols, err := checker.Check(res.Tree)
+	if err != nil {
+		return Report{}, nil, err
+	}
+	maxDepth, err := checker.MaxForkDepth(res.Tree)
+	if err != nil {
+		return Report{}, nil, err
+	}
+	tree := res.Tree
+	quality, err := metrics.ChainQuality(tree, tree.Best(), 0)
+	if err != nil {
+		return Report{}, nil, err
+	}
+	rounds := float64(len(res.Records))
+	pr := ecfg.Params
+	return Report{
+		Violations:           len(viols),
+		ViolationList:        viols,
+		MaxForkDepth:         maxDepth,
+		Ledger:               ledger.Accounting(),
+		PredictedConvergence: rounds * pr.ConvergenceOpportunityRate(),
+		PredictedAdversary:   rounds * pr.AdversaryBlockRate(),
+		HonestBlocks:         res.HonestBlocks,
+		AdversaryBlocks:      res.AdversaryBlocks,
+		ChainGrowthRate:      metrics.ChainGrowthRate(res.Records),
+		ChainQuality:         quality,
+		MainChainShare:       metrics.MainChainShare(tree),
+		TotalBlocks:          tree.Len() - 1,
+		LiveBlocks:           tree.LiveBlocks(),
+	}, res, runErr
+}

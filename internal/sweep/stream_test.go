@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -17,7 +18,7 @@ func TestRunReplicatedStreamMatchesBatch(t *testing.T) {
 	}
 	const reps = 3
 	var streamed []AggregateCell
-	got, err := RunReplicatedStream(cfg, reps, func(cell AggregateCell) {
+	got, err := RunGrid(context.Background(), cfg, reps, func(cell AggregateCell) {
 		streamed = append(streamed, cell)
 	})
 	if err != nil {
@@ -26,7 +27,7 @@ func TestRunReplicatedStreamMatchesBatch(t *testing.T) {
 	if len(streamed) != len(got) {
 		t.Fatalf("streamed %d cells, returned %d", len(streamed), len(got))
 	}
-	batch, err := RunReplicated(cfg, reps)
+	batch, err := RunGrid(context.Background(), cfg, reps, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,13 +59,13 @@ func TestRunReplicatedShardedEngines(t *testing.T) {
 		NuValues: []float64{0.25}, CValues: []float64{2, 8},
 		Rounds: 1500, Seed: 7, T: 4, Workers: 2,
 	}
-	serial, err := RunReplicated(base, 2)
+	serial, err := RunGrid(context.Background(), base, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	shardedCfg := base
 	shardedCfg.Shards = 3
-	sharded, err := RunReplicated(shardedCfg, 2)
+	sharded, err := RunGrid(context.Background(), shardedCfg, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func TestRunReplicatedShardedEngines(t *testing.T) {
 
 // TestRunDefaultWorkers exercises the Workers=0 (GOMAXPROCS) default.
 func TestRunDefaultWorkers(t *testing.T) {
-	cells, err := Run(Config{
+	cells, err := runOnce(Config{
 		N: 20, Delta: 2,
 		NuValues: []float64{0.2}, CValues: []float64{5},
 		Rounds: 200, Seed: 1, T: 4,

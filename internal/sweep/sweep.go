@@ -41,9 +41,7 @@ import (
 	"runtime"
 	"sync"
 
-	"neatbound/internal/consistency"
 	"neatbound/internal/engine"
-	"neatbound/internal/metrics"
 	"neatbound/internal/params"
 	"neatbound/internal/pool"
 	"neatbound/internal/scenario"
@@ -127,20 +125,8 @@ type Cell struct {
 	Nu, C float64
 	// Params is the concrete parameterization executed.
 	Params params.Params
-	// Violations counts Definition-1 breaches at chop T.
-	Violations int
-	// MaxForkDepth is the deepest observed divergence (the smallest T that
-	// would have been violation-free).
-	MaxForkDepth int
-	// Ledger is the Lemma-1 accounting for the run.
-	Ledger consistency.Accounting
-	// PredictedConvergence is T·ᾱ^{2Δ}·α₁ (Eq. 26) for comparison with
-	// Ledger.Convergence.
-	PredictedConvergence float64
-	// PredictedAdversary is T·p·ν·n (Eq. 27).
-	PredictedAdversary float64
-	// MainChainShare is the fraction of mined blocks on the main chain.
-	MainChainShare float64
+	// Report is the run's consistency report (see RunOne).
+	Report
 	// Err records a per-cell failure (e.g. p out of range for this (ν,c)).
 	Err error
 }
@@ -239,30 +225,6 @@ func runJobs(ctx context.Context, cfg Config, replicates int, collect func(idx, 
 	return ctx.Err()
 }
 
-// Run executes the grid once. Cells whose parameterization is infeasible
-// (p outside (0,1)) are returned with Err set rather than failing the
-// sweep. The returned slice is ordered ν-major, matching the input grids.
-func Run(cfg Config) ([]Cell, error) {
-	cells, err := RunCells(context.Background(), cfg)
-	if err != nil {
-		return nil, err
-	}
-	return cells, nil
-}
-
-// RunCells is Run with context cancellation: a cancelled grid returns
-// the cells finished so far (unstarted cells are zero-valued) together
-// with ctx.Err().
-func RunCells(ctx context.Context, cfg Config) ([]Cell, error) {
-	cells := make([]Cell, len(cfg.NuValues)*len(cfg.CValues))
-	if err := runJobs(ctx, cfg, 1, func(idx, _ int, cell Cell) {
-		cells[idx] = cell
-	}); err != nil {
-		return cells, err
-	}
-	return cells, nil
-}
-
 // runCell executes one grid point.
 func runCell(ctx context.Context, cfg Config, nu, c float64, seed uint64, sampleEvery int) Cell {
 	cell := Cell{Nu: nu, C: c}
@@ -272,70 +234,20 @@ func runCell(ctx context.Context, cfg Config, nu, c float64, seed uint64, sample
 		return cell
 	}
 	cell.Params = pr
-	checker, err := consistency.NewChecker(cfg.T, sampleEvery)
-	if err != nil {
-		cell.Err = err
-		return cell
-	}
-	checker.UsePool(cfg.Pool)
-	checker.SetRetention(cfg.CheckerRetention)
 	var adv engine.Adversary
 	if cfg.NewAdversary != nil {
 		adv = cfg.NewAdversary()
 	}
-	ecfg := engine.Config{
+	cell.Report, _, cell.Err = RunOne(ctx, engine.Config{
 		Params:           pr,
 		Rounds:           cfg.Rounds,
 		Seed:             seed,
 		Adversary:        adv,
-		Observer:         checker,
 		Shards:           cfg.Shards,
 		Pool:             cfg.Pool,
 		FastForward:      cfg.FastForward,
 		CompactEvery:     cfg.CompactEvery,
 		CompactMinRetire: cfg.CompactMinRetire,
-	}
-	if cfg.Scenario != nil {
-		compiled, err := cfg.Scenario.Compile(pr)
-		if err != nil {
-			cell.Err = err
-			return cell
-		}
-		if compiled.Policy != nil {
-			if ecfg.Adversary == nil {
-				ecfg.Adversary = engine.PassiveAdversary{}
-			}
-			ecfg.Adversary = scenario.Wrap(ecfg.Adversary, compiled.Policy)
-		}
-		ecfg.Churn = compiled.Churn
-		ecfg.MiningWeights = compiled.Weights
-	}
-	e, err := engine.New(ecfg)
-	if err != nil {
-		cell.Err = err
-		return cell
-	}
-	res, err := e.RunContext(ctx)
-	if err != nil {
-		cell.Err = err
-		return cell
-	}
-	viols, err := checker.Check(res.Tree)
-	if err != nil {
-		cell.Err = err
-		return cell
-	}
-	cell.Violations = len(viols)
-	if cell.MaxForkDepth, err = checker.MaxForkDepth(res.Tree); err != nil {
-		cell.Err = err
-		return cell
-	}
-	if cell.Ledger, err = consistency.Account(res.Records, cfg.Delta); err != nil {
-		cell.Err = err
-		return cell
-	}
-	cell.PredictedConvergence = float64(cfg.Rounds) * pr.ConvergenceOpportunityRate()
-	cell.PredictedAdversary = float64(cfg.Rounds) * pr.AdversaryBlockRate()
-	cell.MainChainShare = metrics.MainChainShare(res.Tree)
+	}, cfg.T, sampleEvery, cfg.CheckerRetention, cfg.Scenario)
 	return cell
 }

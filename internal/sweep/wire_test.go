@@ -36,7 +36,7 @@ func TestMergeCellStreamsEmptyStream(t *testing.T) {
 // MarshalReplicateCell tags, UnmarshalCellLine restores cell + tag, and
 // plain aggregates read back untagged.
 func TestReplicateCellWireRoundTrip(t *testing.T) {
-	rc := ReplicateCell(Cell{Nu: 0.2, C: 4, Violations: 3, MaxForkDepth: 2})
+	rc := ReplicateCell(Cell{Nu: 0.2, C: 4, Report: Report{Violations: 3, MaxForkDepth: 2}})
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
 	if err := MarshalReplicateCell(enc, 5, rc); err != nil {
@@ -82,7 +82,7 @@ func TestReplicateCellWireRoundTrip(t *testing.T) {
 // all-failed cell surfaces an error — the same contract as the
 // in-process aggregation.
 func TestAggregateReplicatesErrHandling(t *testing.T) {
-	okRep := ReplicateCell(Cell{Nu: 0.3, C: 1, Violations: 1})
+	okRep := ReplicateCell(Cell{Nu: 0.3, C: 1, Report: Report{Violations: 1}})
 	bad := ReplicateCell(Cell{Nu: 0.3, C: 1, Err: errors.New("boom")})
 	agg, err := AggregateReplicates(0.3, 1, []AggregateCell{bad, okRep, bad})
 	if err != nil {

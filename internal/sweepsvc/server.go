@@ -2,6 +2,7 @@ package sweepsvc
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 )
@@ -18,7 +19,7 @@ import (
 //
 // Errors are JSON objects {"error": "..."} with conventional status
 // codes (400 invalid submission, 404 unknown job, 409 result not
-// ready).
+// ready, 413 submission body over maxRequestBytes).
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /jobs", s.handleSubmit)
@@ -44,12 +45,22 @@ func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
+// maxRequestBytes caps a POST /jobs body: the same 1 MiB bound the
+// distributed worker puts on one shard-spec request line.
+const maxRequestBytes = 1 << 20
+
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("sweepsvc: decode request: %w", err))
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+			err = fmt.Errorf("body exceeds the %d-byte limit", tooBig.Limit)
+		}
+		writeError(w, code, fmt.Errorf("sweepsvc: decode request: %w", err))
 		return
 	}
 	st, err := s.Submit(req)

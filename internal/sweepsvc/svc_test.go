@@ -3,7 +3,10 @@ package sweepsvc_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -611,5 +614,51 @@ func TestShardEventsCarryRetryReason(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("no shard event carried Retried + Reason=%q; events: %+v", distsweep.ReasonLaunch, events)
+	}
+}
+
+// TestOversizeSubmitRejected pins the POST /jobs body cap: a body over
+// 1 MiB gets a 413 with a reason, and the daemon keeps serving — the
+// next valid submission is accepted and runs to completion.
+func TestOversizeSubmitRejected(t *testing.T) {
+	svc, _ := newService(t, sweepsvc.Options{})
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+
+	// A syntactically valid request padded past the cap inside its
+	// ν list, so the decoder must read beyond 1 MiB to finish it.
+	pad := strings.Repeat("0.25,", (1<<20)/5+1)
+	body := `{"n": 10, "delta": 3, "nu_values": [` + pad + `0.25], "c_values": [1], "rounds": 400}`
+	resp, err := http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var apiErr struct{ Error string }
+	if err := json.NewDecoder(resp.Body).Decode(&apiErr); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(apiErr.Error, "limit") {
+		t.Fatalf("oversize body: status %d, error %q — want 413 with a reason", resp.StatusCode, apiErr.Error)
+	}
+
+	ok, err := json.Marshal(testReq())
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err = http.Post(srv.URL+"/jobs", "application/json", bytes.NewReader(ok))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st sweepsvc.JobStatus
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("valid submit after a rejected body: status %d", resp.StatusCode)
+	}
+	if final, _ := waitJob(t, svc, st.ID); final.State != sweepsvc.StateDone {
+		t.Errorf("job after a rejected body ended %s: %s", final.State, final.Error)
 	}
 }

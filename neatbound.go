@@ -34,8 +34,7 @@
 // RunSweepDistributed partitions a grid across worker processes (or
 // anything a ShardExecutor can launch) over the JSONL shard protocol of
 // docs/interchange.md — with the merged grid bit-identical to RunSweep
-// for any partitioning. The legacy Simulate/Sweep* entry points remain
-// as deprecated shims over this path.
+// for any partitioning.
 //
 // All parallel execution — the sharded delivery phase (WithShards /
 // WithAutoShards), the large-n broadcast fan-out, the post-run
@@ -48,7 +47,6 @@
 package neatbound
 
 import (
-	"context"
 	"fmt"
 
 	"neatbound/internal/adversary"
@@ -86,12 +84,6 @@ type Violation = consistency.Violation
 
 // Series is a named curve, as produced for Figure 1.
 type Series = figures.Series
-
-// SweepConfig configures a (ν × c) simulation grid.
-type SweepConfig = sweep.Config
-
-// SweepCell is one grid point's outcome.
-type SweepCell = sweep.Cell
 
 // DefaultEpsilons are small slack constants for numeric evaluation of the
 // theorems.
@@ -175,126 +167,10 @@ func NewSwitcherAdversary(period int, strategies ...Adversary) (Adversary, error
 	return adversary.NewSwitcher(period, strategies...)
 }
 
-// SimulationConfig parameterizes one protocol execution plus its
-// consistency analysis — the input of the deprecated Simulate shim. New
-// code passes the equivalent functional options to Run.
-type SimulationConfig struct {
-	// Params is the protocol parameterization; it must Validate.
-	Params Params
-	// Rounds is the execution length.
-	Rounds int
-	// Seed makes the run reproducible.
-	Seed uint64
-	// Adversary is the strategy; nil runs the passive baseline.
-	Adversary Adversary
-	// T is Definition 1's chop parameter for the consistency check.
-	T int
-	// SampleEvery is the snapshot interval for the checker; 0 picks
-	// Rounds/50 (min 1).
-	SampleEvery int
-	// Shards is the engine's delivery-phase parallelism (see
-	// engine.Config); 0 or 1 runs serially, any value is bit-identical.
-	Shards int
-	// FastForward enables event-driven round skipping (see
-	// engine.Config.FastForward); bit-identical to stepping, it pays off
-	// in sparse-mining regimes and falls back silently elsewhere.
-	FastForward bool
-	// CompactEvery enables epoch-based arena compaction (see
-	// engine.Config.CompactEvery and WithCompaction): every CompactEvery
-	// rounds, blocks below the retention watermark are retired, bounding
-	// resident memory on long runs. 0 disables. Bit-identical to running
-	// without it.
-	CompactEvery int
-	// CompactMinRetire is the minimum ID span a compaction epoch must
-	// reclaim to run (0 picks the engine default; see WithCompaction).
-	CompactMinRetire int
-	// CheckerRetention bounds the consistency checker's snapshot history
-	// to the most recent CheckerRetention samples (0 keeps the whole
-	// run; see WithCheckerRetention). Required for CompactEvery to make
-	// progress — a full-history checker pins the watermark near genesis.
-	CheckerRetention int
-	// Scenario, when non-nil, applies the scenario layer (stochastic
-	// delays, partitions, churn, skewed mining power — see WithScenario
-	// and docs/scenarios.md). Nil runs the default model.
-	Scenario *ScenarioSpec
-}
-
-// SimulationReport summarizes an executed run.
-type SimulationReport struct {
-	// Violations counts Definition-1 breaches at chop T.
-	Violations int
-	// ViolationList holds the individual breaches (round pairs, tips,
-	// fork depths).
-	ViolationList []Violation
-	// MaxForkDepth is the deepest observed divergence.
-	MaxForkDepth int
-	// Ledger is the Lemma-1 accounting.
-	Ledger Accounting
-	// PredictedConvergence is T·ᾱ^{2Δ}α₁ (Eq. 26).
-	PredictedConvergence float64
-	// PredictedAdversary is T·pνn (Eq. 27).
-	PredictedAdversary float64
-	// HonestBlocks and AdversaryBlocks count mined blocks.
-	HonestBlocks, AdversaryBlocks int
-	// ChainGrowthRate is blocks of honest-chain height per round.
-	ChainGrowthRate float64
-	// ChainQuality is the honest fraction of the final main chain, scored
-	// on the chain ending at Tree.Best(). Tie-break caveat: Best keeps
-	// the first block to reach the maximal height (the pre-arena Tips
-	// scan took the largest ID), so when the run ends mid-race between
-	// equally tall tips, quality is scored on one of the tied — equally
-	// tall — chains, and which one differs from the historical map-based
-	// scorer.
-	ChainQuality float64
-	// MainChainShare is the fraction of mined blocks on the main chain.
-	MainChainShare float64
-	// TotalBlocks counts every block ever added to the tree (genesis
-	// excluded); LiveBlocks counts the blocks still resident in the
-	// arena at the end of the run — equal to TotalBlocks+1 unless arena
-	// compaction (WithCompaction) retired history.
-	TotalBlocks, LiveBlocks int
-}
-
-// Simulate runs the protocol under cfg and returns the full consistency
-// report.
-//
-// Deprecated: use Run, which takes a context, composable observers and
-// functional options:
-//
-//	Run(ctx, cfg.Params, WithRounds(cfg.Rounds), WithSeed(cfg.Seed),
-//	    WithAdversary(cfg.Adversary), WithConsistency(cfg.T, cfg.SampleEvery),
-//	    WithShards(cfg.Shards))
-//
-// Simulate delegates to exactly that and reproduces its reports
-// bit-identically.
-func Simulate(cfg SimulationConfig) (SimulationReport, error) {
-	opts := []Option{
-		WithRounds(cfg.Rounds),
-		WithSeed(cfg.Seed),
-		WithConsistency(cfg.T, cfg.SampleEvery),
-		WithShards(cfg.Shards),
-	}
-	if cfg.FastForward {
-		opts = append(opts, WithFastForward())
-	}
-	if cfg.CompactEvery > 0 {
-		opts = append(opts, WithCompaction(cfg.CompactEvery, cfg.CompactMinRetire))
-	}
-	if cfg.CheckerRetention > 0 {
-		opts = append(opts, WithCheckerRetention(cfg.CheckerRetention))
-	}
-	if cfg.Adversary != nil {
-		opts = append(opts, WithAdversary(cfg.Adversary))
-	}
-	if cfg.Scenario != nil {
-		opts = append(opts, WithScenario(cfg.Scenario))
-	}
-	rep, err := Run(context.Background(), cfg.Params, opts...)
-	if err != nil {
-		return SimulationReport{}, err
-	}
-	return rep.SimulationReport, nil
-}
+// SimulationReport summarizes an executed run: Definition-1
+// violations, the Lemma-1 ledger against its Eq. 26/27 predictions,
+// and chain growth, quality and size.
+type SimulationReport = sweep.Report
 
 // Figure1 computes the three νmax-vs-c curves of the paper's Figure 1 on
 // the given c grid (use Figure1DefaultGrid for the paper's range).
@@ -320,40 +196,8 @@ func TableIText(pr Params) (string, error) { return figures.TableIText(pr) }
 // Remark1Text renders the Remark-1 regime table at delay bound delta.
 func Remark1Text(delta float64) (string, error) { return figures.Remark1Text(delta) }
 
-// Sweep runs a (ν × c) grid of simulations in parallel and returns the
-// raw per-cell outcomes.
-//
-// Deprecated: use RunSweep, the one option-driven grid pipeline (it
-// aggregates over replicates; a single replicate's AggregateCell carries
-// the same violation/margin/fork outcome). Sweep remains for callers
-// needing the raw Cell fields and flows through the same job queue.
-func Sweep(cfg SweepConfig) ([]SweepCell, error) { return sweep.Run(cfg) }
-
 // AggregateCell is one replicated-sweep cell with confidence intervals.
 type AggregateCell = sweep.AggregateCell
-
-// SweepReplicated runs the grid `replicates` times with independent seeds
-// and aggregates per cell (violation probability with Wilson interval,
-// margin/convergence summaries).
-//
-// Deprecated: use RunSweep with WithReplicates:
-//
-//	RunSweep(ctx, SweepGrid{N: cfg.N, Delta: cfg.Delta,
-//	    NuValues: cfg.NuValues, CValues: cfg.CValues},
-//	    WithRounds(cfg.Rounds), WithSeed(cfg.Seed),
-//	    WithConsistency(cfg.T, cfg.SampleEvery), WithReplicates(replicates))
-func SweepReplicated(cfg SweepConfig, replicates int) ([]AggregateCell, error) {
-	return sweep.RunReplicated(cfg, replicates)
-}
-
-// SweepReplicatedStream is SweepReplicated with progressive delivery:
-// each cell is handed to onCell as soon as its last replicate finishes,
-// while the rest of the grid is still running.
-//
-// Deprecated: use RunSweep with WithCellObserver(onCell).
-func SweepReplicatedStream(cfg SweepConfig, replicates int, onCell func(AggregateCell)) ([]AggregateCell, error) {
-	return sweep.RunReplicatedStream(cfg, replicates, onCell)
-}
 
 // CatchUpProbability returns the gambler's-ruin probability (ν/µ)^z that
 // an adversary z blocks behind ever catches up.

@@ -1,6 +1,7 @@
 package neatbound
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -107,10 +108,8 @@ func TestSimulateEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Simulate(SimulationConfig{
-		Params: pr, Rounds: 20000, Seed: 1, T: 8,
-		Adversary: NewMaxDelayAdversary(),
-	})
+	rep, err := Run(context.Background(), pr, WithRounds(20000), WithSeed(1),
+		WithConsistency(8, 0), WithAdversary(NewMaxDelayAdversary()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,10 +145,8 @@ func TestSimulateAttackBelowBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Simulate(SimulationConfig{
-		Params: pr, Rounds: 30000, Seed: 2, T: 3,
-		Adversary: NewPrivateMiningAdversary(4),
-	})
+	rep, err := Run(context.Background(), pr, WithRounds(30000), WithSeed(2),
+		WithConsistency(3, 0), WithAdversary(NewPrivateMiningAdversary(4)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,11 +162,11 @@ func TestSimulateAttackBelowBound(t *testing.T) {
 }
 
 func TestSimulateValidation(t *testing.T) {
-	if _, err := Simulate(SimulationConfig{}); err == nil {
+	if _, err := Run(context.Background(), Params{}); err == nil {
 		t.Error("zero config accepted")
 	}
 	pr, _ := NewParams(20, 0.002, 2, 0.25)
-	if _, err := Simulate(SimulationConfig{Params: pr, Rounds: 10, T: -1}); err == nil {
+	if _, err := Run(context.Background(), pr, WithRounds(10), WithConsistency(-1, 0)); err == nil {
 		t.Error("negative T accepted")
 	}
 }
@@ -232,12 +229,9 @@ func TestTableAndRegimeText(t *testing.T) {
 }
 
 func TestSweepFacade(t *testing.T) {
-	cells, err := Sweep(SweepConfig{
-		N: 20, Delta: 2,
-		NuValues: []float64{0.2},
-		CValues:  []float64{5},
-		Rounds:   500, Seed: 1, T: 5,
-	})
+	cells, err := RunSweep(context.Background(),
+		SweepGrid{N: 20, Delta: 2, NuValues: []float64{0.2}, CValues: []float64{5}},
+		WithRounds(500), WithSeed(1), WithConsistency(5, 0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,20 +8,15 @@ import (
 	"time"
 
 	"neatbound/internal/adversary"
-	"neatbound/internal/consistency"
 	"neatbound/internal/engine"
-	"neatbound/internal/metrics"
-	"neatbound/internal/pool"
 	"neatbound/internal/scenario"
 	"neatbound/internal/sweep"
 )
 
-// This file is the v2 execution API: one context-aware Runner
-// (Run) and one option-driven sweep pipeline (RunSweep) that the
-// consistency checker, metric recorders, trace writers, and user hooks
-// all plug into as composable observers. The legacy entry points
-// (Simulate, Sweep, SweepReplicated, SweepReplicatedStream) are thin
-// shims over this path.
+// This file is the execution API: one context-aware Runner (Run) and
+// one option-driven sweep pipeline (RunSweep), both running each
+// simulation through sweep.RunOne; trace writers and user hooks plug
+// into it as composable observers.
 
 // EngineVersion is the engine-semantics version (sweep.EngineVersion):
 // it changes only when a code change alters simulation results for some
@@ -207,9 +202,8 @@ func WithAdversaryName(name string, opts AdversaryOpts) Option {
 }
 
 // WithShards sets the engine's delivery-phase parallelism (see
-// engine sharding in SimulationConfig.Shards): 0 or 1 serial, P > 1
-// sharded, AutoShards picks from GOMAXPROCS and the player count. Any
-// value is bit-identical.
+// engine.Config.Shards): 0 or 1 serial, P > 1 sharded, AutoShards picks
+// from GOMAXPROCS and the player count. Any value is bit-identical.
 func WithShards(shards int) Option {
 	return Option{name: "WithShards", scope: scopeRun | scopeSweep | scopeDist | scopeSvc,
 		apply: func(o *runOptions) { o.shards = shards }}
@@ -376,10 +370,10 @@ type RunReport struct {
 }
 
 // Run executes the protocol under pr with the given options and returns
-// the full consistency report — the v2 replacement for Simulate. The
-// consistency checker, the Lemma-1 ledger recorder, any trace writer or
-// progress hook, and the observers of WithObserver all run side by side
-// in one pass over the round stream.
+// the full consistency report, computed by sweep.RunOne exactly as for
+// a sweep cell. The consistency checker, the Lemma-1 ledger recorder,
+// any trace writer or progress hook, and the observers of WithObserver
+// all run side by side in one pass over the round stream.
 //
 // Cancelling ctx stops the run before the next round: Run then returns
 // the report over the rounds executed so far, with Partial set, together
@@ -401,26 +395,7 @@ func Run(ctx context.Context, pr Params, opts ...Option) (*RunReport, error) {
 			return nil, err
 		}
 	}
-	sampleEvery := o.sampleEvery
-	if sampleEvery <= 0 {
-		sampleEvery = o.rounds / 50
-		if sampleEvery < 1 {
-			sampleEvery = 1
-		}
-	}
-	checker, err := consistency.NewChecker(o.tee, sampleEvery)
-	if err != nil {
-		return nil, err
-	}
-	// The post-run pairwise consistency scan shares the same persistent
-	// worker pool the engine's delivery phase and broadcast fan-out use.
-	checker.UsePool(pool.Default())
-	checker.SetRetention(o.checkerRetain)
-	ledger, err := consistency.NewLedgerRecorder(pr.Delta)
-	if err != nil {
-		return nil, err
-	}
-	stack := []engine.Observer{checker, ledger}
+	var stack []engine.Observer
 	if o.traceW != nil {
 		stack = append(stack, engine.NewTraceWriter(o.traceW))
 	}
@@ -438,7 +413,7 @@ func Run(ctx context.Context, pr Params, opts ...Option) (*RunReport, error) {
 		}))
 	}
 	stack = append(stack, o.observers...)
-	ecfg := engine.Config{
+	rep, res, err := sweep.RunOne(ctx, engine.Config{
 		Params:           pr,
 		Rounds:           o.rounds,
 		Seed:             o.seed,
@@ -449,75 +424,15 @@ func Run(ctx context.Context, pr Params, opts ...Option) (*RunReport, error) {
 		FastForward:      o.fastForward,
 		CompactEvery:     o.compactEvery,
 		CompactMinRetire: o.compactMin,
-	}
-	if o.scenarioSpec != nil {
-		compiled, err := o.scenarioSpec.Compile(pr)
-		if err != nil {
-			return nil, fmt.Errorf("neatbound: %w", err)
-		}
-		if compiled.Policy != nil {
-			if ecfg.Adversary == nil {
-				ecfg.Adversary = engine.PassiveAdversary{}
-			}
-			ecfg.Adversary = scenario.Wrap(ecfg.Adversary, compiled.Policy)
-		}
-		ecfg.Churn = compiled.Churn
-		ecfg.MiningWeights = compiled.Weights
-	}
-	e, err := engine.New(ecfg)
-	if err != nil {
-		return nil, err
-	}
-	res, runErr := e.RunContext(ctx)
+	}, o.tee, sweep.ResolveSampleEvery(o.sampleEvery, o.rounds), o.checkerRetain, o.scenarioSpec)
 	if res == nil {
-		return nil, runErr
+		return nil, fmt.Errorf("neatbound: %w", err)
 	}
-	rep, err := assembleReport(pr, res, checker, ledger)
-	if err != nil {
-		return nil, err
-	}
-	return rep, runErr
-}
-
-// assembleReport builds the RunReport from an executed (possibly
-// partial) result — field for field what the legacy Simulate computed,
-// so Run reproduces its reports bit-identically. Every field, the
-// Eq. 26/27 predictions included, covers the rounds actually executed
-// (identical to the configured total on a complete run).
-func assembleReport(pr Params, res *engine.Result, checker *consistency.Checker, ledger *consistency.LedgerRecorder) (*RunReport, error) {
-	viols, err := checker.Check(res.Tree)
-	if err != nil {
-		return nil, err
-	}
-	maxDepth, err := checker.MaxForkDepth(res.Tree)
-	if err != nil {
-		return nil, err
-	}
-	tree := res.Tree
-	quality, err := metrics.ChainQuality(tree, tree.Best(), 0)
-	if err != nil {
-		return nil, err
-	}
-	rounds := len(res.Records)
 	return &RunReport{
-		SimulationReport: SimulationReport{
-			Violations:           len(viols),
-			ViolationList:        viols,
-			MaxForkDepth:         maxDepth,
-			Ledger:               ledger.Accounting(),
-			PredictedConvergence: float64(rounds) * pr.ConvergenceOpportunityRate(),
-			PredictedAdversary:   float64(rounds) * pr.AdversaryBlockRate(),
-			HonestBlocks:         res.HonestBlocks,
-			AdversaryBlocks:      res.AdversaryBlocks,
-			ChainGrowthRate:      metrics.ChainGrowthRate(res.Records),
-			ChainQuality:         quality,
-			MainChainShare:       metrics.MainChainShare(tree),
-			TotalBlocks:          tree.Len() - 1,
-			LiveBlocks:           tree.LiveBlocks(),
-		},
-		Partial:        res.Partial,
-		RoundsExecuted: len(res.Records),
-	}, nil
+		SimulationReport: rep,
+		Partial:          res.Partial,
+		RoundsExecuted:   len(res.Records),
+	}, err
 }
 
 // SweepGrid spans the (ν × c) parameter grid of one sweep; every
@@ -532,12 +447,11 @@ type SweepGrid struct {
 }
 
 // RunSweep executes a (ν × c) grid on the job-queue pipeline and
-// aggregates each cell over its replicates — the one option-driven
-// entry point replacing Sweep, SweepReplicated and
-// SweepReplicatedStream. Attach WithCellObserver to stream finished
-// cells while the grid is still running; the streamed lines marshal via
-// MarshalCells into the cross-process interchange that MergeCellStreams
-// reassembles.
+// aggregates each cell over its replicates; each replicate is one
+// sweep.RunOne, the computation Run performs. Attach WithCellObserver
+// to stream finished cells while the grid is still running; the
+// streamed lines marshal via MarshalCells into the cross-process
+// interchange that MergeCellStreams reassembles.
 //
 // Cancelling ctx stops the grid promptly: cells already aggregated are
 // returned (unfinished slots stay zero-valued) together with ctx.Err().
@@ -551,18 +465,8 @@ func RunSweep(ctx context.Context, grid SweepGrid, opts ...Option) ([]AggregateC
 		if factory != nil {
 			return nil, fmt.Errorf("neatbound: WithAdversaryFactory and WithAdversaryName are mutually exclusive")
 		}
-		// Validate the name once up front; the per-cell factory can then
-		// not fail.
-		if _, err := NewAdversaryByName(o.advName, o.advOpts); err != nil {
-			return nil, err
-		}
-		name, advOpts := o.advName, o.advOpts
-		factory = func() Adversary {
-			adv, err := NewAdversaryByName(name, advOpts)
-			if err != nil {
-				panic(err) // unreachable: validated above
-			}
-			return adv
+		if factory, err = adversary.Factory(o.advName, o.advOpts.ForkDepth); err != nil {
+			return nil, fmt.Errorf("neatbound: %w", err)
 		}
 	}
 	return sweep.RunGrid(ctx, sweep.Config{

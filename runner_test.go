@@ -11,13 +11,24 @@ import (
 	"neatbound/internal/consistency"
 	"neatbound/internal/engine"
 	"neatbound/internal/metrics"
+	"neatbound/internal/sweep"
 )
 
+// parityCase is one Run configuration the parity tests replay by hand.
+type parityCase struct {
+	Params         Params
+	Rounds         int
+	Seed           uint64
+	Adversary      Adversary
+	T, SampleEvery int
+	Shards         int
+}
+
 // legacySimulate re-implements the pre-Runner Simulate data path — the
-// single OnRound checker hook plus post-run record replays — so the
+// checker as the only observer plus post-run record replays — so the
 // parity tests compare Run's streaming observer stack against the
 // historical assembly, not against itself.
-func legacySimulate(t *testing.T, cfg SimulationConfig) SimulationReport {
+func legacySimulate(t *testing.T, cfg parityCase) SimulationReport {
 	t.Helper()
 	sampleEvery := cfg.SampleEvery
 	if sampleEvery <= 0 {
@@ -35,7 +46,7 @@ func legacySimulate(t *testing.T, cfg SimulationConfig) SimulationReport {
 		Rounds:    cfg.Rounds,
 		Seed:      cfg.Seed,
 		Adversary: cfg.Adversary,
-		OnRound:   checker.OnRound,
+		Observer:  checker,
 		Shards:    cfg.Shards,
 	})
 	if err != nil {
@@ -81,10 +92,10 @@ func legacySimulate(t *testing.T, cfg SimulationConfig) SimulationReport {
 // runnerParityCases spans every adversary class on the golden-seed
 // parameterizations (the oracle and adaptive-ν golden cases are
 // engine-level features pinned by TestGoldenTracesObserver).
-func runnerParityCases() []SimulationConfig {
+func runnerParityCases() []parityCase {
 	base := Params{N: 40, P: 0.005, Delta: 4, Nu: 0.3}
 	deep := Params{N: 40, P: 0.005, Delta: 8, Nu: 0.45}
-	return []SimulationConfig{
+	return []parityCase{
 		{Params: base, Rounds: 3000, Seed: 1, T: 6},
 		{Params: base, Rounds: 3000, Seed: 2, T: 6, Adversary: NewMaxDelayAdversary()},
 		{Params: deep, Rounds: 3000, Seed: 3, T: 3, Adversary: NewPrivateMiningAdversary(3)},
@@ -283,8 +294,12 @@ func TestWithAdversaryName(t *testing.T) {
 	}
 }
 
+// TestRunSweepMatchesLegacyReplicatedStream pins RunSweep's option
+// translation against the sweep pipeline the legacy
+// SweepReplicatedStream wrapped: sweep.RunGrid with a cell callback and
+// a hand-built adversary factory.
 func TestRunSweepMatchesLegacyReplicatedStream(t *testing.T) {
-	cfg := SweepConfig{
+	cfg := sweep.Config{
 		N: 20, Delta: 2,
 		NuValues: []float64{0.2, 0.3},
 		CValues:  []float64{2, 8},
@@ -292,7 +307,7 @@ func TestRunSweepMatchesLegacyReplicatedStream(t *testing.T) {
 		NewAdversary: func() Adversary { return NewPrivateMiningAdversary(3) },
 	}
 	var streamed []AggregateCell
-	want, err := SweepReplicatedStream(cfg, 3, func(c AggregateCell) { streamed = append(streamed, c) })
+	want, err := sweep.RunGrid(context.Background(), cfg, 3, func(c AggregateCell) { streamed = append(streamed, c) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,10 +325,72 @@ func TestRunSweepMatchesLegacyReplicatedStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(cells, want) {
-		t.Errorf("RunSweep cells diverged from SweepReplicatedStream\n got %+v\nwant %+v", cells, want)
+		t.Errorf("RunSweep cells diverged from sweep.RunGrid\n got %+v\nwant %+v", cells, want)
 	}
 	if len(got) != len(streamed) || len(got) != len(cells) {
-		t.Errorf("streamed %d cells via observer, legacy streamed %d, grid has %d", len(got), len(streamed), len(cells))
+		t.Errorf("streamed %d cells via observer, RunGrid streamed %d, grid has %d", len(got), len(streamed), len(cells))
+	}
+}
+
+// TestRunSweepCellMatchesRun pins that a sweep cell and a single Run are
+// the same computation: every single-replicate RunSweep cell equals a
+// Run at the cell's (ν, c) with the cell's sweep.CellSeed seed — under
+// the default model and under a scenario.
+func TestRunSweepCellMatchesRun(t *testing.T) {
+	stochastic, err := ParseScenario("stochastic-delay")
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid := SweepGrid{N: 40, Delta: 8, NuValues: []float64{0.3, 0.45}, CValues: []float64{0.6, 6}}
+	const (
+		rounds = 3000
+		seed   = 5
+		tee    = 3
+	)
+	for _, tc := range []struct {
+		name string
+		spec *ScenarioSpec
+	}{{"default", nil}, {"stochastic-delay", stochastic}} {
+		t.Run(tc.name, func(t *testing.T) {
+			shared := []Option{
+				WithRounds(rounds),
+				WithConsistency(tee, 0),
+				WithAdversaryName("private", AdversaryOpts{ForkDepth: 3}),
+				WithScenario(tc.spec),
+			}
+			cells, err := RunSweep(context.Background(), grid, append(shared, WithSeed(seed))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			violated := 0
+			for i, cell := range cells {
+				if cell.Err != nil || cell.Replicates != 1 {
+					t.Fatalf("cell %d: replicates %d, err %v", i, cell.Replicates, cell.Err)
+				}
+				pr, err := ParamsFromC(grid.N, grid.Delta, cell.Nu, cell.C)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rep, err := Run(context.Background(), pr, append(shared, WithSeed(sweep.CellSeed(seed, i, 0)))...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := [5]float64{cell.Violations.Mean, cell.MaxForkDepth.Mean,
+					cell.Convergence.Mean, cell.Adversary.Mean, cell.Margin.Mean}
+				want := [5]float64{float64(rep.Violations), float64(rep.MaxForkDepth),
+					float64(rep.Ledger.Convergence), float64(rep.Ledger.Adversary), float64(rep.Ledger.Margin())}
+				if got != want {
+					t.Errorf("cell (ν=%g, c=%g): sweep [viol fork conv adv margin] = %v, Run = %v",
+						cell.Nu, cell.C, got, want)
+				}
+				if rep.Violations > 0 {
+					violated++
+				}
+			}
+			if violated == 0 {
+				t.Error("no cell violated: the comparison never exercised a non-empty violation list")
+			}
+		})
 	}
 }
 
