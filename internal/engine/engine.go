@@ -233,7 +233,9 @@ type Result struct {
 	Records []RoundRecord
 	// Tree is the global block tree (ground truth).
 	Tree *blockchain.Tree
-	// FinalTips maps honest player index to final chain tip.
+	// FinalTips holds every view-maintaining player's final chain tip,
+	// indexed by player: the honest players without a NuSchedule, all N
+	// players (corrupted ones' parked views included) with one.
 	FinalTips []blockchain.BlockID
 	// HonestBlocks and AdversaryBlocks count blocks mined over the run.
 	HonestBlocks, AdversaryBlocks int
@@ -260,7 +262,13 @@ type Engine struct {
 	obs    Observer
 	advRng *rng.Stream
 	mineRg *rng.Stream
-	tips   []blockchain.BlockID // one view per player; [0, honest) are honest
+	// tips holds one view per player; [0, honest) are honest. While the
+	// fast-forward path tracks the views compactly (ff.uniformValid), an
+	// entry is authoritative only for a listed deviant: every other
+	// player's view is the majority (ff.majTip, ff.majH) and its entry
+	// may be stale. Read views through view(i); materializeViews writes
+	// the entries back before any per-player walk needs them.
+	tips []blockchain.BlockID
 	// tipHeights mirrors tips with each view's chain height, so the hot
 	// path never needs a tree lookup to compare chains.
 	tipHeights []int
@@ -367,12 +375,10 @@ func New(cfg Config) (*Engine, error) {
 		tips:       make([]blockchain.BlockID, players),
 		tipHeights: make([]int, players),
 	}
-	for i := range e.tips {
-		e.tips[i] = blockchain.GenesisID
-	}
-	// Partition the player range into contiguous shards (sizes differing
-	// by at most one) and count every honest view — all at genesis,
-	// height 0 — into its shard's accumulator.
+	// Every view starts at genesis: height 0 and GenesisID (= 0) are the
+	// zero values make already wrote. Partition the player range into
+	// contiguous shards (sizes differing by at most one) and count each
+	// shard's honest views into its accumulator in bulk.
 	nshards := cfg.Shards
 	if nshards < 0 {
 		nshards = autoShards(players)
@@ -396,8 +402,15 @@ func New(cfg Config) (*Engine, error) {
 		lo += size
 	}
 	e.cursorsBuf = make([]network.ShardCursor, 0, nshards)
-	for i := 0; i < honest; i++ {
-		e.shardOf(i).add(i, blockchain.GenesisID, 0, e.halfLo)
+	for k := range e.shards {
+		s := &e.shards[k]
+		if c := min(s.hi, honest) - s.lo; c > 0 {
+			// What c calls of add at (GenesisID, 0) leave behind; height 0
+			// never enters the per-half argmax.
+			s.heightCount = append(s.heightCount, c)
+			s.tracked = c
+			s.addTipRef(blockchain.GenesisID, int32(c))
+		}
 	}
 	e.deliverFn = func(k int) {
 		s := &e.shards[k]
@@ -433,7 +446,7 @@ func (e *Engine) acquirePool() *pool.Pool {
 func (e *Engine) setTip(i int, id blockchain.BlockID, h int) {
 	if i < e.honest {
 		s := e.shardOf(i)
-		s.remove(e.tips[i], e.tipHeights[i])
+		s.remove(e.view(i))
 		s.add(i, id, h, e.halfLo)
 	}
 	e.tips[i] = id
@@ -480,7 +493,8 @@ func (e *Engine) PlayerTip(i int) (blockchain.BlockID, error) {
 	if i < 0 || i >= e.honest {
 		return 0, fmt.Errorf("engine: honest player %d outside [0, %d)", i, e.honest)
 	}
-	return e.tips[i], nil
+	id, _ := e.view(i)
+	return id, nil
 }
 
 // mergeTips stamps every distinct tip across the shard tip lists and
@@ -684,6 +698,7 @@ func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
 
 // finalize copies the run-level outcome into res.
 func (e *Engine) finalize(res *Result) {
+	e.materializeViews()
 	res.FinalTips = append([]blockchain.BlockID(nil), e.tips...)
 	res.HonestBlocks = e.honestBlocks
 	res.AdversaryBlocks = e.adversaryBlocks
@@ -736,14 +751,16 @@ func (e *Engine) step() (RoundRecord, error) {
 	// outright — state-identical, since every Deliver would return nil;
 	// under fast-forward, a due round whose messages are all uniform
 	// broadcasts onto compactly tracked views is adopted in bulk instead
-	// of per recipient (flashDeliver, bit-identical by construction).
+	// of per recipient (flashDeliver, bit-identical by construction); the
+	// walk fallback first writes the lazily tracked views back into the
+	// per-player entries it reads.
 	if e.net.HasDue(t) {
 		if e.ff.armed && e.net.UniformPendingAt(t) && e.ensureUniformViews() {
 			if err := e.flashDeliver(t); err != nil {
 				return RoundRecord{}, err
 			}
 		} else {
-			e.ff.uniformValid = false
+			e.materializeViews()
 			if err := e.deliverShards(t); err != nil {
 				return RoundRecord{}, err
 			}
@@ -780,7 +797,7 @@ func (e *Engine) step() (RoundRecord, error) {
 	}
 	e.ff.preH = -1
 	for _, i := range winners {
-		parent := e.tips[i]
+		parent, _ := e.view(i)
 		b := blockchain.Block{
 			ID:     e.alloc.Next(),
 			Parent: parent,

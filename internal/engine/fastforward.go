@@ -31,7 +31,11 @@ package engine
 //     miners), the per-recipient adoption walk collapses to one fold
 //     per view class plus an O(shards + deviants) statistics rebuild —
 //     bit-identical to the walk because the longest-chain fold from a
-//     given start height has a unique outcome (see flashDeliver).
+//     given start height has a unique outcome (see flashDeliver). The
+//     views stay lazy while tracked: only the deviants' per-player
+//     entries are kept current, and materializeViews writes the
+//     majority back into the rest only when a per-player walk or the
+//     final result needs them.
 //
 // docs/fastforward.md states the eligibility predicate and the RNG
 // draw-order contract; TestGoldenTracesFastForward pins the equivalence
@@ -90,7 +94,9 @@ type ffState struct {
 	// listed in deviants sits exactly on (majTip, majH), and deviant d
 	// sits on its own self-mined tip with height ≥ majH (deviant
 	// heights never drop below the majority's — see flashDeliver).
-	// devTip/devH are flash-time scratch parallel to deviants.
+	// The views are then lazy: e.tips/e.tipHeights are authoritative
+	// only at the deviants' indices (see Engine.view). devTip/devH are
+	// materializeViews scratch parallel to deviants.
 	uniformValid bool
 	majTip       blockchain.BlockID
 	majH         int
@@ -226,9 +232,59 @@ func (e *Engine) ffAdvance(res *Result) error {
 	return nil
 }
 
+// view returns player i's current chain tip and height: the majority
+// view for a non-deviant while the views are compactly tracked, its
+// per-player entry otherwise. O(deviants) while tracked, O(1) after.
+func (e *Engine) view(i int) (blockchain.BlockID, int) {
+	if e.ff.uniformValid && !e.isDeviant(i) {
+		return e.ff.majTip, e.ff.majH
+	}
+	return e.tips[i], e.tipHeights[i]
+}
+
+// isDeviant reports whether player i is on the tracked deviant list.
+func (e *Engine) isDeviant(i int) bool {
+	for _, d := range e.ff.deviants {
+		if d == i {
+			return true
+		}
+	}
+	return false
+}
+
+// materializeViews ends the compact view tracking, writing the majority
+// view into every non-deviant entry of e.tips/e.tipHeights so each entry
+// is authoritative again. It is the only O(players) step of the
+// fast-forward path and runs only where per-player views are read in
+// bulk: before the sharded walk, when the deviant list overflows, and at
+// finalize. A no-op when the views are not tracked.
+func (e *Engine) materializeViews() {
+	if !e.ff.uniformValid {
+		return
+	}
+	e.ff.uniformValid = false
+	e.ff.devTip, e.ff.devH = e.ff.devTip[:0], e.ff.devH[:0]
+	for _, d := range e.ff.deviants {
+		e.ff.devTip = append(e.ff.devTip, e.tips[d])
+		e.ff.devH = append(e.ff.devH, e.tipHeights[d])
+	}
+	for i := range e.tips {
+		e.tips[i] = e.ff.majTip
+	}
+	for i := range e.tipHeights {
+		e.tipHeights[i] = e.ff.majH
+	}
+	for j, d := range e.ff.deviants {
+		e.tips[d] = e.ff.devTip[j]
+		e.tipHeights[d] = e.ff.devH[j]
+	}
+}
+
 // ensureUniformViews reports whether the compact view tracking is
 // valid, re-establishing it when the honest views have reconverged to a
-// single tip (the common state moments after any fork resolves).
+// single tip (the common state moments after any fork resolves). The
+// entries are authoritative when it re-arms, and all equal the new
+// majority, so the lazy invariant holds from the start.
 func (e *Engine) ensureUniformViews() bool {
 	if e.ff.uniformValid {
 		return true
@@ -244,23 +300,18 @@ func (e *Engine) ensureUniformViews() bool {
 }
 
 // noteDeviant records that honest player i's view left the majority tip
-// (it just mined). Re-noting an existing deviant is a no-op — its entry
-// already marks "on a self-mined tip"; past the tracking cap the
-// compact state is dropped and flash delivery falls back to the walk.
+// (it just mined; setTip already wrote its entry). Re-noting an
+// existing deviant is a no-op — its entry already marks "on a
+// self-mined tip"; past the tracking cap the views are materialized
+// and flash delivery falls back to the walk.
 func (e *Engine) noteDeviant(i int) {
-	if !e.ff.armed || !e.ff.uniformValid {
-		return
-	}
-	for _, d := range e.ff.deviants {
-		if d == i {
-			return
-		}
-	}
-	if len(e.ff.deviants) >= ffMaxDeviants {
-		e.ff.uniformValid = false
+	if !e.ff.uniformValid || e.isDeviant(i) {
 		return
 	}
 	e.ff.deviants = append(e.ff.deviants, i)
+	if len(e.ff.deviants) > ffMaxDeviants {
+		e.materializeViews()
+	}
 }
 
 // flashDeliver replaces the round's per-recipient adoption walk when
@@ -311,40 +362,25 @@ func (e *Engine) flashDeliver(t int) error {
 
 	// Prune deviants that join the winning tip — by adopting it, or by
 	// already sitting on it (the winner may be a deviant's own earlier
-	// broadcast) — and snapshot the kept deviants' views before the
-	// bulk fill overwrites them.
+	// broadcast). Adoption is then just the majority moving: the lazy
+	// views write no per-player entry, and a pruned deviant's stale
+	// entry is never read again.
 	keep := e.ff.deviants[:0]
-	e.ff.devTip, e.ff.devH = e.ff.devTip[:0], e.ff.devH[:0]
 	for _, d := range e.ff.deviants {
 		if newH > e.tipHeights[d] || e.tips[d] == newTip {
 			continue
 		}
 		keep = append(keep, d)
-		e.ff.devTip = append(e.ff.devTip, e.tips[d])
-		e.ff.devH = append(e.ff.devH, e.tipHeights[d])
 	}
 	e.ff.deviants = keep
-
-	// Bulk-adopt: every view to the winner, then the kept deviants'
-	// snapshots written back over their slots.
-	for i := range e.tips {
-		e.tips[i] = newTip
-	}
-	for i := range e.tipHeights {
-		e.tipHeights[i] = newH
-	}
-	for j, d := range e.ff.deviants {
-		e.tips[d] = e.ff.devTip[j]
-		e.tipHeights[d] = e.ff.devH[j]
-	}
+	e.ff.majTip, e.ff.majH = newTip, newH
 
 	// Rebuild the per-shard statistics from the two view classes in
 	// O(shard span + deviants) per shard, instead of per-player
 	// remove/add pairs.
 	for k := range e.shards {
-		e.rebuildShardUniform(&e.shards[k], newTip, newH)
+		e.rebuildShardUniform(&e.shards[k])
 	}
-	e.ff.majTip, e.ff.majH = newTip, newH
 	return nil
 }
 
@@ -364,12 +400,13 @@ func (s *shardStat) addTipRef(id blockchain.BlockID, count int32) {
 }
 
 // rebuildShardUniform rewrites shard s's accumulators for the
-// post-flash views: every player in [lo, hi) on (newTip, newH) except
-// the tracked deviants, whose corrected views were just written into
-// e.tips/e.tipHeights. All resulting fields are exact functions of the
+// post-flash views: every player in [lo, hi) on the new majority
+// (ff.majTip, ff.majH) except the tracked deviants, whose entries hold
+// their own views. All resulting fields are exact functions of the
 // current views — the same values the serial remove/add pairs would
 // have produced — so sharded and flash runs stay on one trace.
-func (e *Engine) rebuildShardUniform(s *shardStat, newTip blockchain.BlockID, newH int) {
+func (e *Engine) rebuildShardUniform(s *shardStat) {
+	newTip, newH := e.ff.majTip, e.ff.majH
 	size := s.hi - s.lo
 	// Drop the old state: the height support is exactly [minH, maxH],
 	// and tipList enumerates every tip with a live refcount.
@@ -408,16 +445,16 @@ func (e *Engine) rebuildShardUniform(s *shardStat, newTip blockchain.BlockID, ne
 		if a >= b {
 			continue
 		}
-		if h := e.tipHeights[a]; h > 0 {
-			s.bestH[half], s.bestIdx[half], s.bestTip[half] = h, a, e.tips[a]
+		if tip, h := e.view(a); h > 0 {
+			s.bestH[half], s.bestIdx[half], s.bestTip[half] = h, a, tip
 		}
 	}
 	majCount := size
-	for j, d := range e.ff.deviants {
+	for _, d := range e.ff.deviants {
 		if d < s.lo || d >= s.hi {
 			continue
 		}
-		dTip, dH := e.ff.devTip[j], e.ff.devH[j]
+		dTip, dH := e.tips[d], e.tipHeights[d]
 		majCount--
 		if dH != newH {
 			// Deviant heights are ≥ newH, so corrections only extend

@@ -202,11 +202,16 @@ type slot struct {
 	uniformPending int
 	// drainedStamp[i] == round marks recipient i as having drained the
 	// uniform entries this round, so repeated drains never deliver a
-	// uniform message twice. No reset is needed on recycle: delivery
-	// rounds are ≥ 1 and distinct per slot generation, so a stale stamp
-	// can never equal the new round. Entries are written by at most one
-	// delivery cursor per round (disjoint recipient ranges), so the
-	// sharded drain stays race-free.
+	// uniform message twice. Only the per-recipient drains (DeliverTo,
+	// ShardCursor.Deliver) of uniform entries read or write it, so
+	// ensureByRecipient allocates it lazily, serially, and only for a
+	// slot holding uniform entries; it stays nil for a slot only ever
+	// drained whole through DrainUniform. A fresh array's
+	// zero stamps and, on recycle, stale ones are both safe: delivery
+	// rounds are ≥ 1 and distinct per slot generation, so they never
+	// equal the new round. Entries are written by at most one delivery
+	// cursor per round (disjoint recipient ranges), so the sharded
+	// drain stays race-free.
 	drainedStamp []int
 }
 
@@ -319,10 +324,10 @@ func (n *Network) clampDelivery(sent, round int) int {
 }
 
 // recycleSlot repurposes a fully drained slot for round r, keeping its
-// buffers. The caller has checked s.pending == 0. Per-recipient buffers
-// stay lazy: a slot that only ever carries uniform entries (the large-n
-// fast-forward regime) never pays the O(players) byRecipient array —
-// the dominant allocation of pre-arena large-n runs.
+// buffers. The caller has checked s.pending == 0. Per-recipient state
+// stays lazy: a slot that only ever carries uniform entries (the large-n
+// fast-forward regime) never pays the O(players) byRecipient and
+// drainedStamp arrays — the dominant allocations of large-n runs.
 func (n *Network) recycleSlot(s *slot, r int) {
 	s.round = r
 	s.uniform = s.uniform[:0]
@@ -330,11 +335,16 @@ func (n *Network) recycleSlot(s *slot, r int) {
 }
 
 // ensureByRecipient allocates the slot's per-recipient buffers on first
-// per-recipient use. Serial call sites only — the sharded window
-// allocates in BeginRound, never from a worker.
+// per-recipient use, and its uniform drain stamps once it also carries
+// uniform entries (a per-recipient-only slot never reads them). Serial
+// call sites only — the sharded window allocates in BeginRound, never
+// from a worker.
 func (n *Network) ensureByRecipient(s *slot) {
 	if s.byRecipient == nil {
 		s.byRecipient = make([][]Message, n.players)
+	}
+	if s.uniformPending > 0 && s.drainedStamp == nil {
+		s.drainedStamp = make([]int, n.players)
 	}
 }
 
@@ -426,9 +436,6 @@ func (n *Network) enqueueUniform(m Message, r int) bool {
 		s.uniformPending += fanout
 		s.pending += fanout
 		n.pending += fanout
-		if s.drainedStamp == nil {
-			s.drainedStamp = make([]int, n.players)
-		}
 	}
 	n.sent += fanout
 	return true

@@ -200,3 +200,109 @@ func TestUniformShardedDrainMatchesDeliverTo(t *testing.T) {
 			nCur.Pending(), nCur.Delivered(), nRef.Pending(), nRef.Delivered())
 	}
 }
+
+// TestDrainUniformLeavesStampsNil: a slot only ever drained whole
+// through DrainUniform — the fast-forward flash path — never needs the
+// per-recipient drain stamps or buffers, so neither is allocated; nor
+// does a slot drained per recipient that never held a uniform entry
+// allocate stamps.
+func TestDrainUniformLeavesStampsNil(t *testing.T) {
+	n, _ := New(1000, 3)
+	for round := 2; round <= 8; round++ {
+		if err := n.Broadcast(Message{Block: blkAt(blockchain.BlockID(round), 1), From: 4, SentRound: int32(round - 1)}, round-1, MinDelay{}); err != nil {
+			t.Fatal(err)
+		}
+		if !n.UniformPendingAt(round) {
+			t.Fatalf("round %d: uniform slot not engaged", round)
+		}
+		if got := n.DrainUniform(round); len(got) != 1 {
+			t.Fatalf("round %d: drained %d entries, want 1", round, len(got))
+		}
+	}
+	for i := range n.ring {
+		if s := &n.ring[i]; s.drainedStamp != nil || s.byRecipient != nil {
+			t.Errorf("slot %d (round %d): per-recipient state allocated by a DrainUniform-only drain", i, s.round)
+		}
+	}
+	if n.Pending() != 0 || n.Delivered() != 7*999 {
+		t.Errorf("counters: pending %d, delivered %d; want 0, %d", n.Pending(), n.Delivered(), 7*999)
+	}
+	if err := n.Send(Message{Block: blkAt(99, 2), From: -1, SentRound: 8}, 3, 9); err != nil {
+		t.Fatal(err)
+	}
+	if got := n.DeliverTo(3, 9); len(got) != 1 {
+		t.Fatalf("per-recipient send: delivered %d messages, want 1", len(got))
+	}
+	if s := &n.ring[9%len(n.ring)]; s.byRecipient == nil || s.drainedStamp != nil {
+		t.Errorf("per-recipient-only slot: buffers allocated %v, stamps allocated %v; want true, false",
+			s.byRecipient != nil, s.drainedStamp != nil)
+	}
+}
+
+// TestUniformPerRecipientDrainExactlyOnce: uniform entries drained per
+// recipient — through DeliverTo, and through BeginRound with sharded
+// cursors — reach every recipient but their sender exactly once, even
+// when each recipient drains twice and the slot is reused across
+// generations: one drained whole (no stamps yet), then ones drained per
+// recipient (stamps allocated on first use, then stale).
+func TestUniformPerRecipientDrainExactlyOnce(t *testing.T) {
+	const players = 6
+	for _, sharded := range []bool{false, true} {
+		n, _ := New(players, 2)
+		ring := len(n.ring)
+		for gen := 0; gen < 4; gen++ {
+			round := 2 + gen*ring // same ring slot every generation
+			id := blockchain.BlockID(10 * (gen + 1))
+			if err := n.SendAll(Message{Block: blkAt(id, 1), From: -1, SentRound: int32(round - 1)}, round); err != nil {
+				t.Fatal(err)
+			}
+			if err := n.Broadcast(Message{Block: blkAt(id+1, 1), From: 1, SentRound: int32(round - 1)}, round-1, MinDelay{}); err != nil {
+				t.Fatal(err)
+			}
+			if !n.UniformPendingAt(round) {
+				t.Fatalf("sharded=%v gen %d: uniform slot not engaged", sharded, gen)
+			}
+			if gen == 0 {
+				n.DrainUniform(round)
+				continue
+			}
+			got := make([]map[blockchain.BlockID]int, players)
+			for r := range got {
+				got[r] = map[blockchain.BlockID]int{}
+			}
+			drain := func(deliver func(r int) []Message, lo, hi int) {
+				// Each recipient drains twice in a row, while the others'
+				// uniform expansions are still pending.
+				for r := lo; r < hi; r++ {
+					for pass := 0; pass < 2; pass++ {
+						for _, m := range deliver(r) {
+							got[r][m.Block.ID]++
+						}
+					}
+				}
+			}
+			if sharded {
+				n.BeginRound(round)
+				c0, c1 := n.Cursor(round), n.Cursor(round)
+				drain(c0.Deliver, 0, players/2)
+				drain(c1.Deliver, players/2, players)
+				n.EndRound(round, []ShardCursor{c0, c1})
+			} else {
+				drain(func(r int) []Message { return n.DeliverTo(r, round) }, 0, players)
+			}
+			for r := 0; r < players; r++ {
+				wantBcast := 1
+				if r == 1 {
+					wantBcast = 0 // the sender is excluded
+				}
+				if got[r][id] != 1 || got[r][id+1] != wantBcast || len(got[r]) != 1+wantBcast {
+					t.Errorf("sharded=%v gen %d recipient %d: deliveries %v, want %d×%d and %d×%d",
+						sharded, gen, r, got[r], 1, id, wantBcast, id+1)
+				}
+			}
+			if n.Pending() != 0 {
+				t.Fatalf("sharded=%v gen %d: %d messages still pending", sharded, gen, n.Pending())
+			}
+		}
+	}
+}
