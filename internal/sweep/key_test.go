@@ -112,3 +112,36 @@ func TestResolveSampleEvery(t *testing.T) {
 		}
 	}
 }
+
+// TestCellKeyGolden pins absolute content-address bytes: the sweepd
+// store is keyed by these hashes across releases, so a refactor of
+// CellJob's declaration (field order, embedding, JSON tags) must leave
+// every one unchanged. The sample_every-0 job pins that the field is
+// always encoded, never omitted.
+func TestCellKeyGolden(t *testing.T) {
+	seeds := []uint64{CellSeed(1, 0, 0), CellSeed(1, 0, 1)}
+	cases := []struct {
+		name string
+		job  CellJob
+		want string
+	}{
+		{"passive", CellJob{
+			EngineVersion: EngineVersion, N: 40, Delta: 8, Nu: 0.3, C: 2,
+			Rounds: 20000, T: 4, SampleEvery: 400, Seeds: seeds,
+		}, "d512073cb332e017b092d0daee0d36cae730ee8345bd7b28a69a3733261bed9c"},
+		{"private-retention", CellJob{
+			EngineVersion: EngineVersion, N: 40, Delta: 8, Nu: 0.3, C: 2,
+			Rounds: 20000, T: 4, SampleEvery: 400,
+			Adversary: "private", ForkDepth: 4, CheckerRetention: 16, Seeds: seeds,
+		}, "afb81108b6afb96206fda8d2f3bae4c9b1106fd2c4f0843b89f15c8f97f1de17"},
+		{"sample-every-zero", CellJob{
+			EngineVersion: EngineVersion, N: 10, Delta: 3, Nu: 0.2, C: 1,
+			Rounds: 400, T: 4, Seeds: seeds[:1],
+		}, "2cef5ade479dc57ae370dbf0a4a1f634a5d5c06c76abe4ed0849ae9db5712388"},
+	}
+	for _, c := range cases {
+		if got := c.job.Key(); got != c.want {
+			t.Errorf("%s: key %s, want %s", c.name, got, c.want)
+		}
+	}
+}

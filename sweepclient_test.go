@@ -206,3 +206,82 @@ func TestSweepRequestScope(t *testing.T) {
 		t.Error("WithTargetShards accepted in a submission — shard sizing is server-side")
 	}
 }
+
+// TestSweepClientDistributedParityAllKnobs holds the three sweep entry
+// points to one result with every per-cell knob set away from its
+// default: RunSweep, RunSweepDistributed over three in-process shards,
+// and a sweepd job must emit byte-identical MarshalCells streams. A
+// knob one entry point forgot to forward shows up as a diff. Scenarios
+// do not travel to sweepd, so the scenario leg compares the other two.
+func TestSweepClientDistributedParityAllKnobs(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	grid := SweepGrid{N: 10, Delta: 3, NuValues: []float64{0.2, 0.35}, CValues: []float64{0.8, 3}}
+	opts := []Option{
+		WithRounds(300),
+		WithSeed(5),
+		WithConsistency(3, 7),
+		WithCheckerRetention(5),
+		WithAdversaryName("private", AdversaryOpts{ForkDepth: 3}),
+		WithReplicates(3),
+		WithShards(2),
+		WithFastForward(),
+		WithCompaction(40, 4),
+	}
+	marshal := func(cells []AggregateCell) string {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := MarshalCells(&buf, cells); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	distributed := func(opts []Option) string {
+		t.Helper()
+		cells, err := RunSweepDistributed(ctx, grid, append(opts, WithWorkers(2), WithTargetShards(3))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return marshal(cells)
+	}
+	ref, err := RunSweep(ctx, grid, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := marshal(ref)
+	if got := distributed(opts); got != want {
+		t.Errorf("RunSweepDistributed differs from RunSweep\ngot:\n%s\nwant:\n%s", got, want)
+	}
+	client, _ := newSweepServer(t)
+	st, err := client.Submit(ctx, grid, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.Wait(ctx, st.ID); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := client.ResultRaw(ctx, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(raw) != want {
+		t.Errorf("sweepd result differs from RunSweep\ngot:\n%s\nwant:\n%s", raw, want)
+	}
+
+	spec, err := ParseScenario("stochastic-delay")
+	if err != nil {
+		t.Fatal(err)
+	}
+	scnOpts := append(opts[:len(opts):len(opts)], WithScenario(spec))
+	scnRef, err := RunSweep(ctx, grid, scnOpts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scnWant := marshal(scnRef)
+	if scnWant == want {
+		t.Error("the scenario did not change the grid")
+	}
+	if got := distributed(scnOpts); got != scnWant {
+		t.Errorf("scenario: RunSweepDistributed differs from RunSweep\ngot:\n%s\nwant:\n%s", got, scnWant)
+	}
+}
