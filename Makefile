@@ -6,7 +6,7 @@ GO ?= go
 # append-only — cmd/benchjson refuses to overwrite an existing one.
 BENCH_LABEL ?= current
 
-.PHONY: verify fmt vet build examples docs-check perfbench test test-race test-parallel test-pool test-dist test-skip test-mem test-svc test-chaos test-scenarios bench bench-mem
+.PHONY: verify fmt vet build examples docs-check loc perfbench test test-race test-parallel test-pool test-dist test-skip test-mem test-svc test-chaos test-scenarios bench bench-mem
 
 ## verify: the full tier-1 gate — formatting, vet, build (`go build
 ## ./...` compiles the examples too), the package-doc check, the quick
@@ -39,6 +39,11 @@ examples:
 ## what it is (and, for the concurrent ones, its ownership contract).
 docs-check:
 	sh scripts/docs_check.sh
+
+## loc: count the non-test Go lines outside perfbench/ — the size
+## figure a simplicity change reports before and after.
+loc:
+	@sh scripts/loc.sh
 
 ## perfbench: vet and test the benchmark module (perfbench/ is a Go
 ## module of its own, so the root ./... patterns skip it; it imports

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"neatbound/internal/distsweep"
+	"neatbound/internal/sweep"
 )
 
 // This file is the distributed face of the sweep pipeline: RunSweepDistributed
@@ -88,11 +89,7 @@ func SweepShards(grid SweepGrid, replicates, workers, targetShards int) int {
 	if target == 0 {
 		target = workers
 	}
-	return distsweep.PartitionSize(distsweep.Sweep{
-		NuValues:   grid.NuValues,
-		CValues:    grid.CValues,
-		Replicates: replicates,
-	}, target)
+	return distsweep.PartitionSize(distsweep.Sweep{Spec: sweep.Spec{Grid: grid, Replicates: replicates}}, target)
 }
 
 // WithExecutor sets the worker launcher for RunSweepDistributed; the
@@ -194,27 +191,6 @@ func RunSweepDistributed(ctx context.Context, grid SweepGrid, opts ...Option) ([
 	if err != nil {
 		return nil, err
 	}
-	s := distsweep.Sweep{
-		N:                grid.N,
-		Delta:            grid.Delta,
-		NuValues:         grid.NuValues,
-		CValues:          grid.CValues,
-		Rounds:           o.rounds,
-		Seed:             o.seed,
-		T:                o.tee,
-		SampleEvery:      o.sampleEvery,
-		Replicates:       o.replicates,
-		EngineShards:     o.shards,
-		FastForward:      o.fastForward,
-		CompactEvery:     o.compactEvery,
-		CompactMinRetire: o.compactMin,
-		CheckerRetention: o.checkerRetain,
-		Scenario:         o.scenarioSpec,
-	}
-	if o.advNameSet {
-		s.Adversary = o.advName
-		s.ForkDepth = o.advOpts.ForkDepth
-	}
 	workers := o.workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -241,5 +217,5 @@ func RunSweepDistributed(ctx context.Context, grid SweepGrid, opts ...Option) ([
 		dopts.Checkpoint = cp
 		dopts.Resume = o.resume
 	}
-	return distsweep.Run(ctx, s, dopts)
+	return distsweep.Run(ctx, distsweep.Sweep{Spec: o.spec(grid)}, dopts)
 }

@@ -53,23 +53,19 @@ func checkpointSum(key string, shard int, cells []json.RawMessage) string {
 
 // SweepKey content-addresses a (sweep, partitioning) pair: the hex
 // SHA-256 of the engine-semantics version (sweep.EngineVersion) plus
-// the canonical JSON of every shard spec with its throughput-only knobs
-// (engine shards, fast-forward, arena compaction) zeroed — those never
-// change results, so a resumed run may retune them freely, while any
-// semantic difference (grid values, seed, rounds, adversary, chop
-// parameter, checker retention, replicate ranges, partition layout)
-// changes the key. A checkpoint journal only ever accepts shards for
-// one key, which is what lets Resume refuse a changed grid instead of
-// silently merging incompatible results.
+// the canonical JSON of every shard spec with its sweep.Tuning zeroed —
+// tuning never changes results, so a resumed run may retune it freely,
+// while any semantic difference (grid values, seed, the sweep.Semantics
+// half, replicate ranges, partition layout) changes the key. A
+// checkpoint journal only ever accepts shards for one key, which is what
+// lets Resume refuse a changed grid instead of silently merging
+// incompatible results.
 func SweepKey(specs []ShardSpec) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "engine_version=%d\n", sweep.EngineVersion)
 	enc := json.NewEncoder(h)
 	for _, sp := range specs {
-		sp.EngineShards = 0
-		sp.FastForward = false
-		sp.CompactEvery = 0
-		sp.CompactMinRetire = 0
+		sp.Tuning = sweep.Tuning{}
 		if err := enc.Encode(sp); err != nil {
 			// Unreachable: ShardSpec contains only marshalable scalars
 			// and slices.

@@ -19,12 +19,12 @@ import (
 // cheapSweep is a small no-adversary grid for checkpoint-logistics tests
 // that do not need the full fixture's runtime.
 func cheapSweep() Sweep {
-	return Sweep{
-		N: 4, Delta: 1,
-		NuValues: []float64{0.1, 0.2},
-		CValues:  []float64{1, 2},
-		Rounds:   30, Seed: 3, T: 1, Replicates: 2,
-	}
+	return Sweep{Spec: sweep.Spec{
+		Grid:       sweep.Grid{N: 4, Delta: 1, NuValues: []float64{0.1, 0.2}, CValues: []float64{1, 2}},
+		Seed:       3,
+		Semantics:  sweep.Semantics{Rounds: 30, T: 1},
+		Replicates: 2,
+	}}
 }
 
 func openCheckpoint(t *testing.T, dir string) *Checkpoint {

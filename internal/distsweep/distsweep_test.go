@@ -25,18 +25,12 @@ import (
 // partitioning), a real adversary, and — via the tiny c value — one
 // infeasible cell whose error must survive the wire.
 func testSweep() Sweep {
-	return Sweep{
-		N:          8,
-		Delta:      2,
-		NuValues:   []float64{0.1, 0.2, 0.3},
-		CValues:    []float64{0.001, 1, 4},
-		Rounds:     120,
+	return Sweep{Spec: sweep.Spec{
+		Grid:       sweep.Grid{N: 8, Delta: 2, NuValues: []float64{0.1, 0.2, 0.3}, CValues: []float64{0.001, 1, 4}},
 		Seed:       7,
-		T:          2,
 		Replicates: 3,
-		Adversary:  "private",
-		ForkDepth:  2,
-	}
+		Semantics:  sweep.Semantics{Rounds: 120, T: 2, Adversary: "private", ForkDepth: 2},
+	}}
 }
 
 // referenceCells computes the single-process grid the distributed runs
@@ -63,7 +57,7 @@ func referenceCells(t *testing.T, s Sweep) []sweep.AggregateCell {
 		T:            s.T,
 		SampleEvery:  s.SampleEvery,
 		NewAdversary: factory,
-		Shards:       s.EngineShards,
+		Tuning:       s.Tuning,
 	}, s.Replicates, nil)
 	if err != nil {
 		t.Fatalf("reference sweep: %v", err)
@@ -89,11 +83,11 @@ func TestPartitionCoversExactlyOnce(t *testing.T) {
 		{3, 1, 1}, {3, 1, 2}, {3, 1, 3}, {3, 1, 9},
 		{2, 4, 3}, {2, 4, 8}, {2, 4, 100}, {5, 3, 7}, {1, 1, 4},
 	} {
-		s := Sweep{
-			N: 4, Delta: 1, Rounds: 10, Replicates: tc.reps,
-			NuValues: make([]float64, tc.nNu),
-			CValues:  []float64{1, 2},
-		}
+		s := Sweep{Spec: sweep.Spec{
+			Grid:       sweep.Grid{N: 4, Delta: 1, NuValues: make([]float64, tc.nNu), CValues: []float64{1, 2}},
+			Replicates: tc.reps,
+			Semantics:  sweep.Semantics{Rounds: 10},
+		}}
 		for i := range s.NuValues {
 			s.NuValues[i] = 0.1 + 0.05*float64(i)
 		}
@@ -383,11 +377,13 @@ func TestServeWorkerReportsBadSpecInSummary(t *testing.T) {
 
 func TestSweepValidation(t *testing.T) {
 	for name, mutate := range map[string]func(*Sweep){
-		"no-rounds":      func(s *Sweep) { s.Rounds = 0 },
-		"empty-grid":     func(s *Sweep) { s.NuValues = nil },
-		"no-replicates":  func(s *Sweep) { s.Replicates = 0 },
-		"bad-adversary":  func(s *Sweep) { s.Adversary = "nope" },
-		"duplicate-cell": func(s *Sweep) { s.NuValues = []float64{0.1, 0.1} },
+		"no-rounds":          func(s *Sweep) { s.Rounds = 0 },
+		"empty-grid":         func(s *Sweep) { s.NuValues = nil },
+		"no-replicates":      func(s *Sweep) { s.Replicates = 0 },
+		"bad-adversary":      func(s *Sweep) { s.Adversary = "nope" },
+		"duplicate-cell":     func(s *Sweep) { s.NuValues = []float64{0.1, 0.1} },
+		"negative-t":         func(s *Sweep) { s.T = -1 },
+		"negative-retention": func(s *Sweep) { s.CheckerRetention = -1 },
 	} {
 		s := testSweep()
 		mutate(&s)

@@ -3,6 +3,8 @@ package distsweep
 import (
 	"encoding/json"
 	"testing"
+
+	"neatbound/internal/sweep"
 )
 
 // FuzzShardSpec drives the worker's spec intake — requestRecord framing,
@@ -11,15 +13,12 @@ import (
 // with an error, never a panic, and a spec that validates must survive a
 // JSON round trip unchanged (the wire contract retries depend on).
 func FuzzShardSpec(f *testing.F) {
-	valid := Sweep{
-		N: 20, Delta: 2,
-		NuValues:   []float64{0.2, 0.3},
-		CValues:    []float64{1, 2},
-		Rounds:     50,
+	valid := Sweep{Spec: sweep.Spec{
+		Grid:       sweep.Grid{N: 20, Delta: 2, NuValues: []float64{0.2, 0.3}, CValues: []float64{1, 2}},
 		Seed:       7,
-		T:          3,
 		Replicates: 2,
-	}
+		Semantics:  sweep.Semantics{Rounds: 50, T: 3},
+	}}
 	for _, sp := range Partition(valid, 2) {
 		b, err := json.Marshal(requestRecord{Spec: &sp})
 		if err != nil {

@@ -6,20 +6,22 @@ import (
 	"testing"
 
 	"neatbound/internal/scenario"
+	"neatbound/internal/sweep"
 )
 
 // pinSweep sets every Sweep field away from its zero value, so the pins
 // below cover each one's wire spelling and position.
 func pinSweep(scn *scenario.Spec) Sweep {
-	return Sweep{
-		N: 8, Delta: 2,
-		NuValues: []float64{0.1, 0.2, 0.3},
-		CValues:  []float64{1, 4},
-		Rounds:   120, Seed: 7, T: 2, SampleEvery: 5, Replicates: 3,
-		Adversary: "private", ForkDepth: 2,
-		EngineShards: 2, FastForward: true, CompactEvery: 50, CompactMinRetire: 8,
-		CheckerRetention: 4, CellOffset: 6, Scenario: scn,
-	}
+	return Sweep{Spec: sweep.Spec{
+		Grid:       sweep.Grid{N: 8, Delta: 2, NuValues: []float64{0.1, 0.2, 0.3}, CValues: []float64{1, 4}},
+		Seed:       7,
+		Replicates: 3,
+		Semantics: sweep.Semantics{
+			Rounds: 120, T: 2, SampleEvery: 5, Adversary: "private", ForkDepth: 2,
+			CheckerRetention: 4, Scenario: scn,
+		},
+		Tuning: sweep.Tuning{EngineShards: 2, FastForward: true, CompactEvery: 50, CompactMinRetire: 8},
+	}, CellOffset: 6}
 }
 
 // TestSweepKeyGolden pins absolute sweep-key bytes: checkpoint journals

@@ -5,6 +5,7 @@ import (
 
 	"neatbound/internal/adversary"
 	"neatbound/internal/scenario"
+	"neatbound/internal/sweep"
 )
 
 // SpecVersion is the protocol version stamped on every shard-spec and
@@ -19,48 +20,7 @@ const SpecVersion = 1
 // (the adversary travels by name), because shards cross process
 // boundaries.
 type Sweep struct {
-	// N is the miner count used in every cell.
-	N int
-	// Delta is the network delay bound used in every cell.
-	Delta int
-	// NuValues and CValues span the grid; every (ν, c) pair is one cell.
-	NuValues, CValues []float64
-	// Rounds is the number of protocol rounds per cell.
-	Rounds int
-	// Seed derives per-(cell, replicate) seeds deterministically — the
-	// same derivation for any partitioning.
-	Seed uint64
-	// T is the consistency chop parameter of Definition 1.
-	T int
-	// SampleEvery is the consistency checker's snapshot interval; 0
-	// picks Rounds/50 (min 1), resolved identically on every worker.
-	SampleEvery int
-	// Replicates is the number of independent runs per cell (≥ 1).
-	Replicates int
-	// Adversary is the strategy name (adversary.Names); "" runs the
-	// passive baseline.
-	Adversary string
-	// ForkDepth is the private-mining strategy's knob; 0 picks the
-	// default. Other strategies ignore it.
-	ForkDepth int
-	// EngineShards is each cell engine's delivery-phase parallelism
-	// (engine.Config.Shards, AutoShards allowed). It never affects
-	// results.
-	EngineShards int
-	// FastForward enables each cell engine's event-driven round
-	// skipping (engine.Config.FastForward). It never affects results.
-	FastForward bool
-	// CompactEvery enables each cell engine's arena compaction
-	// (engine.Config.CompactEvery, 0 = off); CompactMinRetire is its
-	// minimum reclaimed ID span (0 = engine default). Bit-identical to
-	// running without compaction.
-	CompactEvery, CompactMinRetire int
-	// CheckerRetention bounds each cell checker's snapshot history
-	// (consistency.Checker.SetRetention, 0 = full run) — required for
-	// CompactEvery to reclaim memory. A bounded window changes which
-	// snapshot pairs the consistency scan sees, so it is part of the
-	// sweep's semantics, not a tuning knob.
-	CheckerRetention int
+	sweep.Spec
 	// CellOffset places this sweep inside a larger parent grid: it is
 	// the parent-frame ν-major index of this sweep's cell (0, 0), added
 	// to every per-cell seed derivation on top of the shard-local
@@ -70,15 +30,13 @@ type Sweep struct {
 	// the parent's full list — and get exactly the cells the parent's
 	// single-process run would have computed.
 	CellOffset int
-	// Scenario, when non-nil, applies the scenario layer (stochastic
-	// delays, partitions, churn, skewed mining power — internal/scenario)
-	// to every cell. It is JSON-portable by construction, so it travels
-	// on the shard spec verbatim. Nil runs the default model.
-	Scenario *scenario.Spec
 }
 
 // Validate rejects sweeps the coordinator cannot drive. Beyond the
-// single-process checks it requires distinct (ν, c) pairs: the cell
+// single-process checks it requires a non-negative chop parameter and
+// retention window — a negative t fails every cell, and a negative
+// retention runs as 0 but would key as itself, giving one computation
+// two content addresses — and distinct (ν, c) pairs: the cell
 // interchange keys records by their coordinates, so a grid with
 // duplicate coordinates cannot be reassembled unambiguously. Exported
 // so front ends (the sweepd service) can reject a bad sweep at
@@ -86,6 +44,12 @@ type Sweep struct {
 func (s Sweep) Validate() error {
 	if s.Rounds < 1 {
 		return fmt.Errorf("distsweep: rounds = %d must be ≥ 1", s.Rounds)
+	}
+	if s.T < 0 {
+		return fmt.Errorf("distsweep: t = %d must be ≥ 0", s.T)
+	}
+	if s.CheckerRetention < 0 {
+		return fmt.Errorf("distsweep: checker_retention = %d must be ≥ 0 (0 keeps the whole run)", s.CheckerRetention)
 	}
 	if len(s.NuValues) == 0 || len(s.CValues) == 0 {
 		return fmt.Errorf("distsweep: empty grid (%d ν × %d c)", len(s.NuValues), len(s.CValues))
@@ -142,7 +106,9 @@ type ShardSpec struct {
 	// NuValues — with CValues it fixes the shard's ν-major cell offset,
 	// and with it the per-cell seeds.
 	NuOffset int `json:"nu_offset"`
-	// Rounds, Seed, T, SampleEvery mirror the parent Sweep.
+	// Rounds, Seed, T and SampleEvery mirror the parent Sweep, as do
+	// Adversary, ForkDepth, CheckerRetention and Scenario below. The
+	// field order is frozen: SweepKey hashes this encoding.
 	Rounds      int    `json:"rounds"`
 	Seed        uint64 `json:"seed"`
 	T           int    `json:"t"`
@@ -154,28 +120,22 @@ type ShardSpec struct {
 	Replicates int `json:"replicates"`
 	RepLo      int `json:"rep_lo"`
 	RepHi      int `json:"rep_hi"`
-	// Adversary and ForkDepth name the per-cell strategy ("" = passive).
+	// Adversary and ForkDepth name the per-cell strategy.
 	Adversary string `json:"adversary,omitempty"`
 	ForkDepth int    `json:"fork_depth,omitempty"`
-	// EngineShards is each cell engine's delivery-phase parallelism.
-	EngineShards int `json:"engine_shards,omitempty"`
-	// FastForward enables each cell engine's event-driven round skipping.
-	FastForward bool `json:"fast_forward,omitempty"`
-	// CompactEvery/CompactMinRetire/CheckerRetention mirror the parent
-	// Sweep's arena-compaction knobs (added in-place under the
+	// Tuning is the parent's throughput knobs, encoded in place. The
+	// compaction knobs and CheckerRetention were added under the
 	// interchange's add-only rule: absent fields decode to 0 = off, so
-	// v1 specs from older coordinators run unchanged).
-	CompactEvery     int `json:"compact_every,omitempty"`
-	CompactMinRetire int `json:"compact_min_retire,omitempty"`
+	// v1 specs from older coordinators run unchanged.
+	sweep.Tuning
 	CheckerRetention int `json:"checker_retention,omitempty"`
 	// CellOffset mirrors Sweep.CellOffset (add-only; absent = 0 = a
 	// standalone grid): the parent-frame ν-major index of the *sweep's*
 	// cell (0, 0), applied on top of the shard's own NuOffset shift when
 	// the worker derives per-cell seeds.
 	CellOffset int `json:"cell_offset,omitempty"`
-	// Scenario mirrors Sweep.Scenario (add-only; absent = nil = the
-	// default model, so v1 specs from older coordinators run unchanged
-	// and old wire bytes stay byte-identical).
+	// Scenario was added under the add-only rule too: absent = nil = the
+	// default model, so old wire bytes stay byte-identical.
 	Scenario *scenario.Spec `json:"scenario,omitempty"`
 }
 
@@ -192,6 +152,26 @@ func (sp ShardSpec) expectedRecords() int {
 		return cells
 	}
 	return cells * (sp.RepHi - sp.RepLo)
+}
+
+// sweepSpec gathers the shard's slice back into the serializable sweep
+// form (Partition is the inverse); placement stays on the ShardSpec.
+func (sp ShardSpec) sweepSpec() sweep.Spec {
+	return sweep.Spec{
+		Grid:       sweep.Grid{N: sp.N, Delta: sp.Delta, NuValues: sp.NuValues, CValues: sp.CValues},
+		Seed:       sp.Seed,
+		Replicates: sp.Replicates,
+		Semantics: sweep.Semantics{
+			Rounds:           sp.Rounds,
+			T:                sp.T,
+			SampleEvery:      sp.SampleEvery,
+			Adversary:        sp.Adversary,
+			ForkDepth:        sp.ForkDepth,
+			CheckerRetention: sp.CheckerRetention,
+			Scenario:         sp.Scenario,
+		},
+		Tuning: sp.Tuning,
+	}
 }
 
 // validate rejects malformed specs on the worker side (a coordinator
@@ -321,10 +301,7 @@ func Partition(s Sweep, shards int) []ShardSpec {
 				RepHi:            repHi,
 				Adversary:        s.Adversary,
 				ForkDepth:        s.ForkDepth,
-				EngineShards:     s.EngineShards,
-				FastForward:      s.FastForward,
-				CompactEvery:     s.CompactEvery,
-				CompactMinRetire: s.CompactMinRetire,
+				Tuning:           s.Tuning,
 				CheckerRetention: s.CheckerRetention,
 				CellOffset:       s.CellOffset,
 				Scenario:         s.Scenario,

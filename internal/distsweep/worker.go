@@ -8,8 +8,6 @@ import (
 	"fmt"
 	"io"
 
-	"neatbound/internal/adversary"
-	"neatbound/internal/engine"
 	"neatbound/internal/pool"
 	"neatbound/internal/sweep"
 )
@@ -89,34 +87,14 @@ func runShard(ctx context.Context, spec ShardSpec, opts WorkerOptions, enc *json
 	if err := spec.validate(); err != nil {
 		return failPerm(err)
 	}
-	var factory func() engine.Adversary
-	if spec.Adversary != "" {
-		var err error
-		if factory, err = adversary.Factory(spec.Adversary, spec.ForkDepth); err != nil {
-			return failPerm(err)
-		}
+	cfg, err := spec.sweepSpec().Config()
+	if err != nil {
+		return failPerm(err)
 	}
-	cfg := sweep.Config{
-		N:                spec.N,
-		Delta:            spec.Delta,
-		NuValues:         spec.NuValues,
-		CValues:          spec.CValues,
-		Rounds:           spec.Rounds,
-		Seed:             spec.Seed,
-		T:                spec.T,
-		SampleEvery:      spec.SampleEvery,
-		NewAdversary:     factory,
-		Workers:          opts.Workers,
-		Shards:           spec.EngineShards,
-		FastForward:      spec.FastForward,
-		CompactEvery:     spec.CompactEvery,
-		CompactMinRetire: spec.CompactMinRetire,
-		CheckerRetention: spec.CheckerRetention,
-		Pool:             opts.Pool,
-		Scenario:         spec.Scenario,
-		CellOffset:       spec.CellOffset + spec.NuOffset*len(spec.CValues),
-		RepOffset:        spec.RepLo,
-	}
+	cfg.Workers = opts.Workers
+	cfg.Pool = opts.Pool
+	cfg.CellOffset = spec.CellOffset + spec.NuOffset*len(spec.CValues)
+	cfg.RepOffset = spec.RepLo
 	reps := spec.RepHi - spec.RepLo
 	// A failed record write means nobody is listening (the coordinator
 	// died or gave up on this attempt): abort the shard promptly instead

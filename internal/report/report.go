@@ -305,8 +305,8 @@ func sectionS5GrowthQuality(w io.Writer, cfg Config) error {
 	}
 	for _, adv := range strategies {
 		rep, _, err := sweep.RunOne(context.Background(),
-			engine.Config{Params: pr, Rounds: cfg.Rounds, Seed: cfg.Seed + 31, Adversary: adv},
-			0, sweep.ResolveSampleEvery(0, cfg.Rounds), 0, nil)
+			engine.Config{Params: pr, Seed: cfg.Seed + 31, Adversary: adv},
+			sweep.Semantics{Rounds: cfg.Rounds})
 		if err != nil {
 			return err
 		}

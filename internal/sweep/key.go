@@ -47,41 +47,35 @@ func ResolveSampleEvery(sampleEvery, rounds int) int {
 
 // CellJob is the canonical description of one grid cell's computation —
 // everything that determines the cell's AggregateCell bit for bit, and
-// nothing that does not. Throughput-only knobs (engine shards, worker
-// pools, fast-forward, arena compaction) are deliberately absent: they
-// never change results, so two requests differing only in them must
-// share one content address. CheckerRetention is present because a
-// bounded snapshot window changes which pairs Definition 1 scans;
-// SampleEvery must be pre-resolved (ResolveSampleEvery). Seeds is the
-// full per-replicate engine seed list in replicate order — the position
-// of a cell inside its parent grid matters only through these seeds, so
-// cells from differently-shaped grids coalesce exactly when they would
+// nothing that does not: the grid point, the cell's Semantics (with
+// SampleEvery pre-resolved by ResolveSampleEvery, so 0 and rounds/50
+// share an address) and its per-replicate engine seeds, in replicate
+// order. Tuning is absent by construction, so requests differing only
+// in throughput knobs share one content address. The position of a
+// cell inside its parent grid matters only through its seeds, so cells
+// from differently-shaped grids coalesce exactly when they would
 // compute identical results.
 type CellJob struct {
-	EngineVersion    int      `json:"engine_version"`
-	N                int      `json:"n"`
-	Delta            int      `json:"delta"`
-	Nu               float64  `json:"nu"`
-	C                float64  `json:"c"`
-	Rounds           int      `json:"rounds"`
-	T                int      `json:"t"`
-	SampleEvery      int      `json:"sample_every"`
-	Adversary        string   `json:"adversary,omitempty"`
-	ForkDepth        int      `json:"fork_depth,omitempty"`
-	CheckerRetention int      `json:"checker_retention,omitempty"`
-	Seeds            []uint64 `json:"seeds"`
+	EngineVersion int     `json:"engine_version"`
+	N             int     `json:"n"`
+	Delta         int     `json:"delta"`
+	Nu            float64 `json:"nu"`
+	C             float64 `json:"c"`
+	Semantics
+	Seeds []uint64 `json:"seeds"`
 }
 
 // Key returns the cell's content address: the hex SHA-256 of the job's
 // canonical JSON encoding. Canonical means encoding/json over the fixed
-// field order above — uint64 seeds encode as exact JSON integers and
-// float64 coordinates round-trip exactly, so equal jobs hash equal and
-// any semantic difference (a seed, the chop parameter, the engine
-// version) changes the address.
+// field order above, Semantics' fields encoding in place — uint64 seeds
+// encode as exact JSON integers and float64 coordinates round-trip
+// exactly, so equal jobs hash equal and any semantic difference (a
+// seed, the chop parameter, the engine version) changes the address.
 func (j CellJob) Key() string {
 	b, err := json.Marshal(j)
 	if err != nil {
-		// Unreachable: CellJob contains only marshalable scalar fields.
+		// Unreachable: CellJob holds only scalars, slices and the
+		// JSON-portable scenario spec.
 		panic(err)
 	}
 	sum := sha256.Sum256(b)

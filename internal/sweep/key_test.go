@@ -3,14 +3,18 @@ package sweep
 import (
 	"strings"
 	"testing"
+
+	"neatbound/internal/scenario"
 )
 
 func testJob() CellJob {
 	return CellJob{
 		EngineVersion: EngineVersion,
 		N:             40, Delta: 8, Nu: 0.3, C: 2,
-		Rounds: 20000, T: 4, SampleEvery: 400,
-		Adversary: "private", ForkDepth: 4,
+		Semantics: Semantics{
+			Rounds: 20000, T: 4, SampleEvery: 400,
+			Adversary: "private", ForkDepth: 4,
+		},
 		Seeds: []uint64{CellSeed(1, 0, 0), CellSeed(1, 0, 1)},
 	}
 }
@@ -44,6 +48,7 @@ func TestCellKeySensitivity(t *testing.T) {
 		"adversary":         func(j *CellJob) { j.Adversary = "teasing" },
 		"fork-depth":        func(j *CellJob) { j.ForkDepth++ },
 		"checker-retention": func(j *CellJob) { j.CheckerRetention = 8 },
+		"scenario":          func(j *CellJob) { j.Scenario = &scenario.Spec{Power: &scenario.PowerSpec{Heavy: 2}} },
 		"seed-value":        func(j *CellJob) { j.Seeds[0]++ },
 		"seed-count":        func(j *CellJob) { j.Seeds = j.Seeds[:1] },
 		"seed-order":        func(j *CellJob) { j.Seeds[0], j.Seeds[1] = j.Seeds[1], j.Seeds[0] },
@@ -127,16 +132,19 @@ func TestCellKeyGolden(t *testing.T) {
 	}{
 		{"passive", CellJob{
 			EngineVersion: EngineVersion, N: 40, Delta: 8, Nu: 0.3, C: 2,
-			Rounds: 20000, T: 4, SampleEvery: 400, Seeds: seeds,
+			Semantics: Semantics{Rounds: 20000, T: 4, SampleEvery: 400}, Seeds: seeds,
 		}, "d512073cb332e017b092d0daee0d36cae730ee8345bd7b28a69a3733261bed9c"},
 		{"private-retention", CellJob{
 			EngineVersion: EngineVersion, N: 40, Delta: 8, Nu: 0.3, C: 2,
-			Rounds: 20000, T: 4, SampleEvery: 400,
-			Adversary: "private", ForkDepth: 4, CheckerRetention: 16, Seeds: seeds,
+			Semantics: Semantics{
+				Rounds: 20000, T: 4, SampleEvery: 400,
+				Adversary: "private", ForkDepth: 4, CheckerRetention: 16,
+			},
+			Seeds: seeds,
 		}, "afb81108b6afb96206fda8d2f3bae4c9b1106fd2c4f0843b89f15c8f97f1de17"},
 		{"sample-every-zero", CellJob{
 			EngineVersion: EngineVersion, N: 10, Delta: 3, Nu: 0.2, C: 1,
-			Rounds: 400, T: 4, Seeds: seeds[:1],
+			Semantics: Semantics{Rounds: 400, T: 4}, Seeds: seeds[:1],
 		}, "2cef5ade479dc57ae370dbf0a4a1f634a5d5c06c76abe4ed0849ae9db5712388"},
 	}
 	for _, c := range cases {

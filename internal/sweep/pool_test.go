@@ -29,7 +29,7 @@ func TestSweepSharedPoolParity(t *testing.T) {
 	shared := pool.New(2)
 	defer shared.Close()
 	pooled := base
-	pooled.Shards = 3
+	pooled.EngineShards = 3
 	pooled.Pool = shared
 	got, err := runOnce(pooled)
 	if err != nil {

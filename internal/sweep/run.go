@@ -51,18 +51,23 @@ type Report struct {
 
 // RunOne is the one place a simulation runs together with its
 // consistency analysis; the façade's Run and every sweep cell call it.
-// It applies the scenario spec (nil is the default model) to ecfg,
-// installs the Definition-1 checker (chop tee, snapshot interval
-// sampleEvery — already resolved, see ResolveSampleEvery — and
-// retention, 0 keeping the whole run) and the Lemma-1 ledger ahead of
+// ecfg carries the engine half (parameters, seed, adversary instance,
+// tuning, observers); sem supplies the run length and the analysis:
+// RunOne sets ecfg.Rounds from sem.Rounds, applies sem.Scenario (nil is
+// the default model), installs the Definition-1 checker (chop sem.T,
+// snapshot interval sem.SampleEvery resolved by ResolveSampleEvery,
+// window sem.CheckerRetention) and the Lemma-1 ledger ahead of
 // ecfg.Observer, runs the engine, and assembles the report.
+// sem.Adversary and sem.ForkDepth are not read: the strategy is
+// ecfg.Adversary.
 //
 // The report covers the rounds actually executed, so a run cut short by
 // ctx still yields one: RunOne then returns it, the engine's result
 // (Partial set) and the run's error together. res is nil only when no
 // report could be built — an invalid configuration or a failed analysis.
-func RunOne(ctx context.Context, ecfg engine.Config, tee, sampleEvery, retention int, spec *scenario.Spec) (Report, *engine.Result, error) {
-	if spec != nil {
+func RunOne(ctx context.Context, ecfg engine.Config, sem Semantics) (Report, *engine.Result, error) {
+	ecfg.Rounds = sem.Rounds
+	if spec := sem.Scenario; spec != nil {
 		compiled, err := spec.Compile(ecfg.Params)
 		if err != nil {
 			return Report{}, nil, err
@@ -76,7 +81,7 @@ func RunOne(ctx context.Context, ecfg engine.Config, tee, sampleEvery, retention
 		ecfg.Churn = compiled.Churn
 		ecfg.MiningWeights = compiled.Weights
 	}
-	checker, err := consistency.NewChecker(tee, sampleEvery)
+	checker, err := consistency.NewChecker(sem.T, ResolveSampleEvery(sem.SampleEvery, sem.Rounds))
 	if err != nil {
 		return Report{}, nil, err
 	}
@@ -87,7 +92,7 @@ func RunOne(ctx context.Context, ecfg engine.Config, tee, sampleEvery, retention
 		p = pool.Default()
 	}
 	checker.UsePool(p)
-	checker.SetRetention(retention)
+	checker.SetRetention(sem.CheckerRetention)
 	ledger, err := consistency.NewLedgerRecorder(ecfg.Params.Delta)
 	if err != nil {
 		return Report{}, nil, err

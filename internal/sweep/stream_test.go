@@ -64,7 +64,7 @@ func TestRunReplicatedShardedEngines(t *testing.T) {
 		t.Fatal(err)
 	}
 	shardedCfg := base
-	shardedCfg.Shards = 3
+	shardedCfg.EngineShards = 3
 	sharded, err := RunGrid(context.Background(), shardedCfg, 2, nil)
 	if err != nil {
 		t.Fatal(err)

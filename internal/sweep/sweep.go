@@ -51,7 +51,8 @@ import (
 // ratio, the same constant the rng package splits with).
 const seedGolden = 0x9e3779b97f4a7c15
 
-// Config describes a sweep grid.
+// Config describes a sweep grid for the in-process runner; Spec.Config
+// builds one from the serializable form.
 type Config struct {
 	// N is the miner count used in every cell.
 	N int
@@ -59,56 +60,25 @@ type Config struct {
 	Delta int
 	// NuValues and CValues span the grid; every (ν, c) pair is one cell.
 	NuValues, CValues []float64
-	// Rounds is the number of protocol rounds per cell.
-	Rounds int
-	// Seed derives per-cell seeds deterministically.
+	// Rounds, T, SampleEvery, CheckerRetention and Scenario are the
+	// cells' Semantics; the adversary arrives resolved, as NewAdversary.
+	Rounds, T, SampleEvery, CheckerRetention int
+	Scenario                                 *scenario.Spec
+	// Seed derives per-cell seeds deterministically (CellSeed).
 	Seed uint64
-	// T is the consistency chop parameter of Definition 1.
-	T int
-	// SampleEvery is the consistency checker's snapshot interval; 0 picks
-	// Rounds/50 (min 1).
-	SampleEvery int
 	// NewAdversary builds a fresh strategy per cell (strategies are
 	// stateful); nil runs the passive baseline.
 	NewAdversary func() engine.Adversary
 	// Workers bounds the job-queue parallelism; 0 means GOMAXPROCS.
 	Workers int
-	// Shards is each cell engine's delivery-phase parallelism
-	// (engine.Config.Shards); 0 keeps cell engines serial, the right
-	// choice when the grid itself saturates the workers.
-	Shards int
-	// FastForward enables each cell engine's event-driven round
-	// skipping (engine.Config.FastForward). Bit-identical to stepping;
-	// pays off in sparse-mining cells and falls back silently elsewhere.
-	FastForward bool
-	// CompactEvery enables each cell engine's arena compaction
-	// (engine.Config.CompactEvery): every CompactEvery rounds, blocks
-	// below the retention watermark are retired, bounding resident
-	// memory on long cells. 0 (the default) disables compaction.
-	// Bit-identical to running without it.
-	CompactEvery int
-	// CompactMinRetire is the minimum ID span an epoch must retire
-	// (engine.Config.CompactMinRetire); 0 picks the engine default.
-	CompactMinRetire int
-	// CheckerRetention bounds each cell checker's snapshot history to
-	// the most recent CheckerRetention samples
-	// (consistency.Checker.SetRetention): required for compaction to
-	// make progress — a full-history checker pins the watermark near
-	// genesis — at the cost of evaluating Definition 1 over the
-	// retained window only. 0 (the default) keeps the whole run.
-	CheckerRetention int
+	// Tuning holds the cell engines' throughput knobs.
+	Tuning
 	// Pool is the persistent worker pool every cell shares — sharded
 	// cell engines, their network fan-outs, and the consistency
 	// checkers' pairwise scans all take turns on its workers instead of
 	// spawning competing goroutine fleets per cell. Nil shares the
 	// process-wide default pool. The pool never affects results.
 	Pool *pool.Pool
-	// Scenario, when non-nil, applies the scenario layer to every cell:
-	// the compiled delay policy replaces the adversary's honest-broadcast
-	// schedule, and churn/power schedules configure the cell engines
-	// (internal/scenario). Scenarios disarm FastForward — the engines
-	// fall back to stepping. Nil is the default model.
-	Scenario *scenario.Spec
 	// CellOffset and RepOffset place this grid inside a larger parent
 	// sweep for cross-process sharding: per-job seeds derive from the
 	// parent's ν-major cell index (local index + CellOffset) and the
@@ -117,6 +87,17 @@ type Config struct {
 	// parent's single-process run would. Both zero for a standalone
 	// sweep.
 	CellOffset, RepOffset int
+}
+
+// semantics gathers the cells' Semantics from the flat knob fields.
+func (cfg Config) semantics() Semantics {
+	return Semantics{
+		Rounds:           cfg.Rounds,
+		T:                cfg.T,
+		SampleEvery:      cfg.SampleEvery,
+		CheckerRetention: cfg.CheckerRetention,
+		Scenario:         cfg.Scenario,
+	}
 }
 
 // Cell is the outcome of one grid point.
@@ -163,7 +144,6 @@ func runJobs(ctx context.Context, cfg Config, replicates int, collect func(idx, 
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	sampleEvery := ResolveSampleEvery(cfg.SampleEvery, cfg.Rounds)
 	type job struct {
 		idx, rep int
 		nu, c    float64
@@ -210,7 +190,7 @@ func runJobs(ctx context.Context, cfg Config, replicates int, collect func(idx, 
 				results <- result{
 					idx:  j.idx,
 					rep:  j.rep,
-					cell: runCell(ctx, cfg, j.nu, j.c, cfg.cellSeed(j.idx, j.rep), sampleEvery),
+					cell: runCell(ctx, cfg, j.nu, j.c, cfg.cellSeed(j.idx, j.rep)),
 				}
 			}
 		}()
@@ -226,7 +206,7 @@ func runJobs(ctx context.Context, cfg Config, replicates int, collect func(idx, 
 }
 
 // runCell executes one grid point.
-func runCell(ctx context.Context, cfg Config, nu, c float64, seed uint64, sampleEvery int) Cell {
+func runCell(ctx context.Context, cfg Config, nu, c float64, seed uint64) Cell {
 	cell := Cell{Nu: nu, C: c}
 	pr, err := params.FromC(cfg.N, cfg.Delta, nu, c)
 	if err != nil {
@@ -238,16 +218,11 @@ func runCell(ctx context.Context, cfg Config, nu, c float64, seed uint64, sample
 	if cfg.NewAdversary != nil {
 		adv = cfg.NewAdversary()
 	}
-	cell.Report, _, cell.Err = RunOne(ctx, engine.Config{
-		Params:           pr,
-		Rounds:           cfg.Rounds,
-		Seed:             seed,
-		Adversary:        adv,
-		Shards:           cfg.Shards,
-		Pool:             cfg.Pool,
-		FastForward:      cfg.FastForward,
-		CompactEvery:     cfg.CompactEvery,
-		CompactMinRetire: cfg.CompactMinRetire,
-	}, cfg.T, sampleEvery, cfg.CheckerRetention, cfg.Scenario)
+	cell.Report, _, cell.Err = RunOne(ctx, cfg.Tuning.Apply(engine.Config{
+		Params:    pr,
+		Seed:      seed,
+		Adversary: adv,
+		Pool:      cfg.Pool,
+	}), cfg.semantics())
 	return cell
 }

@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"neatbound/internal/distsweep"
+	"neatbound/internal/scenario"
+	"neatbound/internal/sweep"
 )
 
 // TestDecomposeCoversExactly enumerates every subset of a 3×4 grid and
@@ -49,13 +51,12 @@ func TestDecomposeCoversExactly(t *testing.T) {
 // cells it covers. If this breaks, a cache hit serves a cell computed
 // under different seeds.
 func TestSubSweepKeysMatchParent(t *testing.T) {
-	parent := distsweep.Sweep{
-		N: 10, Delta: 3,
-		NuValues: []float64{0.2, 0.3, 0.45},
-		CValues:  []float64{0.5, 1, 2, 5},
-		Rounds:   500, Seed: 9, T: 4, Replicates: 2,
-		Adversary: "private", ForkDepth: 4,
-	}
+	parent := distsweep.Sweep{Spec: sweep.Spec{
+		Grid:       sweep.Grid{N: 10, Delta: 3, NuValues: []float64{0.2, 0.3, 0.45}, CValues: []float64{0.5, 1, 2, 5}},
+		Seed:       9,
+		Replicates: 2,
+		Semantics:  sweep.Semantics{Rounds: 500, T: 4, Adversary: "private", ForkDepth: 4},
+	}}
 	pk := CellKeys(parent)
 	nC := len(parent.CValues)
 	for nuLo := 0; nuLo < len(parent.NuValues); nuLo++ {
@@ -91,12 +92,12 @@ func TestSubSweepKeysMatchParent(t *testing.T) {
 // TestCellKeysSensitivity: the content address must move when anything
 // semantic moves, and stay put for throughput-only knobs.
 func TestCellKeysSensitivity(t *testing.T) {
-	base := distsweep.Sweep{
-		N: 10, Delta: 3,
-		NuValues: []float64{0.2}, CValues: []float64{1},
-		Rounds: 500, Seed: 9, T: 4, Replicates: 2,
-		Adversary: "private", ForkDepth: 4,
-	}
+	base := distsweep.Sweep{Spec: sweep.Spec{
+		Grid:       sweep.Grid{N: 10, Delta: 3, NuValues: []float64{0.2}, CValues: []float64{1}},
+		Seed:       9,
+		Replicates: 2,
+		Semantics:  sweep.Semantics{Rounds: 500, T: 4, Adversary: "private", ForkDepth: 4},
+	}}
 	k0 := CellKeys(base)[0]
 
 	semantic := map[string]func(*distsweep.Sweep){
@@ -110,6 +111,7 @@ func TestCellKeysSensitivity(t *testing.T) {
 		"fork-depth":        func(s *distsweep.Sweep) { s.ForkDepth = 5 },
 		"checker-retention": func(s *distsweep.Sweep) { s.CheckerRetention = 8 },
 		"cell-offset":       func(s *distsweep.Sweep) { s.CellOffset = 1 },
+		"scenario":          func(s *distsweep.Sweep) { s.Scenario = &scenario.Spec{Power: &scenario.PowerSpec{Heavy: 2}} },
 	}
 	for name, mutate := range semantic {
 		s := base

@@ -7,19 +7,20 @@ import (
 	"testing"
 
 	"neatbound/internal/store"
+	"neatbound/internal/sweep"
 )
 
 // pinRequest sets every JobRequest field away from its zero value.
 func pinRequest() JobRequest {
-	return JobRequest{
-		N: 10, Delta: 3,
-		NuValues: []float64{0.2, 0.3},
-		CValues:  []float64{1, 2.5},
-		Rounds:   400, Seed: 7, T: 4, SampleEvery: 9, Replicates: 2,
-		Adversary: "private", ForkDepth: 4,
-		EngineShards: 2, FastForward: true, CompactEvery: 100, CompactMinRetire: 16,
-		CheckerRetention: 8,
-	}
+	return JobRequest{sweep.Spec{
+		Grid:       sweep.Grid{N: 10, Delta: 3, NuValues: []float64{0.2, 0.3}, CValues: []float64{1, 2.5}},
+		Seed:       7,
+		Replicates: 2,
+		Semantics: sweep.Semantics{
+			Rounds: 400, T: 4, SampleEvery: 9, Adversary: "private", ForkDepth: 4, CheckerRetention: 8,
+		},
+		Tuning: sweep.Tuning{EngineShards: 2, FastForward: true, CompactEvery: 100, CompactMinRetire: 16},
+	}}
 }
 
 // journalSubmitLine is a job-journal "submit" record exactly as an

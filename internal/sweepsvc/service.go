@@ -106,48 +106,17 @@ func terminal(state string) bool {
 	return state == StateDone || state == StateFailed || state == StateCancelled
 }
 
-// JobRequest is the submission body: the distsweep.Sweep vocabulary in
-// the interchange's snake_case spelling, minus placement (submitted
-// grids are standalone; the service does its own cache-miss placement).
+// JobRequest is the submission body: a sweep.Spec in the
+// interchange's snake_case spelling. Placement is absent (submitted
+// grids are standalone; the service does its own cache-miss
+// placement), and Submit refuses a scenario.
 type JobRequest struct {
-	N                int       `json:"n"`
-	Delta            int       `json:"delta"`
-	NuValues         []float64 `json:"nu_values"`
-	CValues          []float64 `json:"c_values"`
-	Rounds           int       `json:"rounds"`
-	Seed             uint64    `json:"seed"`
-	T                int       `json:"t"`
-	SampleEvery      int       `json:"sample_every,omitempty"`
-	Replicates       int       `json:"replicates"`
-	Adversary        string    `json:"adversary,omitempty"`
-	ForkDepth        int       `json:"fork_depth,omitempty"`
-	EngineShards     int       `json:"engine_shards,omitempty"`
-	FastForward      bool      `json:"fast_forward,omitempty"`
-	CompactEvery     int       `json:"compact_every,omitempty"`
-	CompactMinRetire int       `json:"compact_min_retire,omitempty"`
-	CheckerRetention int       `json:"checker_retention,omitempty"`
+	sweep.Spec
 }
 
 // Sweep converts the request to the coordinator's sweep description.
 func (r JobRequest) Sweep() distsweep.Sweep {
-	return distsweep.Sweep{
-		N:                r.N,
-		Delta:            r.Delta,
-		NuValues:         r.NuValues,
-		CValues:          r.CValues,
-		Rounds:           r.Rounds,
-		Seed:             r.Seed,
-		T:                r.T,
-		SampleEvery:      r.SampleEvery,
-		Replicates:       r.Replicates,
-		Adversary:        r.Adversary,
-		ForkDepth:        r.ForkDepth,
-		EngineShards:     r.EngineShards,
-		FastForward:      r.FastForward,
-		CompactEvery:     r.CompactEvery,
-		CompactMinRetire: r.CompactMinRetire,
-		CheckerRetention: r.CheckerRetention,
-	}
+	return distsweep.Sweep{Spec: r.Spec}
 }
 
 // JobStatus is a job's observable state. CellsCached counts store hits,
@@ -454,7 +423,8 @@ func (s *Service) ComputedCells() int {
 // ν-major grid order — the keys the service stores and coalesces on.
 // Exported for tests and warm-cache tooling.
 func CellKeys(sw distsweep.Sweep) []string {
-	sampleEvery := sweep.ResolveSampleEvery(sw.SampleEvery, sw.Rounds)
+	sem := sw.Semantics
+	sem.SampleEvery = sweep.ResolveSampleEvery(sem.SampleEvery, sem.Rounds)
 	nC := len(sw.CValues)
 	keys := make([]string, 0, len(sw.NuValues)*nC)
 	for i, nu := range sw.NuValues {
@@ -465,18 +435,13 @@ func CellKeys(sw distsweep.Sweep) []string {
 				seeds[rep] = sweep.CellSeed(sw.Seed, idx, rep)
 			}
 			keys = append(keys, sweep.CellJob{
-				EngineVersion:    sweep.EngineVersion,
-				N:                sw.N,
-				Delta:            sw.Delta,
-				Nu:               nu,
-				C:                c,
-				Rounds:           sw.Rounds,
-				T:                sw.T,
-				SampleEvery:      sampleEvery,
-				Adversary:        sw.Adversary,
-				ForkDepth:        sw.ForkDepth,
-				CheckerRetention: sw.CheckerRetention,
-				Seeds:            seeds,
+				EngineVersion: sweep.EngineVersion,
+				N:             sw.N,
+				Delta:         sw.Delta,
+				Nu:            nu,
+				C:             c,
+				Semantics:     sem,
+				Seeds:         seeds,
 			}.Key())
 		}
 	}
@@ -495,6 +460,11 @@ func (s *Service) Submit(req JobRequest) (JobStatus, error) {
 // journal's submit line so one fsynced record atomically registers the
 // new job and strikes out the old.
 func (s *Service) submit(req JobRequest, resumes string) (JobStatus, error) {
+	if req.Scenario != nil {
+		// The cell keys would cover a scenario (CellJob embeds the whole
+		// Semantics); what is missing is a decision to offer one here.
+		return JobStatus{}, errors.New("sweepsvc: scenario submissions are not supported; run scenario sweeps with RunSweep or RunSweepDistributed")
+	}
 	sw := req.Sweep()
 	if err := sw.Validate(); err != nil {
 		return JobStatus{}, err

@@ -16,19 +16,19 @@ import (
 	"neatbound"
 	"neatbound/internal/distsweep"
 	"neatbound/internal/store"
+	"neatbound/internal/sweep"
 	"neatbound/internal/sweepsvc"
 )
 
 // testReq is the suite's canonical small sweep: 4 cells × 2 replicates,
 // fast enough to run many times under -race.
 func testReq() sweepsvc.JobRequest {
-	return sweepsvc.JobRequest{
-		N: 10, Delta: 3,
-		NuValues: []float64{0.2, 0.3},
-		CValues:  []float64{1, 2},
-		Rounds:   400, Seed: 7, T: 4, Replicates: 2,
-		Adversary: "private", ForkDepth: 4,
-	}
+	return sweepsvc.JobRequest{Spec: sweep.Spec{
+		Grid:       sweep.Grid{N: 10, Delta: 3, NuValues: []float64{0.2, 0.3}, CValues: []float64{1, 2}},
+		Seed:       7,
+		Replicates: 2,
+		Semantics:  sweep.Semantics{Rounds: 400, T: 4, Adversary: "private", ForkDepth: 4},
+	}}
 }
 
 // newService opens a fresh store in a temp dir and a service over it.
@@ -378,6 +378,44 @@ func TestSubmitValidates(t *testing.T) {
 	dup.CValues = []float64{1, 1}
 	if _, err := svc.Submit(dup); err == nil {
 		t.Error("duplicate grid cells accepted")
+	}
+}
+
+// TestSubmitRejectsWithReason: POST /jobs answers 400 with a reason for
+// a negative t (every cell would fail), a negative checker_retention
+// (it would run as 0 but key as itself, splitting the cell cache), and
+// any scenario (sweepd does not offer scenario sweeps).
+func TestSubmitRejectsWithReason(t *testing.T) {
+	svc, _ := newService(t, sweepsvc.Options{})
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+	body := func(mutate func(*sweepsvc.JobRequest)) string {
+		req := testReq()
+		mutate(&req)
+		b, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	for _, c := range []struct{ name, body, reason string }{
+		{"negative-t", body(func(r *sweepsvc.JobRequest) { r.T = -1 }), "t = -1"},
+		{"negative-retention", body(func(r *sweepsvc.JobRequest) { r.CheckerRetention = -1 }), "checker_retention = -1"},
+		{"scenario", `{"n": 10, "delta": 3, "nu_values": [0.2], "c_values": [1], "rounds": 400, "replicates": 1,
+			"scenario": {"delay": {"kind": "iid"}}}`, "scenario"},
+	} {
+		resp, err := http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var apiErr struct{ Error string }
+		if err := json.NewDecoder(resp.Body).Decode(&apiErr); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(apiErr.Error, c.reason) {
+			t.Errorf("%s: status %d, error %q — want 400 naming %q", c.name, resp.StatusCode, apiErr.Error, c.reason)
+		}
 	}
 }
 

@@ -90,31 +90,21 @@ type Progress struct {
 }
 
 // runOptions collects what the functional options configure; Run and
-// RunSweep each read the subset that applies to them.
+// RunSweep each read the subset that applies to them. Every per-cell
+// knob lives in the embedded sweep.Spec, whose grid stays empty until a
+// sweep entry point fills it (spec).
 type runOptions struct {
-	rounds        int
-	seed          uint64
+	sweep.Spec
 	adversary     Adversary
 	advFactory    func() Adversary
-	advName       string
 	advNameSet    bool
-	advOpts       AdversaryOpts
-	shards        int
-	tee           int
-	sampleEvery   int
 	observers     []Observer
 	progressEvery int
 	progressFn    func(Progress)
 	traceW        io.Writer
 	nuSchedule    func(round int) float64
-	fastForward   bool
-	compactEvery  int
-	compactMin    int
-	checkerRetain int
-	replicates    int
 	workers       int
 	onCell        func(AggregateCell)
-	scenarioSpec  *scenario.Spec
 
 	// distributed-sweep extras (distributed.go)
 	executor        ShardExecutor
@@ -125,6 +115,13 @@ type runOptions struct {
 	resume          bool
 	stallTimeout    time.Duration
 	respawnBackoff  time.Duration
+}
+
+// spec is the one serializable sweep the options describe over grid.
+func (o *runOptions) spec(grid SweepGrid) sweep.Spec {
+	s := o.Spec
+	s.Grid = grid
+	return s
 }
 
 // optionScope marks which entry points accept an option.
@@ -152,7 +149,8 @@ type Option struct {
 // applyOptions folds opts into a fresh runOptions, rejecting options
 // outside scope.
 func applyOptions(scope optionScope, entry string, opts []Option) (*runOptions, error) {
-	o := &runOptions{replicates: 1}
+	o := &runOptions{}
+	o.Replicates = 1
 	for _, opt := range opts {
 		if opt.apply == nil {
 			return nil, fmt.Errorf("neatbound: zero Option value passed to %s", entry)
@@ -169,14 +167,14 @@ func applyOptions(scope optionScope, entry string, opts []Option) (*runOptions, 
 // there is no default.
 func WithRounds(rounds int) Option {
 	return Option{name: "WithRounds", scope: scopeRun | scopeSweep | scopeDist | scopeSvc,
-		apply: func(o *runOptions) { o.rounds = rounds }}
+		apply: func(o *runOptions) { o.Rounds = rounds }}
 }
 
 // WithSeed sets the base random seed (0 is a valid seed and the
 // default); identical configurations replay identically.
 func WithSeed(seed uint64) Option {
 	return Option{name: "WithSeed", scope: scopeRun | scopeSweep | scopeDist | scopeSvc,
-		apply: func(o *runOptions) { o.seed = seed }}
+		apply: func(o *runOptions) { o.Seed = seed }}
 }
 
 // WithAdversary sets the run's strategy; nil (the default) runs the
@@ -198,7 +196,7 @@ func WithAdversaryFactory(factory func() Adversary) Option {
 // it works for both Run (one instance) and RunSweep (one per cell).
 func WithAdversaryName(name string, opts AdversaryOpts) Option {
 	return Option{name: "WithAdversaryName", scope: scopeRun | scopeSweep | scopeDist | scopeSvc,
-		apply: func(o *runOptions) { o.advName, o.advOpts, o.advNameSet = name, opts, true }}
+		apply: func(o *runOptions) { o.Adversary, o.ForkDepth, o.advNameSet = name, opts.ForkDepth, true }}
 }
 
 // WithShards sets the engine's delivery-phase parallelism (see
@@ -206,13 +204,13 @@ func WithAdversaryName(name string, opts AdversaryOpts) Option {
 // from GOMAXPROCS and the player count. Any value is bit-identical.
 func WithShards(shards int) Option {
 	return Option{name: "WithShards", scope: scopeRun | scopeSweep | scopeDist | scopeSvc,
-		apply: func(o *runOptions) { o.shards = shards }}
+		apply: func(o *runOptions) { o.EngineShards = shards }}
 }
 
 // WithAutoShards is WithShards(AutoShards).
 func WithAutoShards() Option {
 	return Option{name: "WithAutoShards", scope: scopeRun | scopeSweep | scopeDist | scopeSvc,
-		apply: func(o *runOptions) { o.shards = AutoShards }}
+		apply: func(o *runOptions) { o.EngineShards = AutoShards }}
 }
 
 // WithConsistency sets Definition 1's chop parameter T and the checker's
@@ -220,7 +218,7 @@ func WithAutoShards() Option {
 // this option the check runs at T = 0 with the default interval.
 func WithConsistency(tee, sampleEvery int) Option {
 	return Option{name: "WithConsistency", scope: scopeRun | scopeSweep | scopeDist | scopeSvc,
-		apply: func(o *runOptions) { o.tee, o.sampleEvery = tee, sampleEvery }}
+		apply: func(o *runOptions) { o.T, o.SampleEvery = tee, sampleEvery }}
 }
 
 // WithObserver attaches observers to the run's stack, after the built-in
@@ -263,7 +261,7 @@ func WithNuSchedule(fn func(round int) float64) Option {
 // whenever a precondition fails (see docs/fastforward.md).
 func WithFastForward() Option {
 	return Option{name: "WithFastForward", scope: scopeRun | scopeSweep | scopeDist | scopeSvc,
-		apply: func(o *runOptions) { o.fastForward = true }}
+		apply: func(o *runOptions) { o.FastForward = true }}
 }
 
 // WithCompaction enables the engine's epoch-based arena compaction
@@ -282,7 +280,7 @@ func WithFastForward() Option {
 // advance.
 func WithCompaction(every, minRetire int) Option {
 	return Option{name: "WithCompaction", scope: scopeRun | scopeSweep | scopeDist | scopeSvc,
-		apply: func(o *runOptions) { o.compactEvery, o.compactMin = every, minRetire }}
+		apply: func(o *runOptions) { o.CompactEvery, o.CompactMinRetire = every, minRetire }}
 }
 
 // WithCheckerRetention bounds the consistency checker's snapshot
@@ -292,7 +290,7 @@ func WithCompaction(every, minRetire int) Option {
 // the cost of evaluating Definition 1 over the retained window only.
 func WithCheckerRetention(keep int) Option {
 	return Option{name: "WithCheckerRetention", scope: scopeRun | scopeSweep | scopeDist | scopeSvc,
-		apply: func(o *runOptions) { o.checkerRetain = keep }}
+		apply: func(o *runOptions) { o.CheckerRetention = keep }}
 }
 
 // ScenarioSpec is a scenario-layer description (internal/scenario): a
@@ -324,18 +322,18 @@ func ParseScenario(arg string) (*ScenarioSpec, error) {
 // per-player mining weights. Scenarios disarm FastForward (the engine
 // falls back to stepping; see docs/scenarios.md) and are incompatible
 // with WithNuSchedule. Nil is the default model. Run, RunSweep and
-// RunSweepDistributed — not sweepd submissions: the service's
-// content-addressed store keys do not cover scenarios.
+// RunSweepDistributed — not sweepd submissions, which refuse a
+// scenario.
 func WithScenario(spec *ScenarioSpec) Option {
 	return Option{name: "WithScenario", scope: scopeRun | scopeSweep | scopeDist,
-		apply: func(o *runOptions) { o.scenarioSpec = spec }}
+		apply: func(o *runOptions) { o.Scenario = spec }}
 }
 
 // WithReplicates runs every sweep cell r times with independent seeds
 // and aggregates (default 1). RunSweep and RunSweepDistributed.
 func WithReplicates(r int) Option {
 	return Option{name: "WithReplicates", scope: scopeSweep | scopeDist | scopeSvc,
-		apply: func(o *runOptions) { o.replicates = r }}
+		apply: func(o *runOptions) { o.Replicates = r }}
 }
 
 // WithWorkers sizes the sweep's parallelism: for RunSweep the
@@ -391,7 +389,7 @@ func Run(ctx context.Context, pr Params, opts ...Option) (*RunReport, error) {
 		if adv != nil {
 			return nil, fmt.Errorf("neatbound: WithAdversary and WithAdversaryName are mutually exclusive")
 		}
-		if adv, err = NewAdversaryByName(o.advName, o.advOpts); err != nil {
+		if adv, err = NewAdversaryByName(o.Adversary, AdversaryOpts{ForkDepth: o.ForkDepth}); err != nil {
 			return nil, err
 		}
 	}
@@ -404,7 +402,7 @@ func Run(ctx context.Context, pr Params, opts ...Option) (*RunReport, error) {
 		if every < 1 {
 			every = 1
 		}
-		total := o.rounds
+		total := o.Rounds
 		fn := o.progressFn
 		stack = append(stack, ObserverFunc(func(_ *Engine, rec RoundRecord) {
 			if rec.Round%every == 0 || rec.Round == total {
@@ -413,18 +411,13 @@ func Run(ctx context.Context, pr Params, opts ...Option) (*RunReport, error) {
 		}))
 	}
 	stack = append(stack, o.observers...)
-	rep, res, err := sweep.RunOne(ctx, engine.Config{
-		Params:           pr,
-		Rounds:           o.rounds,
-		Seed:             o.seed,
-		Adversary:        adv,
-		Observer:         engine.Observers(stack...),
-		NuSchedule:       o.nuSchedule,
-		Shards:           o.shards,
-		FastForward:      o.fastForward,
-		CompactEvery:     o.compactEvery,
-		CompactMinRetire: o.compactMin,
-	}, o.tee, sweep.ResolveSampleEvery(o.sampleEvery, o.rounds), o.checkerRetain, o.scenarioSpec)
+	rep, res, err := sweep.RunOne(ctx, o.Tuning.Apply(engine.Config{
+		Params:     pr,
+		Seed:       o.Seed,
+		Adversary:  adv,
+		Observer:   engine.Observers(stack...),
+		NuSchedule: o.nuSchedule,
+	}), o.Semantics)
 	if res == nil {
 		return nil, fmt.Errorf("neatbound: %w", err)
 	}
@@ -437,14 +430,7 @@ func Run(ctx context.Context, pr Params, opts ...Option) (*RunReport, error) {
 
 // SweepGrid spans the (ν × c) parameter grid of one sweep; every
 // (ν, c) pair is a cell executed at the shared n and Δ.
-type SweepGrid struct {
-	// N is the miner count used in every cell.
-	N int
-	// Delta is the network delay bound used in every cell.
-	Delta int
-	// NuValues and CValues span the grid.
-	NuValues, CValues []float64
-}
+type SweepGrid = sweep.Grid
 
 // RunSweep executes a (ν × c) grid on the job-queue pipeline and
 // aggregates each cell over its replicates; each replicate is one
@@ -460,33 +446,18 @@ func RunSweep(ctx context.Context, grid SweepGrid, opts ...Option) ([]AggregateC
 	if err != nil {
 		return nil, err
 	}
-	factory := o.advFactory
-	if o.advNameSet {
-		if factory != nil {
-			return nil, fmt.Errorf("neatbound: WithAdversaryFactory and WithAdversaryName are mutually exclusive")
-		}
-		if factory, err = adversary.Factory(o.advName, o.advOpts.ForkDepth); err != nil {
-			return nil, fmt.Errorf("neatbound: %w", err)
-		}
+	if o.advFactory != nil && o.advNameSet {
+		return nil, fmt.Errorf("neatbound: WithAdversaryFactory and WithAdversaryName are mutually exclusive")
 	}
-	return sweep.RunGrid(ctx, sweep.Config{
-		N:                grid.N,
-		Delta:            grid.Delta,
-		NuValues:         grid.NuValues,
-		CValues:          grid.CValues,
-		Rounds:           o.rounds,
-		Seed:             o.seed,
-		T:                o.tee,
-		SampleEvery:      o.sampleEvery,
-		NewAdversary:     factory,
-		Workers:          o.workers,
-		Shards:           o.shards,
-		FastForward:      o.fastForward,
-		CompactEvery:     o.compactEvery,
-		CompactMinRetire: o.compactMin,
-		CheckerRetention: o.checkerRetain,
-		Scenario:         o.scenarioSpec,
-	}, o.replicates, o.onCell)
+	cfg, err := o.spec(grid).Config()
+	if err != nil {
+		return nil, fmt.Errorf("neatbound: %w", err)
+	}
+	if o.advFactory != nil {
+		cfg.NewAdversary = o.advFactory
+	}
+	cfg.Workers = o.workers
+	return sweep.RunGrid(ctx, cfg, o.Replicates, o.onCell)
 }
 
 // MarshalCells writes one JSON line per cell to w — the AggregateCell

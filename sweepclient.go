@@ -107,36 +107,15 @@ func (c *SweepClient) do(ctx context.Context, method, path string, body, out any
 }
 
 // SweepRequest builds the wire form of a submission from a grid and the
-// service-scoped options (the subset of the sweep vocabulary that
-// travels as data: rounds, seed, consistency, adversary name, engine
-// throughput knobs, replicates). Exported so callers can inspect or
-// persist exactly what Submit would send.
+// service-scoped options — the sweep.Spec the options describe, minus
+// the scenario, which sweepd refuses. Exported so callers can inspect
+// or persist exactly what Submit would send.
 func SweepRequest(grid SweepGrid, opts ...Option) (SweepJobRequest, error) {
 	o, err := applyOptions(scopeSvc, "SweepClient.Submit", opts)
 	if err != nil {
 		return SweepJobRequest{}, err
 	}
-	req := sweepsvc.JobRequest{
-		N:                grid.N,
-		Delta:            grid.Delta,
-		NuValues:         grid.NuValues,
-		CValues:          grid.CValues,
-		Rounds:           o.rounds,
-		Seed:             o.seed,
-		T:                o.tee,
-		SampleEvery:      o.sampleEvery,
-		Replicates:       o.replicates,
-		EngineShards:     o.shards,
-		FastForward:      o.fastForward,
-		CompactEvery:     o.compactEvery,
-		CompactMinRetire: o.compactMin,
-		CheckerRetention: o.checkerRetain,
-	}
-	if o.advNameSet {
-		req.Adversary = o.advName
-		req.ForkDepth = o.advOpts.ForkDepth
-	}
-	return req, nil
+	return sweepsvc.JobRequest{Spec: o.spec(grid)}, nil
 }
 
 // Submit sends a sweep job to the server and returns its initial

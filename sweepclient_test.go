@@ -207,17 +207,11 @@ func TestSweepRequestScope(t *testing.T) {
 	}
 }
 
-// TestSweepClientDistributedParityAllKnobs holds the three sweep entry
-// points to one result with every per-cell knob set away from its
-// default: RunSweep, RunSweepDistributed over three in-process shards,
-// and a sweepd job must emit byte-identical MarshalCells streams. A
-// knob one entry point forgot to forward shows up as a diff. Scenarios
-// do not travel to sweepd, so the scenario leg compares the other two.
-func TestSweepClientDistributedParityAllKnobs(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
-	defer cancel()
+// allKnobsSweep is a small grid with every per-cell knob set away from
+// its default.
+func allKnobsSweep() (SweepGrid, []Option) {
 	grid := SweepGrid{N: 10, Delta: 3, NuValues: []float64{0.2, 0.35}, CValues: []float64{0.8, 3}}
-	opts := []Option{
+	return grid, []Option{
 		WithRounds(300),
 		WithSeed(5),
 		WithConsistency(3, 7),
@@ -228,14 +222,61 @@ func TestSweepClientDistributedParityAllKnobs(t *testing.T) {
 		WithFastForward(),
 		WithCompaction(40, 4),
 	}
-	marshal := func(cells []AggregateCell) string {
+}
+
+func marshalCells(t *testing.T, cells []AggregateCell) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := MarshalCells(&buf, cells); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
+
+// TestRunSweepSemanticKnobsReachCells: resetting any one semantic knob
+// of allKnobsSweep changes RunSweep's bytes. Parity between entry
+// points cannot see a knob that every entry point drops on the way to
+// the cells; this can.
+func TestRunSweepSemanticKnobsReachCells(t *testing.T) {
+	grid, opts := allKnobsSweep()
+	run := func(extra ...Option) string {
 		t.Helper()
-		var buf bytes.Buffer
-		if err := MarshalCells(&buf, cells); err != nil {
+		cells, err := RunSweep(context.Background(), grid, append(opts[:len(opts):len(opts)], extra...)...)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return buf.String()
+		return marshalCells(t, cells)
 	}
+	ref := run()
+	spec, err := ParseScenario("stochastic-delay")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, reset := range map[string]Option{
+		"t":                 WithConsistency(0, 7),
+		"sample-every":      WithConsistency(3, 0),
+		"checker-retention": WithCheckerRetention(0),
+		"adversary":         WithAdversaryName("passive", AdversaryOpts{}),
+		"fork-depth":        WithAdversaryName("private", AdversaryOpts{}),
+		"scenario":          WithScenario(spec),
+	} {
+		if run(reset) == ref {
+			t.Errorf("changing %s left the grid unchanged", name)
+		}
+	}
+}
+
+// TestSweepClientDistributedParityAllKnobs holds the three sweep entry
+// points to one result with every per-cell knob set away from its
+// default: RunSweep, RunSweepDistributed over three in-process shards,
+// and a sweepd job must emit byte-identical MarshalCells streams. A
+// knob one entry point forgot to forward shows up as a diff. Scenarios
+// do not travel to sweepd, so the scenario leg compares the other two.
+func TestSweepClientDistributedParityAllKnobs(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	grid, opts := allKnobsSweep()
+	marshal := func(cells []AggregateCell) string { return marshalCells(t, cells) }
 	distributed := func(opts []Option) string {
 		t.Helper()
 		cells, err := RunSweepDistributed(ctx, grid, append(opts, WithWorkers(2), WithTargetShards(3))...)
@@ -278,9 +319,6 @@ func TestSweepClientDistributedParityAllKnobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	scnWant := marshal(scnRef)
-	if scnWant == want {
-		t.Error("the scenario did not change the grid")
-	}
 	if got := distributed(scnOpts); got != scnWant {
 		t.Errorf("scenario: RunSweepDistributed differs from RunSweep\ngot:\n%s\nwant:\n%s", got, scnWant)
 	}
