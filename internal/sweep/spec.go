@@ -98,7 +98,8 @@ type Spec struct {
 }
 
 // Config builds the in-process sweep configuration, resolving the
-// adversary name into a per-cell factory.
+// adversary name into a per-cell factory. Workers, Pool and the
+// placement offsets are left to the caller.
 func (s Spec) Config() (Config, error) {
 	var factory func() engine.Adversary
 	if s.Adversary != "" {
