@@ -1,7 +1,10 @@
 package engine
 
 import (
+	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"neatbound/internal/blockchain"
@@ -349,6 +352,76 @@ func BenchmarkEngineRound(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := e.step(); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// rogueAnnouncer announces a block that was never added to the tree on
+// its first Mine call, for delivery in the following round — through
+// SendToAll, or through Send to one recipient. Embedding the passive
+// strategy keeps it skip-safe, so fast-forward stays armed.
+type rogueAnnouncer struct {
+	PassiveAdversary
+	toAll     bool
+	recipient int
+	sentAt    int
+}
+
+func (a *rogueAnnouncer) Name() string { return "rogue-announcer" }
+
+func (a *rogueAnnouncer) Mine(ctx *Context, _ int) {
+	if a.sentAt != 0 {
+		return
+	}
+	a.sentAt = ctx.Round()
+	rogue := blockchain.Block{ID: 900000, Parent: blockchain.GenesisID, Height: 50, Round: a.sentAt}
+	var err error
+	if a.toAll {
+		err = ctx.SendToAll(rogue, a.sentAt+1)
+	} else {
+		err = ctx.Send(rogue, a.recipient, a.sentAt+1)
+	}
+	if err != nil {
+		panic(err)
+	}
+}
+
+// TestUnknownBlockDeliveryError pins the engine's refusal to deliver a
+// block missing from the tree: the run fails in the delivery round with
+// ErrUnknownBlock, is marked Partial, and keeps exactly the records of
+// the rounds before it — on the serial and the sharded walk, and with
+// fast-forward on, where a SendToAll round is delivered by the flash
+// fold.
+func TestUnknownBlockDeliveryError(t *testing.T) {
+	for _, toAll := range []bool{false, true} {
+		for _, shards := range []int{1, 3} {
+			for _, ff := range []bool{false, true} {
+				adv := &rogueAnnouncer{toAll: toAll, recipient: 13}
+				e, err := New(Config{Params: testParams(), Rounds: 400, Seed: 3, Shards: shards, FastForward: ff, Adversary: adv})
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := e.Run()
+				name := fmt.Sprintf("toAll=%v shards=%d fastForward=%v", toAll, shards, ff)
+				if !errors.Is(err, blockchain.ErrUnknownBlock) {
+					t.Fatalf("%s: err = %v, want ErrUnknownBlock", name, err)
+				}
+				if !strings.Contains(err.Error(), "900000") {
+					t.Errorf("%s: error %q does not name the unknown block", name, err)
+				}
+				if !res.Partial {
+					t.Errorf("%s: failed run not marked Partial", name)
+				}
+				if adv.sentAt == 0 {
+					t.Fatalf("%s: adversary never ran", name)
+				}
+				if got, want := len(res.Records), adv.sentAt; got != want {
+					t.Errorf("%s: %d records, want %d (the rounds before the failing round %d)", name, got, want, adv.sentAt+1)
+				}
+				if ff && !e.ff.armed {
+					t.Errorf("%s: fast-forward not armed", name)
+				}
+			}
 		}
 	}
 }
