@@ -183,9 +183,6 @@ func (p splitPolicy) DeliveryRound(m network.Message, recipient int) int {
 	return int(m.SentRound) + p.delta
 }
 
-// ParallelSafe implements network.ParallelSafe.
-func (p splitPolicy) ParallelSafe() {}
-
 // Balance is the PSS-style consistency attack: honest players are split
 // into two halves whose blocks cross the partition only after Δ rounds;
 // corrupted blocks are mined on whichever branch is shorter and delivered

@@ -125,8 +125,8 @@ func (e *Engine) compactionWatermark() (blockchain.BlockID, bool) {
 	if !e.foldObserverRetained(fold) {
 		return 0, false
 	}
-	// In-flight messages: anything possibly undelivered next round.
-	e.retainBuf = e.net.AppendInFlight(e.retainBuf[:0], e.round+1)
+	// In-flight messages: every block still undelivered.
+	e.retainBuf = e.net.AppendInFlight(e.retainBuf[:0])
 	for _, id := range e.retainBuf {
 		fold(id)
 	}

@@ -73,10 +73,10 @@ type Adversary interface {
 //   - all randomness is drawn in the serial phases, in a fixed order,
 //     from streams split once from Seed — the parallel delivery phase
 //     draws no randomness at all;
-//   - each delivery task touches only its own players' views, its own
-//     shard accumulator, and its own per-recipient network inboxes, and
-//     every per-recipient message drain preserves DeliverTo's
-//     deterministic (sent round, block ID, sender) order;
+//   - each delivery task touches only its own players' views and its own
+//     shard accumulator, and walks the round's due entries in the
+//     network's deterministic (sent round, block ID, sender) order, so
+//     every player meets its messages in that order;
 //   - every merged statistic is an exact function of the current views
 //     (max/min over shard brackets, distinct count over shard tip
 //     lists, per-half argmax with min-index tie break), not of the
@@ -112,9 +112,8 @@ type Config struct {
 	// executions.
 	Shards int
 	// Pool supplies the persistent worker pool the sharded delivery
-	// phase and the network's parallel broadcast fan-out run on — inject
-	// one to share workers across engines (the sweep does, across its
-	// cells). Nil engages the process-wide shared pool (pool.Default())
+	// phase runs on — inject one to share workers across engines (the
+	// sweep does, across its cells). Nil engages the process-wide shared pool (pool.Default())
 	// the first time a parallel phase runs. The pool choice never
 	// affects results, only scheduling.
 	Pool *pool.Pool
@@ -296,17 +295,15 @@ type Engine struct {
 	// counted in the current merge).
 	seen      []uint64
 	seenStamp uint64
-	// cursorsBuf is the reusable scratch handed to network.EndRound.
-	cursorsBuf []network.ShardCursor
 	// pool runs the sharded delivery phase on persistent workers;
 	// acquired once (Config.Pool or the process-wide default) when the
 	// first parallel phase runs. deliverFn is the persistent task
-	// closure handed to pool.Run — it reads the current round from
-	// deliverRound, so the steady state allocates no closures and spawns
-	// no goroutines.
-	pool         *pool.Pool
-	deliverFn    func(task int)
-	deliverRound int
+	// closure handed to pool.Run — it reads the round's entries from
+	// due, so the steady state allocates no closures and spawns no
+	// goroutines.
+	pool      *pool.Pool
+	deliverFn func(task int)
+	due       []network.Entry
 	// winnersBuf is the reusable scratch for per-round mining winners.
 	winnersBuf []int
 	// ctx is the adversary's handle, allocated once per engine.
@@ -401,7 +398,6 @@ func New(cfg Config) (*Engine, error) {
 		e.shards[k].resetBest()
 		lo += size
 	}
-	e.cursorsBuf = make([]network.ShardCursor, 0, nshards)
 	for k := range e.shards {
 		s := &e.shards[k]
 		if c := min(s.hi, honest) - s.lo; c > 0 {
@@ -412,14 +408,8 @@ func New(cfg Config) (*Engine, error) {
 			s.addTipRef(blockchain.GenesisID, int32(c))
 		}
 	}
-	e.deliverFn = func(k int) {
-		s := &e.shards[k]
-		s.err = e.deliverRange(s, e.deliverRound)
-	}
-	if cfg.Pool != nil {
-		e.pool = cfg.Pool
-		e.net.UsePool(cfg.Pool)
-	}
+	e.deliverFn = func(k int) { e.deliverRange(&e.shards[k], e.due) }
+	e.pool = cfg.Pool
 	e.ctx = Context{e: e}
 	e.ff.preH, e.ff.preA = -1, -1
 	e.unitsEpoch = -1
@@ -429,12 +419,10 @@ func New(cfg Config) (*Engine, error) {
 // acquirePool binds the engine to its worker pool — the injected
 // Config.Pool or, absent one, the process-wide shared pool — the first
 // time a parallel phase needs it. The pool is reused for every
-// subsequent round's delivery phase and shared with the network's
-// broadcast fan-out.
+// subsequent round's delivery phase.
 func (e *Engine) acquirePool() *pool.Pool {
 	if e.pool == nil {
 		e.pool = pool.Default()
-		e.net.UsePool(e.pool)
 	}
 	return e.pool
 }
@@ -641,7 +629,7 @@ func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
 	}
 	if len(e.shards) > 1 {
 		// Acquire the worker pool once; every round's delivery phase
-		// (and the network fan-out) reuses it without further setup.
+		// reuses it without further setup.
 		e.acquirePool()
 	}
 	e.armFastForward()
@@ -745,25 +733,13 @@ func (e *Engine) step() (RoundRecord, error) {
 	// 1. Delivery: every view-maintaining player receives scheduled
 	// messages and adopts the longest chain seen (the longest-chain rule
 	// inlined: a candidate wins only when strictly higher; ties keep the
-	// current chain). The phase runs sharded — serial for one shard, one
-	// worker per shard otherwise — with bit-identical results either way
-	// (see the Config doc). A round with nothing due skips the walk
-	// outright — state-identical, since every Deliver would return nil;
-	// under fast-forward, a due round whose messages are all uniform
-	// broadcasts onto compactly tracked views is adopted in bulk instead
-	// of per recipient (flashDeliver, bit-identical by construction); the
-	// walk fallback first writes the lazily tracked views back into the
-	// per-player entries it reads.
-	if e.net.HasDue(t) {
-		if e.ff.armed && e.net.UniformPendingAt(t) && e.ensureUniformViews() {
-			if err := e.flashDeliver(t); err != nil {
-				return RoundRecord{}, err
-			}
-		} else {
-			e.materializeViews()
-			if err := e.deliverShards(t); err != nil {
-				return RoundRecord{}, err
-			}
+	// current chain). The network hands the round over whole, and
+	// deliver adopts it — in bulk under fast-forward, otherwise by the
+	// sharded walk, with bit-identical results either way (see the
+	// Config doc). A round with nothing due skips the phase outright.
+	if due := e.net.Deliver(t); len(due) > 0 {
+		if err := e.deliver(t, due); err != nil {
+			return RoundRecord{}, err
 		}
 	}
 
@@ -906,10 +882,9 @@ func (c *Context) Send(b blockchain.Block, recipient, deliverRound int) error {
 }
 
 // SendToAll schedules b for delivery to every view-maintaining player at
-// deliverRound. The schedule is a single O(1) uniform slot entry when
-// the network can take one (it almost always can — see
-// Network.SendAll), with per-recipient delivery order and counters
-// identical to a Send loop over the player range.
+// deliverRound as a single O(1) network entry (Network.SendAll), with
+// per-recipient delivery order and counters identical to a Send loop
+// over the player range.
 func (c *Context) SendToAll(b blockchain.Block, deliverRound int) error {
 	m := network.Message{Block: network.AnnounceBlock(b), From: -1, SentRound: int32(c.e.round)}
 	return c.e.net.SendAll(m, deliverRound)

@@ -42,10 +42,9 @@ package engine
 // on every golden configuration.
 
 import (
-	"fmt"
-
 	"neatbound/internal/blockchain"
 	"neatbound/internal/dist"
+	"neatbound/internal/network"
 )
 
 // SpanQuiescent is implemented by adversary strategies whose quiet
@@ -315,8 +314,9 @@ func (e *Engine) noteDeviant(i int) {
 }
 
 // flashDeliver replaces the round's per-recipient adoption walk when
-// every due message sits in the network's uniform slot and the views
-// are compactly tracked. It is bit-identical to the walk:
+// every due entry is a nil-list one (addressed to every player but its
+// sender) and the views are compactly tracked. It is bit-identical to
+// the walk:
 //
 //   - The longest-chain fold over the sorted message list from start
 //     height h ends at height max(h, M), where M is the maximal message
@@ -328,8 +328,8 @@ func (e *Engine) noteDeviant(i int) {
 //
 //   - A message's sender is never affected by its own entry (its height
 //     already ≥ the block's — it set its tip there when mining), so the
-//     per-recipient sender exclusion is adoption-neutral and the fold
-//     can ignore it.
+//     nil list's sender exclusion is adoption-neutral and the fold can
+//     ignore it.
 //
 //   - Deviant heights never drop below the majority's (a deviant mined
 //     from height ≥ majH; folds preserve the ordering since both ends
@@ -339,25 +339,17 @@ func (e *Engine) noteDeviant(i int) {
 //     self-mined tip at height ≥ newH.
 //
 // When the majority does not adopt (M ≤ majH), no view adopts anything
-// — every height is ≥ majH ≥ M — and draining the slot is the round's
-// entire effect.
-func (e *Engine) flashDeliver(t int) error {
-	msgs := e.net.DrainUniform(t)
-	// Mirror deliverRange's tree-membership check: a strategy sending
-	// an unregistered block must surface as the same error.
-	for _, m := range msgs {
-		if !e.tree.Has(m.Block.ID) {
-			return fmt.Errorf("engine: round %d adopt: %w %d", t, blockchain.ErrUnknownBlock, m.Block.ID)
-		}
-	}
+// — every height is ≥ majH ≥ M — and taking the round off the network
+// is its entire effect.
+func (e *Engine) flashDeliver(due []network.Entry) {
 	newTip, newH := e.ff.majTip, e.ff.majH
-	for _, m := range msgs {
-		if int(m.Block.Height) > newH {
-			newTip, newH = m.Block.ID, int(m.Block.Height)
+	for k := range due {
+		if b := due[k].Msg.Block; int(b.Height) > newH {
+			newTip, newH = b.ID, int(b.Height)
 		}
 	}
 	if newH == e.ff.majH {
-		return nil
+		return
 	}
 
 	// Prune deviants that join the winning tip — by adopting it, or by
@@ -381,7 +373,6 @@ func (e *Engine) flashDeliver(t int) error {
 	for k := range e.shards {
 		e.rebuildShardUniform(&e.shards[k])
 	}
-	return nil
 }
 
 // addTipRef counts count views on tip id, growing the refcount arena

@@ -1,84 +1,11 @@
 package engine
 
 import (
-	"fmt"
-	"strings"
 	"testing"
 
-	"neatbound/internal/blockchain"
-	"neatbound/internal/network"
 	"neatbound/internal/params"
 	"neatbound/internal/pool"
 )
-
-// rogueSender delivers unregistered blocks — blocks never Added to the
-// tree — to chosen recipients, forcing deliverRange's unknown-block
-// error in the shards owning them. IDs start high so they cannot
-// collide with legitimately mined blocks.
-type rogueSender struct {
-	// recipients receive one rogue block each at round 2.
-	recipients []int
-}
-
-func (rogueSender) Name() string { return "rogue-sender" }
-
-func (rogueSender) HonestDelayPolicy(*Context) network.DelayPolicy { return network.MinDelay{} }
-
-func (r rogueSender) Mine(ctx *Context, _ int) {
-	if ctx.Round() != 1 {
-		return
-	}
-	for k, rec := range r.recipients {
-		rogue := blockchain.Block{
-			ID:     blockchain.BlockID(900000 + k),
-			Parent: blockchain.GenesisID,
-			Height: 50, // tall enough that every view would adopt it
-			Round:  1,
-		}
-		if err := ctx.Send(rogue, rec, 2); err != nil {
-			panic(err)
-		}
-	}
-}
-
-// TestDeliverShardsFirstErrorByIndex pins deliverShards' multi-shard
-// error contract: when several shards fail in the same round, the error
-// returned is the lowest-indexed shard's — the one a serial scan of the
-// player range would have hit first — regardless of pool scheduling.
-// Rogue blocks land in shards 3 and 1 (IDs 900000 and 900001); the
-// returned error must name shard 1's block.
-func TestDeliverShardsFirstErrorByIndex(t *testing.T) {
-	const n, shards = 40, 4
-	// 28 honest players in 7-player shards: player 24 sits in shard 3,
-	// player 9 in shard 1. The shard-3 rogue gets the LOWER block ID, so
-	// any ID-ordered or completion-ordered scan would report it instead.
-	adv := rogueSender{recipients: []int{24, 9}}
-	for run := 0; run < 5; run++ { // repeat: pool scheduling is nondeterministic
-		e, err := New(Config{
-			Params:    params.Params{N: n, P: 0.005, Delta: 4, Nu: 0.3},
-			Rounds:    5,
-			Seed:      1,
-			Shards:    shards,
-			Adversary: adv,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := len(e.shards); got != shards {
-			t.Fatalf("built %d shards, want %d", got, shards)
-		}
-		res, err := e.Run()
-		if err == nil {
-			t.Fatal("rogue blocks delivered without error")
-		}
-		if !strings.Contains(err.Error(), fmt.Sprint(900001)) {
-			t.Fatalf("error %q does not name shard 1's rogue block 900001 — the per-shard error scan is not index-ordered", err)
-		}
-		if !res.Partial {
-			t.Error("failed run not marked Partial")
-		}
-	}
-}
 
 // TestPooledDeliveryParityShort is the tier-1 gate's quick pooled-parity
 // check (it runs in -short mode): one shared pool drives consecutive

@@ -49,13 +49,6 @@ type shardStat struct {
 	bestH   [2]int
 	bestIdx [2]int
 	bestTip [2]blockchain.BlockID
-	// err is the shard's delivery-phase error, examined after the
-	// barrier in ascending shard order (matching the serial engine's
-	// first-error semantics).
-	err error
-	// cursor is the shard's network delivery handle for the current
-	// round.
-	cursor network.ShardCursor
 	// pad defeats false sharing between adjacent shards' hot counters.
 	_ [64]byte
 }
@@ -176,58 +169,61 @@ func (e *Engine) shardOf(i int) *shardStat {
 	return &e.shards[r+(i-t)/q]
 }
 
-// deliverShards runs the round's delivery phase: serial for one shard,
-// one pool task per shard otherwise (persistent workers — zero
-// goroutine spawns per round in steady state). The shards' recipient
-// ranges partition [0, players), so the tasks touch disjoint view and
-// network state; the only shared reads are the block tree (frozen
-// during delivery) and the network's staged spill (disjoint
-// per-recipient slots). Shard errors are examined after the barrier in
-// ascending shard index order, so the error returned is deterministic —
-// the failing shard with the lowest index, i.e. the error a serial scan
-// of the player range would have hit first — no matter how the pool
-// scheduled the tasks.
-func (e *Engine) deliverShards(round int) error {
-	e.net.BeginRound(round)
+// deliver runs round t's delivery phase over the due entries. It first
+// checks that every delivered block is in the global tree (an O(1)
+// arena probe per entry): a strategy sending an unregistered block is a
+// bug that must surface, not be silently out-adopted, so the round fails
+// on the first unknown block in delivery order before any view moves.
+// A round of nil-list entries onto compactly tracked views is then
+// folded in bulk (flashDeliver, bit-identical by construction); any
+// other round writes the tracked views back and takes the sharded walk.
+func (e *Engine) deliver(t int, due []network.Entry) error {
+	uniform := true
+	for k := range due {
+		if id := due[k].Msg.Block.ID; !e.tree.Has(id) {
+			return fmt.Errorf("engine: round %d adopt: %w %d", t, blockchain.ErrUnknownBlock, id)
+		}
+		uniform = uniform && due[k].To == nil
+	}
+	if uniform && e.ff.armed && e.ensureUniformViews() {
+		e.flashDeliver(due)
+		return nil
+	}
+	e.materializeViews()
 	if len(e.shards) == 1 {
-		s := &e.shards[0]
-		s.cursor = e.net.Cursor(round)
-		s.err = e.deliverRange(s, round)
-	} else {
-		for k := range e.shards {
-			e.shards[k].cursor = e.net.Cursor(round)
-		}
-		e.deliverRound = round
-		e.acquirePool().Run(len(e.shards), e.deliverFn)
+		e.deliverRange(&e.shards[0], due)
+		return nil
 	}
-	e.cursorsBuf = e.cursorsBuf[:0]
-	for k := range e.shards {
-		e.cursorsBuf = append(e.cursorsBuf, e.shards[k].cursor)
-	}
-	e.net.EndRound(round, e.cursorsBuf)
-	for k := range e.shards {
-		if err := e.shards[k].err; err != nil {
-			return err
-		}
-	}
+	// One pool task per shard (persistent workers — zero goroutine
+	// spawns per round in steady state). The shards' recipient ranges
+	// partition [0, players), so the tasks touch disjoint views and
+	// accumulators; the entries and the block tree are only read.
+	e.due = due
+	e.acquirePool().Run(len(e.shards), e.deliverFn)
+	e.due = nil
 	return nil
 }
 
-// deliverRange drains shard s's recipients for round, applying the
-// longest-chain rule (adopt only strictly higher chains).
-func (e *Engine) deliverRange(s *shardStat, round int) error {
-	for i := s.lo; i < s.hi; i++ {
-		for _, m := range s.cursor.Deliver(i) {
-			// Every delivered block must be in the global tree (an O(1)
-			// arena probe); a strategy Sending an unregistered block is a
-			// bug that must surface, not be silently out-adopted.
-			if !e.tree.Has(m.Block.ID) {
-				return fmt.Errorf("engine: round %d adopt: %w %d", round, blockchain.ErrUnknownBlock, m.Block.ID)
+// deliverRange walks the due entries over shard s's recipients, applying
+// the longest-chain rule (adopt only strictly higher chains). The
+// entries are in delivery order, so every recipient meets its messages
+// in that order, as a per-recipient drain would hand them over.
+func (e *Engine) deliverRange(s *shardStat, due []network.Entry) {
+	for k := range due {
+		en := &due[k]
+		id, h := en.Msg.Block.ID, int(en.Msg.Block.Height)
+		if en.To != nil {
+			for _, i := range en.Within(s.lo, s.hi) {
+				if h > e.tipHeights[i] {
+					e.setTip(int(i), id, h)
+				}
 			}
-			if int(m.Block.Height) > e.tipHeights[i] {
-				e.setTip(i, m.Block.ID, int(m.Block.Height))
+			continue
+		}
+		for i := s.lo; i < s.hi; i++ {
+			if h > e.tipHeights[i] && i != int(en.Msg.From) {
+				e.setTip(i, id, h)
 			}
 		}
 	}
-	return nil
 }

@@ -11,30 +11,40 @@
 // adversary controls its corrupted players outright, so withholding a
 // block is modeled as simply not sending it yet.
 //
-// The fabric is a ring of Δ+1 round slots (indexed round mod Δ+1), each
-// holding one reusable message slice per recipient: in the engine's
-// steady state — every slot fully drained each round — enqueue and
-// delivery are append/reset operations on retained buffers, with no map
-// churn and no per-delivery sort (messages are appended in delivery
-// order and re-sorted only if an out-of-order arrival is detected). Far
-// future adversarial sends that outrun the ring (beyond Δ+1 rounds
-// ahead, i.e. withheld blocks) spill into an overflow map and are merged
-// back at delivery.
+// In-flight state is one store keyed by delivery round. Each round holds
+// a list of entries, and an entry is one message together with the
+// recipients it is due to in that round: an ascending recipient list, or
+// nil for every player except the sender. So an honest broadcast is one
+// block plus one delay per recipient, as in the model, and costs 4 bytes
+// per recipient at most:
+//
+//   - under a RecipientInvariant policy it is a single nil-list entry,
+//     O(1) at any player count;
+//   - under any other policy it is at most Δ entries, one per distinct
+//     delivery round, whose lists come from one pass that buckets the
+//     recipients by their clamped delay;
+//   - a Send extends the round's last entry when that entry carries the
+//     same message to a lower recipient, so a per-recipient send loop is
+//     one entry too.
+//
+// Deliver hands a round over whole, in the deterministic delivery order;
+// the caller expands each entry over the recipients it owns. The
+// Network is not safe for concurrent use, but the entries Deliver
+// returns are read-only and may be read from several goroutines at once.
 package network
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"neatbound/internal/blockchain"
-	"neatbound/internal/pool"
 )
 
 // Announce is the on-wire form of a block announcement. Delivery and
 // longest-chain adoption only ever read the ID and the height — the
-// block body lives in the shared tree — so the ring carries 16 bytes
-// per message instead of a full Block record (the uniform-broadcast
-// expansion at large n copies one Message per recipient, so wire size
-// is a first-order memory cost).
+// block body lives in the shared tree — so an entry carries 16 bytes of
+// block instead of a full Block record.
 type Announce struct {
 	// ID identifies the announced block. The zero ID (GenesisID) is
 	// invalid: genesis is never announced.
@@ -62,33 +72,34 @@ type Message struct {
 	SentRound int32
 }
 
-// messageLess orders messages by (sent round, block ID, sender) — the
-// deterministic delivery order DeliverTo guarantees.
-func messageLess(a, b Message) bool {
-	if a.SentRound != b.SentRound {
-		return a.SentRound < b.SentRound
+// compareMessages orders messages by (sent round, block ID, sender) —
+// the deterministic delivery order Deliver guarantees.
+func compareMessages(a, b Message) int {
+	if c := cmp.Compare(a.SentRound, b.SentRound); c != 0 {
+		return c
 	}
-	if a.Block.ID != b.Block.ID {
-		return a.Block.ID < b.Block.ID
+	if c := cmp.Compare(a.Block.ID, b.Block.ID); c != 0 {
+		return c
 	}
-	return a.From < b.From
+	return cmp.Compare(a.From, b.From)
 }
 
-// sortDeliveryOrder establishes the deterministic delivery order in
-// place. It is THE ordering step of every drain path — DeliverTo and
-// ShardCursor.Deliver both call it, so serial and sharded delivery
-// cannot drift apart. Appends arrive pre-sorted on the engine's path,
-// so the insertion re-sort only pays when an out-of-order adversarial
-// schedule is detected; stability preserves arrival order on full ties
-// (the same block sent twice to one recipient).
-func sortDeliveryOrder(msgs []Message) {
-	for i := 1; i < len(msgs); i++ {
-		if messageLess(msgs[i], msgs[i-1]) {
-			for j := i; j > 0 && messageLess(msgs[j], msgs[j-1]); j-- {
-				msgs[j], msgs[j-1] = msgs[j-1], msgs[j]
-			}
-		}
-	}
+// Entry is one in-flight message and the recipients it is due to in its
+// delivery round.
+type Entry struct {
+	// Msg is the message.
+	Msg Message
+	// To lists the recipients in strictly ascending order. Nil means
+	// every player except Msg.From.
+	To []int32
+}
+
+// Within returns the recipients of the explicit list To that lie in
+// [lo, hi), by binary search. It must not be called on a nil To.
+func (en *Entry) Within(lo, hi int) []int32 {
+	a, _ := slices.BinarySearch(en.To, int32(lo))
+	b, _ := slices.BinarySearch(en.To, int32(hi))
+	return en.To[a:b]
 }
 
 // DelayPolicy is the adversary's scheduling interface for honest
@@ -101,22 +112,12 @@ type DelayPolicy interface {
 	DeliveryRound(m Message, recipient int) int
 }
 
-// ParallelSafe marks a DelayPolicy whose DeliveryRound is safe to call
-// concurrently. Broadcast fans out across the persistent worker pool for
-// such policies when the recipient set is large (the ablation of
-// BenchmarkNetworkFanout).
-type ParallelSafe interface {
-	ParallelSafe()
-}
-
 // RecipientInvariant marks a DelayPolicy whose DeliveryRound ignores the
 // recipient — every recipient of a broadcast receives it in the same
-// round. Broadcast exploits the marker with a single O(1) uniform slot
-// entry instead of O(players) per-recipient appends; the drain paths
-// expand the entry per recipient (minus the sender) in the usual
-// deterministic order, so results are identical to the per-recipient
-// path. Implementations must tolerate DeliveryRound being called with
-// recipient = -1 (the probe Broadcast uses).
+// round. Broadcast then schedules a single nil-list entry instead of
+// computing one delay per recipient. Implementations must tolerate
+// DeliveryRound being called with recipient = -1 (the probe Broadcast
+// uses).
 type RecipientInvariant interface {
 	RecipientInvariant()
 }
@@ -127,9 +128,6 @@ type MinDelay struct{}
 
 // DeliveryRound implements DelayPolicy.
 func (MinDelay) DeliveryRound(m Message, _ int) int { return int(m.SentRound) + 1 }
-
-// ParallelSafe implements the marker interface.
-func (MinDelay) ParallelSafe() {}
 
 // RecipientInvariant implements the marker interface: the delivery round
 // is sent+1 for every recipient.
@@ -146,16 +144,13 @@ type MaxDelay struct {
 // DeliveryRound implements DelayPolicy.
 func (d MaxDelay) DeliveryRound(m Message, _ int) int { return int(m.SentRound) + d.Delta }
 
-// ParallelSafe implements the marker interface.
-func (MaxDelay) ParallelSafe() {}
-
 // RecipientInvariant implements the marker interface: the delivery round
 // is sent+Δ for every recipient.
 func (MaxDelay) RecipientInvariant() {}
 
 // HashedDelay assigns each (block, recipient) pair a deterministic
 // pseudo-random delay in [1, Delta]. Being a pure function of its inputs,
-// it is parallel-safe and reproducible.
+// it is reproducible.
 type HashedDelay struct {
 	// Delta is the network delay bound.
 	Delta int
@@ -177,93 +172,25 @@ func (d HashedDelay) DeliveryRound(m Message, recipient int) int {
 	return int(m.SentRound) + 1 + int(h%span)
 }
 
-// ParallelSafe implements the marker interface.
-func (HashedDelay) ParallelSafe() {}
-
-// slot is one ring entry: the undelivered messages of a single round.
-type slot struct {
-	// round is the absolute round this slot currently represents; -1
-	// until first used. A slot is recycled to a new round only when it
-	// has no pending messages.
-	round int
-	// pending counts undelivered messages across all recipients,
-	// including the per-recipient expansion of the uniform entries.
-	pending int
-	// byRecipient[i] holds recipient i's messages for this round. The
-	// slices are retained across recycles (reset to length 0), so the
-	// steady state allocates nothing.
-	byRecipient [][]Message
-	// uniform holds broadcasts destined for every player but their
-	// sender in this round — one entry per broadcast instead of one per
-	// (message, recipient) pair (see Network.enqueueUniform).
-	// uniformPending is the number of undelivered (message, recipient)
-	// pairs the entries stand for; it is always ≤ pending.
-	uniform        []Message
-	uniformPending int
-	// drainedStamp[i] == round marks recipient i as having drained the
-	// uniform entries this round, so repeated drains never deliver a
-	// uniform message twice. Only the per-recipient drains (DeliverTo,
-	// ShardCursor.Deliver) of uniform entries read or write it, so
-	// ensureByRecipient allocates it lazily, serially, and only for a
-	// slot holding uniform entries; it stays nil for a slot only ever
-	// drained whole through DrainUniform. A fresh array's
-	// zero stamps and, on recycle, stale ones are both safe: delivery
-	// rounds are ≥ 1 and distinct per slot generation, so they never
-	// equal the new round. Entries are written by at most one delivery
-	// cursor per round (disjoint recipient ranges), so the sharded
-	// drain stays race-free.
-	drainedStamp []int
-}
-
-// pendingBlock records one block that entered the fabric and may still
-// be undelivered at rounds ≤ until. The engine's compaction watermark
-// folds over these so no in-flight announcement ever names a retired ID.
-type pendingBlock struct {
-	id    blockchain.BlockID
-	until int
-}
-
 // Network is the round-based Δ-delay message fabric. It is not safe for
 // concurrent use; the engine drives it from the round loop.
 type Network struct {
 	players int
 	delta   int
-	// ring holds the Δ+1 in-window round slots (honest deliveries always
-	// land within [sent+1, sent+Δ], so a drained-every-round caller never
-	// leaves the ring).
-	ring []slot
-	// overflow holds messages whose delivery round could not claim a ring
-	// slot — adversarial sends scheduled beyond the ring horizon. Keyed
-	// by round, then recipient.
-	overflow map[int]map[int][]Message
-	// staged is the sharded-delivery window's per-recipient view of the
-	// current round's overflow spill (see shard.go); stagedActive marks a
-	// window opened by BeginRound with spill present.
-	staged       [][]Message
-	stagedActive bool
-	// bcastClaim, bcastCounts and bcastSpill are reusable scratch for
-	// broadcastParallel (slot claims, per-task pending tallies,
-	// per-task overflow fallbacks).
-	bcastClaim  []bool
-	bcastCounts []int
-	bcastSpill  [][]spillRef
-	// pool runs the parallel fan-out's tasks on persistent workers;
-	// lazily the process-wide shared pool unless UsePool injected one.
-	// bcastFn is the persistent task closure handed to pool.Run — it
-	// reads the in-flight broadcast from the bcastMsg/bcastPolicy/
-	// bcastPer fields, so the steady state allocates no closures.
-	pool        *pool.Pool
-	bcastFn     func(task int)
-	bcastMsg    Message
-	bcastPolicy DelayPolicy
-	bcastPer    int
-	// pending counts undelivered messages, for invariant checks.
+	// due maps a delivery round to its entries, in arrival order.
+	due map[int][]Entry
+	// taken is the round Deliver last handed out. Its entry slice and
+	// recipient lists go back to freeEntries and freeLists on the next
+	// Deliver, so the steady state reuses buffers instead of allocating.
+	taken       []Entry
+	freeEntries [][]Entry
+	freeLists   [][]int32
+	// buckets is Broadcast's per-delay scratch: buckets[d] collects the
+	// recipients whose delivery round is sent+1+d.
+	buckets [][]int32
+	// pending counts undelivered (message, recipient) pairs, for
+	// invariant checks.
 	pending int
-	// pendingBlocks tracks the distinct blocks recently handed to the
-	// fabric, with a conservative last-delivery round each; see
-	// AppendInFlight. Self-pruning (notePending) bounds its growth even
-	// when no one ever drains it.
-	pendingBlocks []pendingBlock
 	// stats
 	sent      int
 	delivered int
@@ -277,23 +204,8 @@ func New(players, delta int) (*Network, error) {
 	if delta < 1 {
 		return nil, fmt.Errorf("network: Δ = %d must be ≥ 1", delta)
 	}
-	n := &Network{
-		players:  players,
-		delta:    delta,
-		ring:     make([]slot, delta+1),
-		overflow: map[int]map[int][]Message{},
-	}
-	for i := range n.ring {
-		n.ring[i].round = -1
-	}
-	n.bcastFn = n.broadcastTask
-	return n, nil
+	return &Network{players: players, delta: delta, due: map[int][]Entry{}}, nil
 }
-
-// UsePool sets the persistent worker pool the parallel broadcast fan-out
-// runs on. Without it, the first parallel broadcast adopts the
-// process-wide shared pool (pool.Default()).
-func (n *Network) UsePool(p *pool.Pool) { n.pool = p }
 
 // Players returns the number of connected nodes.
 func (n *Network) Players() int { return n.players }
@@ -323,122 +235,46 @@ func (n *Network) clampDelivery(sent, round int) int {
 	return round
 }
 
-// recycleSlot repurposes a fully drained slot for round r, keeping its
-// buffers. The caller has checked s.pending == 0. Per-recipient state
-// stays lazy: a slot that only ever carries uniform entries (the large-n
-// fast-forward regime) never pays the O(players) byRecipient and
-// drainedStamp arrays — the dominant allocations of large-n runs.
-func (n *Network) recycleSlot(s *slot, r int) {
-	s.round = r
-	s.uniform = s.uniform[:0]
-	s.uniformPending = 0
+// recipients returns the number of (message, recipient) pairs en stands
+// for.
+func (n *Network) recipients(en *Entry) int {
+	if en.To != nil {
+		return len(en.To)
+	}
+	if en.Msg.From >= 0 && int(en.Msg.From) < n.players {
+		return n.players - 1
+	}
+	return n.players
 }
 
-// ensureByRecipient allocates the slot's per-recipient buffers on first
-// per-recipient use, and its uniform drain stamps once it also carries
-// uniform entries (a per-recipient-only slot never reads them). Serial
-// call sites only — the sharded window allocates in BeginRound, never
-// from a worker.
-func (n *Network) ensureByRecipient(s *slot) {
-	if s.byRecipient == nil {
-		s.byRecipient = make([][]Message, n.players)
+// newList returns an empty recipient list, reusing a delivered one's
+// buffer when there is one.
+func (n *Network) newList() []int32 {
+	k := len(n.freeLists)
+	if k == 0 {
+		return nil
 	}
-	if s.uniformPending > 0 && s.drainedStamp == nil {
-		s.drainedStamp = make([]int, n.players)
-	}
+	l := n.freeLists[k-1]
+	n.freeLists = n.freeLists[:k-1]
+	return l
 }
 
-// enqueue schedules m for recipient at round r.
-func (n *Network) enqueue(m Message, recipient, r int) {
-	s := &n.ring[r%len(n.ring)]
-	if s.round != r {
-		if s.pending == 0 {
-			n.recycleSlot(s, r)
-		} else {
-			// The slot still holds an undelivered earlier (or later)
-			// round: spill to the overflow map instead of evicting.
-			byRecipient, ok := n.overflow[r]
-			if !ok {
-				byRecipient = map[int][]Message{}
-				n.overflow[r] = byRecipient
-			}
-			byRecipient[recipient] = append(byRecipient[recipient], m)
-			n.pending++
-			n.sent++
-			return
-		}
-	}
-	n.ensureByRecipient(s)
-	s.byRecipient[recipient] = append(s.byRecipient[recipient], m)
-	s.pending++
-	n.pending++
-	n.sent++
-}
-
-// notePending records that block id may be undelivered through round
-// until (now is the sending round). Consecutive sends of the same block
-// merge; at capacity the expired prefix is pruned in place, so the
-// tracker stays bounded even when compaction never drains it.
-func (n *Network) notePending(id blockchain.BlockID, until, now int) {
-	if k := len(n.pendingBlocks); k > 0 && n.pendingBlocks[k-1].id == id {
-		if until > n.pendingBlocks[k-1].until {
-			n.pendingBlocks[k-1].until = until
-		}
+// add schedules en for delivery at round. An entry that addresses no one
+// (a nil-list broadcast by the only player) is dropped.
+func (n *Network) add(round int, en Entry) {
+	c := n.recipients(&en)
+	if c == 0 {
 		return
 	}
-	if len(n.pendingBlocks) >= 1024 && len(n.pendingBlocks) == cap(n.pendingBlocks) {
-		kept := n.pendingBlocks[:0]
-		for _, pb := range n.pendingBlocks {
-			if pb.until >= now {
-				kept = append(kept, pb)
-			}
-		}
-		n.pendingBlocks = kept
+	es, ok := n.due[round]
+	if !ok && len(n.freeEntries) > 0 {
+		k := len(n.freeEntries)
+		es = n.freeEntries[k-1]
+		n.freeEntries = n.freeEntries[:k-1]
 	}
-	n.pendingBlocks = append(n.pendingBlocks, pendingBlock{id: id, until: until})
-}
-
-// AppendInFlight appends the ID of every block that may still be
-// undelivered at round to buf and returns it, pruning expired entries as
-// a side effect. The engine folds these into the compaction watermark so
-// a rebase can never strand a message naming a retired block.
-func (n *Network) AppendInFlight(buf []blockchain.BlockID, round int) []blockchain.BlockID {
-	kept := n.pendingBlocks[:0]
-	for _, pb := range n.pendingBlocks {
-		if pb.until >= round {
-			kept = append(kept, pb)
-			buf = append(buf, pb.id)
-		}
-	}
-	n.pendingBlocks = kept
-	return buf
-}
-
-// enqueueUniform schedules m for every player — except m.From when it
-// names one — at round r with a single slot entry, O(1) regardless of
-// the player count. It reports false when the target ring slot is held
-// by an undrained other round; the caller then falls back to the
-// per-recipient path (whose enqueue spills to the overflow map).
-func (n *Network) enqueueUniform(m Message, r int) bool {
-	s := &n.ring[r%len(n.ring)]
-	if s.round != r {
-		if s.pending != 0 {
-			return false
-		}
-		n.recycleSlot(s, r)
-	}
-	fanout := n.players
-	if m.From >= 0 && int(m.From) < n.players {
-		fanout--
-	}
-	if fanout > 0 {
-		s.uniform = append(s.uniform, m)
-		s.uniformPending += fanout
-		s.pending += fanout
-		n.pending += fanout
-	}
-	n.sent += fanout
-	return true
+	n.due[round] = append(es, en)
+	n.pending += c
+	n.sent += c
 }
 
 // Broadcast schedules m for every player except the sender, at the rounds
@@ -451,149 +287,33 @@ func (n *Network) Broadcast(m Message, round int, policy DelayPolicy) error {
 	if int(m.SentRound) != round {
 		return fmt.Errorf("network: message stamped round %d broadcast at round %d", m.SentRound, round)
 	}
-	// Honest deliveries land within [sent+1, sent+Δ] no matter the policy.
-	n.notePending(m.Block.ID, int(m.SentRound)+n.delta, int(m.SentRound))
+	sent := int(m.SentRound)
 	if _, ok := policy.(RecipientInvariant); ok {
-		// One delivery round for every recipient: a single uniform slot
-		// entry replaces the per-recipient fan-out, with identical drain
-		// results (same messages, same deterministic order, same
-		// counters).
-		r := n.clampDelivery(int(m.SentRound), policy.DeliveryRound(m, -1))
-		if n.enqueueUniform(m, r) {
-			return nil
-		}
-	}
-	const parallelThreshold = 4096
-	if _, ok := policy.(ParallelSafe); ok && n.players >= parallelThreshold {
-		n.broadcastParallel(m, policy)
+		n.add(n.clampDelivery(sent, policy.DeliveryRound(m, -1)), Entry{Msg: m})
 		return nil
 	}
+	if n.buckets == nil {
+		n.buckets = make([][]int32, n.delta)
+	}
+	// Recipients are visited in ascending order, so every bucket comes
+	// out sorted.
 	for r := 0; r < n.players; r++ {
 		if r == int(m.From) {
 			continue
 		}
-		n.enqueue(m, r, n.clampDelivery(int(m.SentRound), policy.DeliveryRound(m, r)))
+		d := n.clampDelivery(sent, policy.DeliveryRound(m, r)) - sent - 1
+		if n.buckets[d] == nil {
+			n.buckets[d] = n.newList()
+		}
+		n.buckets[d] = append(n.buckets[d], int32(r))
+	}
+	for d, l := range n.buckets {
+		if l != nil {
+			n.add(sent+1+d, Entry{Msg: m, To: l})
+			n.buckets[d] = nil
+		}
 	}
 	return nil
-}
-
-// spillRef records a recipient whose delivery round could not claim a
-// ring slot during a parallel broadcast; it is enqueued serially (the
-// overflow map is not concurrent).
-type spillRef struct {
-	recipient, round int
-}
-
-// broadcastParallel fans one honest broadcast's per-recipient enqueue
-// across the worker pool's persistent workers (zero goroutine spawns in
-// steady state). The result is bit-identical to the sequential loop:
-// every legal delivery round's ring slot is claimed serially up front,
-// tasks then append into disjoint per-recipient slot buffers (each
-// recipient is owned by exactly one task, and a broadcast adds at most
-// one message per recipient, so per-recipient message order is
-// untouched), and the pending counters are merged from per-task tallies
-// afterwards. Recipients whose slot could not be claimed — the target
-// ring position still holds an undrained far-future round — fall back to
-// the serial enqueue path and its overflow map.
-func (n *Network) broadcastParallel(m Message, policy DelayPolicy) {
-	sent := int(m.SentRound)
-	nslots := len(n.ring)
-	// Claim the ring slot of every legal delivery round (serial): a slot
-	// is claimable when it already represents the round or is drained.
-	if cap(n.bcastClaim) < n.delta {
-		n.bcastClaim = make([]bool, n.delta)
-	}
-	claimed := n.bcastClaim[:n.delta]
-	for d := 0; d < n.delta; d++ {
-		r := sent + 1 + d
-		s := &n.ring[r%nslots]
-		switch {
-		case s.round == r:
-			claimed[d] = true
-		case s.pending == 0:
-			n.recycleSlot(s, r)
-			claimed[d] = true
-		default:
-			claimed[d] = false
-		}
-		if claimed[d] {
-			// Workers append into per-recipient buffers; allocate them here
-			// on the serial side of the fan-out.
-			n.ensureByRecipient(s)
-		}
-	}
-	if n.pool == nil {
-		n.pool = pool.Default()
-	}
-	tasks := n.pool.Workers() + 1 // the Run caller executes tasks too
-	if tasks > 8 {
-		tasks = 8
-	}
-	if cap(n.bcastCounts) < tasks*n.delta {
-		n.bcastCounts = make([]int, tasks*n.delta)
-	}
-	counts := n.bcastCounts[:tasks*n.delta]
-	for i := range counts {
-		counts[i] = 0
-	}
-	for len(n.bcastSpill) < tasks {
-		n.bcastSpill = append(n.bcastSpill, nil)
-	}
-	n.bcastMsg, n.bcastPolicy = m, policy
-	n.bcastPer = (n.players + tasks - 1) / tasks
-	n.pool.Run(tasks, n.bcastFn)
-	n.bcastPolicy = nil
-	total := 0
-	for d := 0; d < n.delta; d++ {
-		sum := 0
-		for w := 0; w < tasks; w++ {
-			sum += counts[w*n.delta+d]
-		}
-		if sum > 0 {
-			n.ring[(sent+1+d)%nslots].pending += sum
-			total += sum
-		}
-	}
-	n.pending += total
-	n.sent += total
-	for w := 0; w < tasks; w++ {
-		for _, sp := range n.bcastSpill[w] {
-			n.enqueue(m, sp.recipient, sp.round)
-		}
-		n.bcastSpill[w] = n.bcastSpill[w][:0]
-	}
-}
-
-// broadcastTask is the persistent pool closure of broadcastParallel: it
-// enqueues the in-flight broadcast (the bcastMsg/bcastPolicy/bcastPer
-// fields, published before pool.Run) for the recipients of one
-// contiguous chunk of the player range.
-func (n *Network) broadcastTask(task int) {
-	m, policy := n.bcastMsg, n.bcastPolicy
-	sent := int(m.SentRound)
-	nslots := len(n.ring)
-	claimed := n.bcastClaim[:n.delta]
-	lo, hi := task*n.bcastPer, (task+1)*n.bcastPer
-	if hi > n.players {
-		hi = n.players
-	}
-	myCounts := n.bcastCounts[task*n.delta : (task+1)*n.delta]
-	spill := n.bcastSpill[task][:0]
-	for r := lo; r < hi; r++ {
-		if r == int(m.From) {
-			continue
-		}
-		dr := n.clampDelivery(sent, policy.DeliveryRound(m, r))
-		d := dr - sent - 1
-		if claimed[d] {
-			s := &n.ring[dr%nslots]
-			s.byRecipient[r] = append(s.byRecipient[r], m)
-			myCounts[d]++
-		} else {
-			spill = append(spill, spillRef{recipient: r, round: dr})
-		}
-	}
-	n.bcastSpill[task] = spill
 }
 
 // Send schedules m for a single recipient at deliverRound. It is the
@@ -609,8 +329,15 @@ func (n *Network) Send(m Message, recipient, deliverRound int) error {
 	if deliverRound <= int(m.SentRound) {
 		deliverRound = int(m.SentRound) + 1
 	}
-	n.notePending(m.Block.ID, deliverRound, int(m.SentRound))
-	n.enqueue(m, recipient, deliverRound)
+	if es := n.due[deliverRound]; len(es) > 0 {
+		if last := &es[len(es)-1]; last.Msg == m && last.To != nil && last.To[len(last.To)-1] < int32(recipient) {
+			last.To = append(last.To, int32(recipient))
+			n.pending++
+			n.sent++
+			return nil
+		}
+	}
+	n.add(deliverRound, Entry{Msg: m, To: append(n.newList(), int32(recipient))})
 	return nil
 }
 
@@ -618,9 +345,7 @@ func (n *Network) Send(m Message, recipient, deliverRound int) error {
 // names, if any, matching a Send loop over the whole player range — at
 // deliverRound (clamped to at least SentRound+1). When m.From is
 // outside the player range (the adversary's -1) the schedule is a
-// single O(1) uniform slot entry; otherwise, or when the target slot is
-// held by an undrained other round, it falls back to per-recipient
-// sends.
+// single O(1) nil-list entry; otherwise it is the Send loop.
 func (n *Network) SendAll(m Message, deliverRound int) error {
 	if m.Block.ID == blockchain.GenesisID {
 		return fmt.Errorf("network: send of empty block")
@@ -628,11 +353,9 @@ func (n *Network) SendAll(m Message, deliverRound int) error {
 	if deliverRound <= int(m.SentRound) {
 		deliverRound = int(m.SentRound) + 1
 	}
-	n.notePending(m.Block.ID, deliverRound, int(m.SentRound))
 	if m.From < 0 || int(m.From) >= n.players {
-		if n.enqueueUniform(m, deliverRound) {
-			return nil
-		}
+		n.add(deliverRound, Entry{Msg: m})
+		return nil
 	}
 	for r := 0; r < n.players; r++ {
 		if err := n.Send(m, r, deliverRound); err != nil {
@@ -642,139 +365,59 @@ func (n *Network) SendAll(m Message, deliverRound int) error {
 	return nil
 }
 
-// DeliverTo removes and returns the messages due for recipient at round,
-// in a deterministic order (by sent round, then block ID, then sender).
+// Deliver removes and returns every entry due at round, sorted stably
+// by (sent round, block ID, sender), so each recipient meets its
+// messages in that order; all their pairs count as delivered. It
+// returns nil when nothing is due.
 //
-// The returned slice aliases an internal buffer that is reused once the
-// same ring slot cycles to a later round (≥ Δ+1 rounds on): consume it
-// before enqueueing into that future round, as the engine's
-// deliver-then-mine round structure does, or copy it out.
-func (n *Network) DeliverTo(recipient, round int) []Message {
-	var msgs []Message
-	ringCount, uniCount := 0, 0
-	s := &n.ring[round%len(n.ring)]
-	if s.round == round {
-		if s.pending > 0 {
-			// Lazy per-recipient buffers: first per-recipient drain of a
-			// slot that was filled through the uniform path allocates them
-			// here (serial), so the buffer hand-back below keeps working.
-			n.ensureByRecipient(s)
+// The entries and their recipient lists stay valid until the next
+// Deliver call, which recycles their buffers.
+func (n *Network) Deliver(round int) []Entry {
+	for i := range n.taken {
+		if l := n.taken[i].To; l != nil {
+			n.freeLists = append(n.freeLists, l[:0])
 		}
-		if s.byRecipient != nil {
-			msgs = s.byRecipient[recipient]
-			ringCount = len(msgs)
-		}
-		if s.uniformPending > 0 && s.drainedStamp[recipient] != round {
-			s.drainedStamp[recipient] = round
-			for _, um := range s.uniform {
-				if int(um.From) == recipient {
-					continue
-				}
-				msgs = append(msgs, um)
-				uniCount++
-			}
-		}
+		n.taken[i] = Entry{}
 	}
-	// Merge any overflow spill for this (round, recipient).
-	if byRecipient, ok := n.overflow[round]; ok {
-		if extra, ok := byRecipient[recipient]; ok {
-			msgs = append(msgs, extra...)
-			delete(byRecipient, recipient)
-			if len(byRecipient) == 0 {
-				delete(n.overflow, round)
-			}
-		}
+	if n.taken != nil {
+		n.freeEntries = append(n.freeEntries, n.taken[:0])
 	}
-	if len(msgs) == 0 {
+	es := n.due[round]
+	n.taken = es
+	if es == nil {
 		return nil
 	}
-	sortDeliveryOrder(msgs)
-	if s.round == round {
-		if s.byRecipient != nil {
-			// Hand the (possibly grown) buffer back to the slot for reuse.
-			s.byRecipient[recipient] = msgs[:0]
+	delete(n.due, round)
+	slices.SortStableFunc(es, func(a, b Entry) int { return compareMessages(a.Msg, b.Msg) })
+	for i := range es {
+		c := n.recipients(&es[i])
+		n.pending -= c
+		n.delivered += c
+	}
+	return es
+}
+
+// AppendInFlight appends the block ID of every undelivered entry to buf
+// and returns it. The engine folds these into the compaction watermark
+// so a rebase can never strand a message naming a retired block.
+func (n *Network) AppendInFlight(buf []blockchain.BlockID) []blockchain.BlockID {
+	for _, es := range n.due {
+		for i := range es {
+			buf = append(buf, es[i].Msg.Block.ID)
 		}
-		s.pending -= ringCount + uniCount
-		s.uniformPending -= uniCount
 	}
-	n.pending -= len(msgs)
-	n.delivered += len(msgs)
-	return msgs
-}
-
-// HasDue reports whether any message is due for delivery at round. A
-// false answer proves the round's delivery phase is a no-op, so the
-// engine can skip the per-recipient walk entirely.
-func (n *Network) HasDue(round int) bool {
-	if n.pending == 0 {
-		return false
-	}
-	s := &n.ring[round%len(n.ring)]
-	if s.round == round && s.pending > 0 {
-		return true
-	}
-	_, ok := n.overflow[round]
-	return ok
-}
-
-// UniformPendingAt reports whether round has deliveries due and every
-// one of them sits in its ring slot's uniform list — no per-recipient
-// entries, no overflow spill, no open sharded window. Only then may the
-// caller replace the per-recipient drain with one DrainUniform call.
-// The answer is only meaningful before any of the round's messages have
-// been drained.
-func (n *Network) UniformPendingAt(round int) bool {
-	if n.stagedActive {
-		return false
-	}
-	if _, ok := n.overflow[round]; ok {
-		return false
-	}
-	s := &n.ring[round%len(n.ring)]
-	return s.round == round && s.pending > 0 && s.pending == s.uniformPending
-}
-
-// DrainUniform removes and returns round's uniform messages in the
-// deterministic delivery order, marking the whole round delivered in
-// O(1) per message: every recipient (except each message's sender) is
-// accounted as having received every entry. The caller must have
-// established UniformPendingAt(round) and not drained any recipient
-// this round; it must also apply the per-recipient sender exclusion
-// itself (entries with From == recipient were never addressed to that
-// recipient). The returned slice aliases the slot's buffer, with the
-// same lifetime caveat as DeliverTo's.
-func (n *Network) DrainUniform(round int) []Message {
-	s := &n.ring[round%len(n.ring)]
-	if s.round != round || s.uniformPending == 0 {
-		return nil
-	}
-	msgs := s.uniform
-	sortDeliveryOrder(msgs)
-	n.pending -= s.uniformPending
-	n.delivered += s.uniformPending
-	s.pending -= s.uniformPending
-	s.uniformPending = 0
-	s.uniform = s.uniform[:0]
-	return msgs
+	return buf
 }
 
 // OldestPendingRound returns the earliest round with undelivered messages
-// and true, or 0 and false when nothing is pending. It supports the
-// delivery-guarantee invariant tests.
+// and true, or 0 and false when nothing is pending. It costs O(rounds
+// with messages in flight).
 func (n *Network) OldestPendingRound() (int, bool) {
-	if n.pending == 0 {
-		return 0, false
-	}
-	first := int(^uint(0) >> 1)
-	for i := range n.ring {
-		if s := &n.ring[i]; s.pending > 0 && s.round < first {
-			first = s.round
+	first, ok := 0, false
+	for r := range n.due {
+		if !ok || r < first {
+			first, ok = r, true
 		}
 	}
-	for r, byRecipient := range n.overflow {
-		if len(byRecipient) > 0 && r < first {
-			first = r
-		}
-	}
-	return first, true
+	return first, ok
 }

@@ -11,6 +11,32 @@ func blk(id blockchain.BlockID) Announce {
 	return Announce{ID: id, Height: 1}
 }
 
+// drain delivers round and expands its entries into each recipient's
+// messages, walking the recipients in shards contiguous ranges the way
+// the engine's sharded delivery does.
+func drain(n *Network, round, shards int) [][]Message {
+	got := make([][]Message, n.Players())
+	due := n.Deliver(round)
+	for k := 0; k < shards; k++ {
+		lo, hi := k*n.Players()/shards, (k+1)*n.Players()/shards
+		for i := range due {
+			en := &due[i]
+			if en.To != nil {
+				for _, r := range en.Within(lo, hi) {
+					got[r] = append(got[r], en.Msg)
+				}
+				continue
+			}
+			for r := lo; r < hi; r++ {
+				if r != int(en.Msg.From) {
+					got[r] = append(got[r], en.Msg)
+				}
+			}
+		}
+	}
+	return got
+}
+
 func TestNewValidation(t *testing.T) {
 	if _, err := New(0, 5); err == nil {
 		t.Error("0 players accepted")
@@ -36,12 +62,13 @@ func TestBroadcastExcludesSender(t *testing.T) {
 	if n.Pending() != 3 {
 		t.Fatalf("pending = %d, want 3", n.Pending())
 	}
-	if got := n.DeliverTo(2, 1); got != nil {
-		t.Errorf("sender received own broadcast: %v", got)
+	got := drain(n, 1, 1)
+	if got[2] != nil {
+		t.Errorf("sender received own broadcast: %v", got[2])
 	}
 	for _, r := range []int{0, 1, 3} {
-		if got := n.DeliverTo(r, 1); len(got) != 1 {
-			t.Errorf("recipient %d got %d messages", r, len(got))
+		if len(got[r]) != 1 {
+			t.Errorf("recipient %d got %d messages", r, len(got[r]))
 		}
 	}
 }
@@ -62,10 +89,10 @@ func TestMinDelayDeliversNextRound(t *testing.T) {
 	if err := n.Broadcast(m, 7, MinDelay{}); err != nil {
 		t.Fatal(err)
 	}
-	if got := n.DeliverTo(1, 7); got != nil {
+	if got := drain(n, 7, 1)[1]; got != nil {
 		t.Error("delivered in the sending round")
 	}
-	if got := n.DeliverTo(1, 8); len(got) != 1 {
+	if got := drain(n, 8, 1)[1]; len(got) != 1 {
 		t.Errorf("round 8 delivery: %v", got)
 	}
 }
@@ -77,11 +104,11 @@ func TestMaxDelayDeliversAtDelta(t *testing.T) {
 		t.Fatal(err)
 	}
 	for r := 11; r < 15; r++ {
-		if got := n.DeliverTo(1, r); got != nil {
+		if got := drain(n, r, 1)[1]; got != nil {
 			t.Errorf("early delivery at round %d", r)
 		}
 	}
-	if got := n.DeliverTo(1, 15); len(got) != 1 {
+	if got := drain(n, 15, 1)[1]; len(got) != 1 {
 		t.Error("no delivery at sent+Δ")
 	}
 }
@@ -98,7 +125,7 @@ func TestClampEnforcesDeltaGuarantee(t *testing.T) {
 	if err := n.Broadcast(m, 0, adversarialPolicy{offset: 100}); err != nil {
 		t.Fatal(err)
 	}
-	if got := n.DeliverTo(1, 3); len(got) != 1 {
+	if got := drain(n, 3, 1)[1]; len(got) != 1 {
 		t.Error("over-delayed message not clamped to sent+Δ")
 	}
 	// Policy wants −5: clamp to +1.
@@ -106,7 +133,7 @@ func TestClampEnforcesDeltaGuarantee(t *testing.T) {
 	if err := n.Broadcast(m2, 10, adversarialPolicy{offset: -5}); err != nil {
 		t.Fatal(err)
 	}
-	if got := n.DeliverTo(1, 11); len(got) != 1 {
+	if got := drain(n, 11, 1)[1]; len(got) != 1 {
 		t.Error("past delivery not clamped to sent+1")
 	}
 }
@@ -149,10 +176,10 @@ func TestSendUnconstrainedFuture(t *testing.T) {
 	if err := n.Send(m, 1, 50); err != nil {
 		t.Fatal(err)
 	}
-	if got := n.DeliverTo(1, 2); got != nil {
+	if got := drain(n, 2, 1)[1]; got != nil {
 		t.Error("withheld message appeared at Δ")
 	}
-	if got := n.DeliverTo(1, 50); len(got) != 1 {
+	if got := drain(n, 50, 1)[1]; len(got) != 1 {
 		t.Error("withheld message missing at its scheduled round")
 	}
 }
@@ -170,15 +197,20 @@ func TestSendValidation(t *testing.T) {
 	if err := n.Send(m, 1, 3); err != nil {
 		t.Fatal(err)
 	}
-	if got := n.DeliverTo(1, 11); len(got) != 1 {
+	if got := drain(n, 11, 1)[1]; len(got) != 1 {
 		t.Error("past-scheduled send not bumped to sent+1")
 	}
 }
 
+// TestDeliverToEmpty: a round with nothing due yields no entries and
+// moves no counter.
 func TestDeliverToEmpty(t *testing.T) {
 	n, _ := New(2, 2)
-	if got := n.DeliverTo(0, 99); got != nil {
-		t.Errorf("empty inbox returned %v", got)
+	if got := n.Deliver(99); got != nil {
+		t.Errorf("empty round returned %v", got)
+	}
+	if n.Pending() != 0 || n.Delivered() != 0 {
+		t.Errorf("counters moved on empty round: pending %d delivered %d", n.Pending(), n.Delivered())
 	}
 }
 
@@ -194,7 +226,7 @@ func TestDeliveryOrderDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got := n.DeliverTo(1, 6)
+	got := drain(n, 6, 1)[1]
 	if len(got) != 3 {
 		t.Fatalf("delivered %d", len(got))
 	}
@@ -215,15 +247,20 @@ func TestPendingAccounting(t *testing.T) {
 	if n.Pending() != 3 || n.Sent() != 3 || n.Delivered() != 0 {
 		t.Fatalf("pending=%d sent=%d delivered=%d", n.Pending(), n.Sent(), n.Delivered())
 	}
-	_ = n.DeliverTo(1, 1)
-	if n.Pending() != 2 || n.Delivered() != 1 {
-		t.Fatalf("after one delivery: pending=%d delivered=%d", n.Pending(), n.Delivered())
+	if err := n.Send(Message{Block: blk(2), From: -1, SentRound: 0}, 3, 2); err != nil {
+		t.Fatal(err)
 	}
 	if r, ok := n.OldestPendingRound(); !ok || r != 1 {
 		t.Errorf("oldest pending = %d, %v", r, ok)
 	}
-	_ = n.DeliverTo(2, 1)
-	_ = n.DeliverTo(3, 1)
+	n.Deliver(1)
+	if n.Pending() != 1 || n.Sent() != 4 || n.Delivered() != 3 {
+		t.Fatalf("after round 1: pending=%d sent=%d delivered=%d", n.Pending(), n.Sent(), n.Delivered())
+	}
+	if r, ok := n.OldestPendingRound(); !ok || r != 2 {
+		t.Errorf("oldest pending = %d, %v", r, ok)
+	}
+	n.Deliver(2)
 	if _, ok := n.OldestPendingRound(); ok {
 		t.Error("pending reported on drained network")
 	}
@@ -246,7 +283,8 @@ func TestQuickDeliveryWithinDelta(t *testing.T) {
 		// Sweep the legal window; everything must be delivered inside it.
 		got := 0
 		for r := sent + 1; r <= sent+delta; r++ {
-			got += len(n.DeliverTo(1, r)) + len(n.DeliverTo(2, r))
+			inbox := drain(n, r, 1)
+			got += len(inbox[1]) + len(inbox[2])
 		}
 		return got == 2 && n.Pending() == 0
 	}
@@ -255,8 +293,11 @@ func TestQuickDeliveryWithinDelta(t *testing.T) {
 	}
 }
 
+// TestParallelBroadcastMatchesSequential: at a large player count,
+// every recipient of a broadcast hears it in exactly the round the
+// policy picked for it.
 func TestParallelBroadcastMatchesSequential(t *testing.T) {
-	const players = 5000 // above the parallel threshold
+	const players = 5000
 	policy := HashedDelay{Delta: 6, Seed: 9}
 	big, _ := New(players, 6)
 	m := Message{Block: blk(77), From: 3, SentRound: 2}
@@ -265,8 +306,7 @@ func TestParallelBroadcastMatchesSequential(t *testing.T) {
 	}
 	// Every recipient's delivery round must equal the policy's choice.
 	for r := 3; r <= 8; r++ {
-		for rcpt := 0; rcpt < players; rcpt++ {
-			msgs := big.DeliverTo(rcpt, r)
+		for rcpt, msgs := range drain(big, r, 3) {
 			for range msgs {
 				if want := policy.DeliveryRound(m, rcpt); want != r {
 					t.Fatalf("recipient %d delivered at %d, policy says %d", rcpt, r, want)
@@ -282,25 +322,24 @@ func TestParallelBroadcastMatchesSequential(t *testing.T) {
 	}
 }
 
-func BenchmarkNetworkFanout(b *testing.B) {
+func BenchmarkBroadcast(b *testing.B) {
 	const players = 8192
-	policy := HashedDelay{Delta: 8, Seed: 1}
-	b.Run("parallel-8192", func(b *testing.B) {
-		n, _ := New(players, 8)
-		for i := 0; i < b.N; i++ {
-			m := Message{Block: blk(blockchain.BlockID(i + 1)), From: 0, SentRound: int32(i)}
-			if err := n.Broadcast(m, i, policy); err != nil {
-				b.Fatal(err)
+	for _, tc := range []struct {
+		name   string
+		policy DelayPolicy
+	}{
+		{"hashed", HashedDelay{Delta: 8, Seed: 1}},
+		{"max", MaxDelay{Delta: 8}},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			n, _ := New(players, 8)
+			for i := 0; i < b.N; i++ {
+				m := Message{Block: blk(blockchain.BlockID(i + 1)), From: 0, SentRound: int32(i)}
+				if err := n.Broadcast(m, i, tc.policy); err != nil {
+					b.Fatal(err)
+				}
+				n.Deliver(i)
 			}
-		}
-	})
-	b.Run("sequential-2048", func(b *testing.B) {
-		n, _ := New(2048, 8) // below threshold: sequential path
-		for i := 0; i < b.N; i++ {
-			m := Message{Block: blk(blockchain.BlockID(i + 1)), From: 0, SentRound: int32(i)}
-			if err := n.Broadcast(m, i, policy); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+		})
+	}
 }

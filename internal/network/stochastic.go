@@ -2,8 +2,7 @@ package network
 
 // This file holds the scenario-layer delay policies: stochastic
 // per-edge/per-round schedules and a healing partition, all pure
-// functions of (message, recipient) and therefore parallel-safe and
-// reproducible. Every policy returns rounds inside the legal window
+// functions of (message, recipient) and therefore reproducible. Every policy returns rounds inside the legal window
 // [sent+1, sent+Δ] by construction — the paper's theorems quantify over
 // *any* delay schedule bounded by Δ, and these policies let the
 // simulator exercise that envelope instead of only the min/max/hashed
@@ -20,8 +19,7 @@ func stochMix(h uint64) uint64 {
 
 // IIDDelay draws an independent uniform delay in [1, Delta] for every
 // (block, sender, sent round, recipient) tuple — the iid per-edge,
-// per-round stochastic schedule. Being a pure function of the message
-// and recipient it is parallel-safe; it is not recipient-invariant (two
+// per-round stochastic schedule. It is not recipient-invariant (two
 // recipients of one broadcast usually hear it in different rounds).
 type IIDDelay struct {
 	// Delta is the network delay bound; delays are uniform on [1, Delta].
@@ -43,16 +41,13 @@ func (d IIDDelay) DeliveryRound(m Message, recipient int) int {
 	return int(m.SentRound) + 1 + int(stochMix(h)%span)
 }
 
-// ParallelSafe implements the marker interface.
-func (IIDDelay) ParallelSafe() {}
-
 // BurstyDelay is a regime-switching schedule: rounds are grouped into
 // epochs of RegimeLen rounds, and a seeded hash marks each epoch as
 // calm or congested. Calm epochs deliver at sent+1; congested epochs
 // deliver at the full sent+Delta. The delivery round depends only on
 // the message (its sent round picks the epoch), never on the recipient,
-// so the policy is recipient-invariant and rides the network's O(1)
-// uniform broadcast slot — including with recipient = -1 probes.
+// so the policy is recipient-invariant: a broadcast is one O(1)
+// nil-list entry, scheduled with a recipient = -1 probe.
 type BurstyDelay struct {
 	// Delta is the network delay bound; congested epochs delay by it.
 	Delta int
@@ -80,7 +75,7 @@ func (d BurstyDelay) burst(round int) bool {
 }
 
 // DeliveryRound implements DelayPolicy. The recipient is ignored
-// (including the -1 probe of the uniform broadcast path).
+// (including Broadcast's -1 probe).
 func (d BurstyDelay) DeliveryRound(m Message, _ int) int {
 	if d.burst(int(m.SentRound)) {
 		delta := d.Delta
@@ -92,9 +87,6 @@ func (d BurstyDelay) DeliveryRound(m Message, _ int) int {
 	return int(m.SentRound) + 1
 }
 
-// ParallelSafe implements the marker interface.
-func (BurstyDelay) ParallelSafe() {}
-
 // RecipientInvariant implements the marker interface: every recipient
 // of a broadcast hears it in the same (epoch-chosen) round.
 func (BurstyDelay) RecipientInvariant() {}
@@ -102,7 +94,7 @@ func (BurstyDelay) RecipientInvariant() {}
 // RecipientDelay models heterogeneous links: each recipient has a fixed
 // seeded latency in [1, Delta] applied to every message it receives —
 // some players are simply farther from the gossip core than others.
-// Parallel-safe (pure function), not recipient-invariant.
+// Not recipient-invariant.
 type RecipientDelay struct {
 	// Delta is the network delay bound; per-recipient latencies are
 	// uniform on [1, Delta].
@@ -125,9 +117,6 @@ func (d RecipientDelay) DeliveryRound(m Message, recipient int) int {
 	return int(m.SentRound) + d.Latency(recipient)
 }
 
-// ParallelSafe implements the marker interface.
-func (RecipientDelay) ParallelSafe() {}
-
 // PartitionDelay models a periodically partitioned network that heals:
 // players are split into group A = [0, Split) and group B = [Split, n).
 // Each Period-round cycle starts with Length rounds of active
@@ -139,8 +128,7 @@ func (RecipientDelay) ParallelSafe() {}
 // than Δ are Δ-truncated, which is exactly the envelope the theorems
 // quantify over (docs/scenarios.md discusses the truncation).
 //
-// Parallel-safe (pure function of message and recipient); not
-// recipient-invariant, since the two sides of the cut hear a broadcast
+// Not recipient-invariant, since the two sides of the cut hear a broadcast
 // in different rounds during the window.
 type PartitionDelay struct {
 	// Delta is the network delay bound.
@@ -190,6 +178,3 @@ func (d PartitionDelay) DeliveryRound(m Message, recipient int) int {
 // sideOf maps a player index to its group; out-of-range senders (the
 // adversary's -1) count as group A.
 func (d PartitionDelay) sideOf(player int) bool { return player >= d.Split }
-
-// ParallelSafe implements the marker interface.
-func (PartitionDelay) ParallelSafe() {}

@@ -51,7 +51,7 @@ func TestScenarioPoliciesDeliveryWindow(t *testing.T) {
 
 // TestBurstyDelayRecipientInvariant pins the RecipientInvariant
 // obligation: the chosen round ignores the recipient, including the -1
-// probe the uniform broadcast path uses.
+// probe Broadcast uses.
 func TestBurstyDelayRecipientInvariant(t *testing.T) {
 	d := BurstyDelay{Delta: 6, RegimeLen: 25, BurstEveryN: 4, Seed: scenarioPolicySeed}
 	prop := func(id uint64, from int16, sent uint16, a, b uint8) bool {
@@ -101,9 +101,9 @@ func TestPartitionDelayHeal(t *testing.T) {
 }
 
 // TestScenarioPoliciesThroughBroadcast runs each policy through the
-// real Broadcast/DeliverTo fabric and checks every delivered message
+// real Broadcast/Deliver fabric and checks every delivered message
 // obeyed the window — the integration form of the window property, and
-// the bursty policy's uniform-slot path in particular.
+// the bursty policy's nil-list entries in particular.
 func TestScenarioPoliciesThroughBroadcast(t *testing.T) {
 	const players, delta, rounds = 30, 5, 120
 	policies := map[string]DelayPolicy{
@@ -120,8 +120,8 @@ func TestScenarioPoliciesThroughBroadcast(t *testing.T) {
 		sentAt := map[blockchain.BlockID]int{}
 		next := blockchain.BlockID(1)
 		for r := 0; r < rounds; r++ {
-			for rec := 0; rec < players; rec++ {
-				for _, m := range n.DeliverTo(rec, r) {
+			for _, msgs := range drain(n, r, 1) {
+				for _, m := range msgs {
 					if got := r - int(m.SentRound); got < 1 || got > delta {
 						t.Fatalf("policy %s seed=%#x: block %d sent round %d delivered round %d (delay %d outside [1, %d])",
 							name, scenarioPolicySeed, m.Block.ID, m.SentRound, r, got, delta)
