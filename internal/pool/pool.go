@@ -1,12 +1,11 @@
 // Package pool provides the persistent worker-pool runtime the
 // simulation's parallel phases run on. The engine's sharded delivery
-// phase, the network's honest-broadcast enqueue fan-out, and the
-// consistency checker's pairwise scan all used to spawn fresh goroutines
-// per call (per round, in the engine's case); a Pool replaces those
-// spawns with long-lived workers and a lightweight reusable barrier, so
-// the steady-state cost of a parallel phase is a handful of channel
-// operations instead of P goroutine creations plus a sync.WaitGroup
-// cycle.
+// phase and the consistency checker's pairwise scan both used to spawn
+// fresh goroutines per call (per round, in the engine's case); a Pool
+// replaces those spawns with long-lived workers and a lightweight
+// reusable barrier, so the steady-state cost of a parallel phase is a
+// handful of channel operations instead of P goroutine creations plus a
+// sync.WaitGroup cycle.
 //
 // # Barrier protocol
 //
@@ -195,9 +194,9 @@ var (
 
 // Default returns the process-wide shared Pool, created with GOMAXPROCS
 // workers on first use and never closed. Components that are not handed
-// an explicit Pool (engine delivery, network fan-out, checker scans,
-// sweep cells) all share it, so concurrent owners take turns on one
-// worker set instead of each spawning their own.
+// an explicit Pool (engine delivery, checker scans, sweep cells) all
+// share it, so concurrent owners take turns on one worker set instead
+// of each spawning their own.
 func Default() *Pool {
 	defaultOnce.Do(func() { defaultPool = New(runtime.GOMAXPROCS(0)) })
 	return defaultPool

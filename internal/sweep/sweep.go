@@ -74,10 +74,10 @@ type Config struct {
 	// Tuning holds the cell engines' throughput knobs.
 	Tuning
 	// Pool is the persistent worker pool every cell shares — sharded
-	// cell engines, their network fan-outs, and the consistency
-	// checkers' pairwise scans all take turns on its workers instead of
-	// spawning competing goroutine fleets per cell. Nil shares the
-	// process-wide default pool. The pool never affects results.
+	// cell engines and the consistency checkers' pairwise scans all
+	// take turns on its workers instead of spawning competing goroutine
+	// fleets per cell. Nil shares the process-wide default pool. The
+	// pool never affects results.
 	Pool *pool.Pool
 	// CellOffset and RepOffset place this grid inside a larger parent
 	// sweep for cross-process sharding: per-job seeds derive from the

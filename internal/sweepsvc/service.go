@@ -109,7 +109,7 @@ func terminal(state string) bool {
 // JobRequest is the submission body: a sweep.Spec in the
 // interchange's snake_case spelling. Placement is absent (submitted
 // grids are standalone; the service does its own cache-miss
-// placement), and Submit refuses a scenario.
+// placement).
 type JobRequest struct {
 	sweep.Spec
 }
@@ -460,11 +460,6 @@ func (s *Service) Submit(req JobRequest) (JobStatus, error) {
 // journal's submit line so one fsynced record atomically registers the
 // new job and strikes out the old.
 func (s *Service) submit(req JobRequest, resumes string) (JobStatus, error) {
-	if req.Scenario != nil {
-		// The cell keys would cover a scenario (CellJob embeds the whole
-		// Semantics); what is missing is a decision to offer one here.
-		return JobStatus{}, errors.New("sweepsvc: scenario submissions are not supported; run scenario sweeps with RunSweep or RunSweepDistributed")
-	}
 	sw := req.Sweep()
 	if err := sw.Validate(); err != nil {
 		return JobStatus{}, err

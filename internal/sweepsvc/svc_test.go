@@ -383,8 +383,8 @@ func TestSubmitValidates(t *testing.T) {
 
 // TestSubmitRejectsWithReason: POST /jobs answers 400 with a reason for
 // a negative t (every cell would fail), a negative checker_retention
-// (it would run as 0 but key as itself, splitting the cell cache), and
-// any scenario (sweepd does not offer scenario sweeps).
+// (it would run as 0 but key as itself, splitting the cell cache) and
+// an invalid scenario, and accepts and runs a valid scenario.
 func TestSubmitRejectsWithReason(t *testing.T) {
 	svc, _ := newService(t, sweepsvc.Options{})
 	srv := httptest.NewServer(svc.Handler())
@@ -401,8 +401,8 @@ func TestSubmitRejectsWithReason(t *testing.T) {
 	for _, c := range []struct{ name, body, reason string }{
 		{"negative-t", body(func(r *sweepsvc.JobRequest) { r.T = -1 }), "t = -1"},
 		{"negative-retention", body(func(r *sweepsvc.JobRequest) { r.CheckerRetention = -1 }), "checker_retention = -1"},
-		{"scenario", `{"n": 10, "delta": 3, "nu_values": [0.2], "c_values": [1], "rounds": 400, "replicates": 1,
-			"scenario": {"delay": {"kind": "iid"}}}`, "scenario"},
+		{"bad-scenario", `{"n": 10, "delta": 3, "nu_values": [0.2], "c_values": [1], "rounds": 400, "replicates": 1,
+			"scenario": {"delay": {"kind": "bogus"}}}`, "unknown delay kind"},
 	} {
 		resp, err := http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(c.body))
 		if err != nil {
@@ -416,6 +416,24 @@ func TestSubmitRejectsWithReason(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(apiErr.Error, c.reason) {
 			t.Errorf("%s: status %d, error %q — want 400 naming %q", c.name, resp.StatusCode, apiErr.Error, c.reason)
 		}
+	}
+
+	resp, err := http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(
+		`{"n": 10, "delta": 3, "nu_values": [0.2], "c_values": [1], "rounds": 400, "replicates": 1,
+			"scenario": {"delay": {"kind": "iid"}}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st sweepsvc.JobStatus
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("scenario: status %d, want 202", resp.StatusCode)
+	}
+	if st, _ = waitJob(t, svc, st.ID); st.State != sweepsvc.StateDone {
+		t.Errorf("scenario job ended %s (%s), want done", st.State, st.Error)
 	}
 }
 

@@ -37,13 +37,13 @@
 // for any partitioning.
 //
 // All parallel execution — the sharded delivery phase (WithShards /
-// WithAutoShards), the large-n broadcast fan-out, the post-run
-// consistency scan, and every sweep cell — runs on one process-wide
-// persistent worker pool (internal/pool): workers are spawned once and
-// reused through a lightweight barrier, so steady-state rounds spawn no
-// goroutines, and concurrent owners (sweep cells, say) take turns on
-// the shared worker set instead of oversubscribing the scheduler. The
-// pool never affects results, only wall-clock time.
+// WithAutoShards), the post-run consistency scan, and every sweep
+// cell — runs on one process-wide persistent worker pool
+// (internal/pool): workers are spawned once and reused through a
+// lightweight barrier, so steady-state rounds spawn no goroutines, and
+// concurrent owners (sweep cells, say) take turns on the shared worker
+// set instead of oversubscribing the scheduler. The pool never affects
+// results, only wall-clock time.
 package neatbound
 
 import (

@@ -321,11 +321,10 @@ func ParseScenario(arg string) (*ScenarioSpec, error) {
 // churn/power sections configure scheduled player leave epochs and
 // per-player mining weights. Scenarios disarm FastForward (the engine
 // falls back to stepping; see docs/scenarios.md) and are incompatible
-// with WithNuSchedule. Nil is the default model. Run, RunSweep and
-// RunSweepDistributed — not sweepd submissions, which refuse a
-// scenario.
+// with WithNuSchedule. Nil is the default model. Run, RunSweep,
+// RunSweepDistributed and SweepClient.Submit.
 func WithScenario(spec *ScenarioSpec) Option {
-	return Option{name: "WithScenario", scope: scopeRun | scopeSweep | scopeDist,
+	return Option{name: "WithScenario", scope: scopeRun | scopeSweep | scopeDist | scopeSvc,
 		apply: func(o *runOptions) { o.Scenario = spec }}
 }
 

@@ -107,9 +107,9 @@ func (c *SweepClient) do(ctx context.Context, method, path string, body, out any
 }
 
 // SweepRequest builds the wire form of a submission from a grid and the
-// service-scoped options — the sweep.Spec the options describe, minus
-// the scenario, which sweepd refuses. Exported so callers can inspect
-// or persist exactly what Submit would send.
+// service-scoped options — the sweep.Spec the options describe.
+// Exported so callers can inspect or persist exactly what Submit would
+// send.
 func SweepRequest(grid SweepGrid, opts ...Option) (SweepJobRequest, error) {
 	o, err := applyOptions(scopeSvc, "SweepClient.Submit", opts)
 	if err != nil {

@@ -270,8 +270,8 @@ func TestRunSweepSemanticKnobsReachCells(t *testing.T) {
 // points to one result with every per-cell knob set away from its
 // default: RunSweep, RunSweepDistributed over three in-process shards,
 // and a sweepd job must emit byte-identical MarshalCells streams. A
-// knob one entry point forgot to forward shows up as a diff. Scenarios
-// do not travel to sweepd, so the scenario leg compares the other two.
+// knob one entry point forgot to forward shows up as a diff. A second
+// leg repeats the comparison with the stochastic-delay scenario.
 func TestSweepClientDistributedParityAllKnobs(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
@@ -294,19 +294,23 @@ func TestSweepClientDistributedParityAllKnobs(t *testing.T) {
 		t.Errorf("RunSweepDistributed differs from RunSweep\ngot:\n%s\nwant:\n%s", got, want)
 	}
 	client, _ := newSweepServer(t)
-	st, err := client.Submit(ctx, grid, opts...)
-	if err != nil {
-		t.Fatal(err)
+	sweepd := func(opts []Option) string {
+		t.Helper()
+		st, err := client.Submit(ctx, grid, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := client.Wait(ctx, st.ID); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := client.ResultRaw(ctx, st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(raw)
 	}
-	if _, err := client.Wait(ctx, st.ID); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := client.ResultRaw(ctx, st.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(raw) != want {
-		t.Errorf("sweepd result differs from RunSweep\ngot:\n%s\nwant:\n%s", raw, want)
+	if got := sweepd(opts); got != want {
+		t.Errorf("sweepd result differs from RunSweep\ngot:\n%s\nwant:\n%s", got, want)
 	}
 
 	spec, err := ParseScenario("stochastic-delay")
@@ -321,5 +325,8 @@ func TestSweepClientDistributedParityAllKnobs(t *testing.T) {
 	scnWant := marshal(scnRef)
 	if got := distributed(scnOpts); got != scnWant {
 		t.Errorf("scenario: RunSweepDistributed differs from RunSweep\ngot:\n%s\nwant:\n%s", got, scnWant)
+	}
+	if got := sweepd(scnOpts); got != scnWant {
+		t.Errorf("scenario: sweepd result differs from RunSweep\ngot:\n%s\nwant:\n%s", got, scnWant)
 	}
 }
