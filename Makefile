@@ -58,10 +58,9 @@ test-race:
 	$(GO) test -race ./...
 
 ## test-parallel: quick race pass over just the worker-parallel code
-## (worker pool, engine delivery shards, network fan-out, sweep job
-## queue, façade).
+## (worker pool, engine delivery shards, sweep job queue, façade).
 test-parallel:
-	$(GO) test -race ./internal/pool/ ./internal/engine/ ./internal/network/ ./internal/sweep/ .
+	$(GO) test -race ./internal/pool/ ./internal/engine/ ./internal/sweep/ .
 
 ## test-pool: seconds-long short-mode race pass over the worker pool and
 ## the pooled delivery/checker parity tests, so the tier-1 gate
@@ -80,11 +79,12 @@ test-dist:
 
 ## test-skip: seconds-long short-mode race pass over the event-driven
 ## round-skipping path — the Geometric sampler's draw-for-draw contract,
-## the network's uniform broadcast slots, and the step-vs-fast-forward
-## equivalence tests (golden traces, artifact byte-identity, sparse
-## regimes, adversary state replay).
+## the network's nil-list entries and the delivery-schedule fuzz seeds,
+## the step-vs-fast-forward equivalence tests (golden traces, artifact
+## byte-identity, sparse regimes, adversary state replay), and the
+## unknown-block error on the flash-delivery path.
 test-skip:
-	$(GO) test -race -short -run 'Geometric|Uniform|SendAll|FastForward' ./internal/dist/ ./internal/network/ ./internal/engine/ .
+	$(GO) test -race -short -run 'Geometric|Uniform|SendAll|DeliverySchedule|FastForward|UnknownBlock' ./internal/dist/ ./internal/network/ ./internal/engine/ .
 
 ## test-mem: ~20 s short-mode race pass over the memory path — the SoA
 ## arena's compaction query-parity, sparse-ID, and payload-side-table

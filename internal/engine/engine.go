@@ -113,9 +113,9 @@ type Config struct {
 	Shards int
 	// Pool supplies the persistent worker pool the sharded delivery
 	// phase runs on — inject one to share workers across engines (the
-	// sweep does, across its cells). Nil engages the process-wide shared pool (pool.Default())
-	// the first time a parallel phase runs. The pool choice never
-	// affects results, only scheduling.
+	// sweep does, across its cells). Nil engages the process-wide shared
+	// pool (pool.Default()) the first time a parallel phase runs. The
+	// pool choice never affects results, only scheduling.
 	Pool *pool.Pool
 	// FastForward enables event-driven round skipping: rounds that are
 	// provable no-ops — no deliveries due, zero mining on both sides,

@@ -207,7 +207,7 @@ func (e *Engine) deliver(t int, due []network.Entry) error {
 // deliverRange walks the due entries over shard s's recipients, applying
 // the longest-chain rule (adopt only strictly higher chains). The
 // entries are in delivery order, so every recipient meets its messages
-// in that order, as a per-recipient drain would hand them over.
+// in that order.
 func (e *Engine) deliverRange(s *shardStat, due []network.Entry) {
 	for k := range due {
 		en := &due[k]
