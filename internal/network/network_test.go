@@ -1,6 +1,7 @@
 package network
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -13,10 +14,19 @@ func blk(id blockchain.BlockID) Announce {
 
 // drain delivers round and expands its entries into each recipient's
 // messages, walking the recipients in shards contiguous ranges the way
-// the engine's sharded delivery does.
+// the engine's sharded delivery does. It panics when an explicit
+// recipient list is not strictly ascending, since Within relies on that.
 func drain(n *Network, round, shards int) [][]Message {
 	got := make([][]Message, n.Players())
 	due := n.Deliver(round)
+	for i := range due {
+		to := due[i].To
+		for j := 1; j < len(to); j++ {
+			if to[j] <= to[j-1] {
+				panic(fmt.Sprintf("round %d: recipient list %v is not strictly ascending", round, to))
+			}
+		}
+	}
 	for k := 0; k < shards; k++ {
 		lo, hi := k*n.Players()/shards, (k+1)*n.Players()/shards
 		for i := range due {
