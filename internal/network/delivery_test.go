@@ -87,7 +87,11 @@ func TestUniformPendingAt(t *testing.T) {
 				explicit++
 			}
 		}
-		if want := map[bool]int{false: 0, true: 1}[mixed]; explicit != want {
+		want := 0
+		if mixed {
+			want = 1
+		}
+		if explicit != want {
 			t.Errorf("mixed=%v: %d explicit-list entries, want %d", mixed, explicit, want)
 		}
 	}
