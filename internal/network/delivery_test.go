@@ -173,6 +173,127 @@ func TestUniformPerRecipientDrainExactlyOnce(t *testing.T) {
 	}
 }
 
+// twinNetworks builds two identically loaded networks: honest
+// broadcasts under a per-recipient policy for several rounds plus
+// adversarial sends far beyond Δ+1 rounds ahead, in descending
+// recipient order.
+func twinNetworks(t *testing.T, players, delta int) (*Network, *Network) {
+	t.Helper()
+	load := func() *Network {
+		n, err := New(players, delta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		id := blockchain.BlockID(1)
+		for round := 1; round <= 3; round++ {
+			for from := 0; from < players; from += 3 {
+				m := Message{Block: blkAt(id, round), From: int32(from), SentRound: int32(round)}
+				if err := n.Broadcast(m, round, HashedDelay{Delta: delta, Seed: 7}); err != nil {
+					t.Fatal(err)
+				}
+				id++
+			}
+			m := Message{Block: blkAt(id, round), From: -1, SentRound: int32(round)}
+			for r := players - 1; r >= 0; r -= 2 {
+				if err := n.Send(m, r, round+delta+5); err != nil {
+					t.Fatal(err)
+				}
+			}
+			id++
+		}
+		return n
+	}
+	return load(), load()
+}
+
+// TestShardCursorMatchesDeliverTo walks one network's rounds serially
+// and its twin's over three uneven concurrent shards, asserting
+// identical per-recipient message sequences and identical counters at
+// every round.
+func TestShardCursorMatchesDeliverTo(t *testing.T) {
+	const players, delta = 23, 3
+	serial, sharded := twinNetworks(t, players, delta)
+	bounds := [][2]int{{0, 7}, {7, 8}, {8, players}}
+	// Enough rounds to cover the far-future sends.
+	for round := 1; round <= 3+delta+6; round++ {
+		want := drain(serial, round, 1)
+		got := drainShards(sharded, round, bounds)
+		for r := range want {
+			if !slices.Equal(got[r], want[r]) {
+				t.Fatalf("round %d recipient %d: sharded %v, serial %v", round, r, got[r], want[r])
+			}
+		}
+		if serial.Pending() != sharded.Pending() || serial.Delivered() != sharded.Delivered() {
+			t.Fatalf("round %d: counters diverged: pending %d vs %d, delivered %d vs %d",
+				round, serial.Pending(), sharded.Pending(), serial.Delivered(), sharded.Delivered())
+		}
+	}
+	if sharded.Pending() != 0 {
+		t.Fatalf("undrained messages: %d", sharded.Pending())
+	}
+}
+
+// TestUniformShardedDrainMatchesDeliverTo: nil-list entries — a
+// SendAll from the adversary and a recipient-invariant broadcast —
+// reach the same recipients in the same order over two shards as
+// serially, with the sender split from its neighbours by the shard
+// boundary.
+func TestUniformShardedDrainMatchesDeliverTo(t *testing.T) {
+	mk := func() *Network {
+		n, _ := New(6, 3)
+		if err := n.SendAll(Message{Block: blkAt(4, 1), From: -1, SentRound: 1}, 2); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.Broadcast(Message{Block: blkAt(7, 1), From: 2, SentRound: 1}, 1, MinDelay{}); err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	nRef, nShard := mk(), mk()
+	want := drain(nRef, 2, 1)
+	got := drainShards(nShard, 2, [][2]int{{0, 3}, {3, 6}})
+	for r := range want {
+		if !slices.Equal(got[r], want[r]) {
+			t.Fatalf("recipient %d: sharded %v, serial %v", r, got[r], want[r])
+		}
+		wantLen := 2
+		if r == 2 { // the broadcast's sender
+			wantLen = 1
+		}
+		if len(got[r]) != wantLen {
+			t.Fatalf("recipient %d: %d messages, want %d", r, len(got[r]), wantLen)
+		}
+	}
+	if nShard.Pending() != nRef.Pending() || nShard.Delivered() != nRef.Delivered() {
+		t.Fatalf("counters diverge after sharded drain: (%d, %d) vs (%d, %d)",
+			nShard.Pending(), nShard.Delivered(), nRef.Pending(), nRef.Delivered())
+	}
+}
+
+// TestShardCursorEmptyRound: a round with nothing due, walked by
+// shards right after a delivered round whose buffers it recycles,
+// gives every recipient nothing and moves no counter.
+func TestShardCursorEmptyRound(t *testing.T) {
+	n, err := New(3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Send(Message{Block: blkAt(5, 1), From: -1, SentRound: 3}, 1, 4); err != nil {
+		t.Fatal(err)
+	}
+	drain(n, 4, 2)
+	pending, delivered := n.Pending(), n.Delivered()
+	for r, msgs := range drainShards(n, 5, [][2]int{{0, 1}, {1, 3}}) {
+		if msgs != nil {
+			t.Fatalf("recipient %d: messages from empty round: %v", r, msgs)
+		}
+	}
+	if n.Pending() != pending || n.Delivered() != delivered {
+		t.Fatalf("counters moved on empty round: pending %d → %d, delivered %d → %d",
+			pending, n.Pending(), delivered, n.Delivered())
+	}
+}
+
 // pair is one (message, recipient) delivery in the reference model.
 type pair struct {
 	msg Message

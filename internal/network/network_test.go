@@ -2,6 +2,7 @@ package network
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -14,9 +15,21 @@ func blk(id blockchain.BlockID) Announce {
 
 // drain delivers round and expands its entries into each recipient's
 // messages, walking the recipients in shards contiguous ranges the way
-// the engine's sharded delivery does. It panics when an explicit
-// recipient list is not strictly ascending, since Within relies on that.
+// the engine's sharded delivery does.
 func drain(n *Network, round, shards int) [][]Message {
+	bounds := make([][2]int, shards)
+	for k := range bounds {
+		bounds[k] = [2]int{k * n.Players() / shards, (k + 1) * n.Players() / shards}
+	}
+	return drainShards(n, round, bounds)
+}
+
+// drainShards delivers round and expands its entries over each
+// [lo, hi) range of bounds, one goroutine per range, as the engine's
+// delivery shards read the entries concurrently. Recipients outside
+// every range get nothing. It panics when an explicit recipient list is
+// not strictly ascending, since Within relies on that.
+func drainShards(n *Network, round int, bounds [][2]int) [][]Message {
 	got := make([][]Message, n.Players())
 	due := n.Deliver(round)
 	for i := range due {
@@ -27,23 +40,28 @@ func drain(n *Network, round, shards int) [][]Message {
 			}
 		}
 	}
-	for k := 0; k < shards; k++ {
-		lo, hi := k*n.Players()/shards, (k+1)*n.Players()/shards
-		for i := range due {
-			en := &due[i]
-			if en.To != nil {
-				for _, r := range en.Within(lo, hi) {
-					got[r] = append(got[r], en.Msg)
+	var wg sync.WaitGroup
+	for _, b := range bounds {
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			for i := range due {
+				en := &due[i]
+				if en.To != nil {
+					for _, r := range en.Within(lo, hi) {
+						got[r] = append(got[r], en.Msg)
+					}
+					continue
 				}
-				continue
-			}
-			for r := lo; r < hi; r++ {
-				if r != int(en.Msg.From) {
-					got[r] = append(got[r], en.Msg)
+				for r := lo; r < hi; r++ {
+					if r != int(en.Msg.From) {
+						got[r] = append(got[r], en.Msg)
+					}
 				}
 			}
-		}
+		}(b[0], b[1])
 	}
+	wg.Wait()
 	return got
 }
 
