@@ -58,16 +58,18 @@ test-race:
 	$(GO) test -race ./...
 
 ## test-parallel: quick race pass over just the worker-parallel code
-## (worker pool, engine delivery shards, sweep job queue, façade).
+## (worker pool, sweep job queue, façade).
 test-parallel:
-	$(GO) test -race ./internal/pool/ ./internal/engine/ ./internal/sweep/ .
+	$(GO) test -race ./internal/pool/ ./internal/sweep/ .
 
 ## test-pool: seconds-long short-mode race pass over the worker pool and
-## the pooled delivery/checker parity tests, so the tier-1 gate
-## exercises the persistent-pool path on every run.
+## the pooled checker-scan parity tests (the consistency scans alone,
+## a sweep's concurrent cells, and the golden runs whose checkers share
+## one pool), so the tier-1 gate exercises the persistent-pool path on
+## every run.
 test-pool:
 	$(GO) test -race -short ./internal/pool/
-	$(GO) test -race -short -run 'Pool|Pooled' ./internal/engine/ ./internal/consistency/ ./internal/sweep/ .
+	$(GO) test -race -short -run 'Pool|Pooled' ./internal/consistency/ ./internal/sweep/ .
 
 ## test-dist: seconds-long short-mode race pass over the distributed
 ## sweep driver — partitioning, the worker protocol, in-process
@@ -120,9 +122,10 @@ test-chaos:
 ## window and recipient-invariance properties, the partition heal, churn
 ## selection and weighted mining (incl. the all-ones ≡ unweighted
 ## identity and the FastForward disarm), the scenario golden traces
-## across shard counts and the pool, the interchange/shard-spec fuzz
-## seed corpora, and the xval theory cross-checks (every scenario must
-## sit on the correct side of the paper's bounds near c*). Every
+## (with the ignored shard counts and with checkers on a shared pool),
+## the interchange/shard-spec fuzz seed corpora, and the xval theory
+## cross-checks (every scenario must sit on the correct side of the
+## paper's bounds near c*). Every
 ## stochastic check prints its seed in the failure message, so a red
 ## run replays exactly.
 test-scenarios:

@@ -36,14 +36,16 @@ type entry struct {
 	// only compared across identical simulation semantics.
 	EngineVersion int `json:"engine_version"`
 	// Configuration of the measured run. Shards is the engine's
-	// delivery-phase parallelism (0/1 = serial); Cores records the
-	// machine's CPU count (runtime.NumCPU()) and Procs the GOMAXPROCS
-	// the run could actually use (what sizes the worker pool — it can
-	// be lower than Cores under an explicit override or a container CPU
-	// quota), both stamped automatically at measurement time — PR-2
-	// hand-labeled the cores field and the entries from the 1-core
-	// build box were flagged as misleading. Without an honest
-	// parallelism record a serial-vs-sharded comparison is meaningless.
+	// delivery-phase parallelism of entries recorded before delivery
+	// became serial-only (0/1 = serial, -1 = automatic); it is kept so
+	// those entries re-encode unchanged, and new entries leave it 0.
+	// Cores records the machine's CPU count (runtime.NumCPU()) and Procs
+	// the GOMAXPROCS the run could actually use (what sizes the worker
+	// pool — it can be lower than Cores under an explicit override or a
+	// container CPU quota), both stamped automatically at measurement
+	// time — PR-2 hand-labeled the cores field and the entries from the
+	// 1-core build box were flagged as misleading. Without an honest
+	// parallelism record a parallel-vs-serial comparison is meaningless.
 	N           int     `json:"n"`
 	P           float64 `json:"p"`
 	Delta       int     `json:"delta"`
@@ -98,7 +100,6 @@ func main() {
 		nu      = flag.Float64("nu", 0.3, "adversarial fraction ν")
 		rounds  = flag.Int("rounds", 1000, "rounds per simulation op")
 		iters   = flag.Int("iters", 30, "simulation ops to average over")
-		shards  = flag.Int("shards", 0, "engine delivery shards (0 = serial)")
 		ff      = flag.Bool("fast-forward", false, "enable event-driven round skipping")
 		compact = flag.Int("compact-every", 0, "arena compaction interval in rounds (0 = off)")
 		retain  = flag.Int("checker-retention", 0, "checker snapshot retention window (0 = full history)")
@@ -118,7 +119,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	e, err := measure(pr, *rounds, *iters, *shards, *ff, *compact, *retain, spec)
+	e, err := measure(pr, *rounds, *iters, *ff, *compact, *retain, spec)
 	if err != nil {
 		fatal(err)
 	}
@@ -127,11 +128,11 @@ func main() {
 	e.Date = time.Now().UTC().Format("2006-01-02")
 
 	f.Entries = append(f.Entries, e)
-	data, err := json.MarshalIndent(f, "", "  ")
+	data, err := encode(f)
 	if err != nil {
 		fatal(err)
 	}
-	if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
+	if err := os.WriteFile(*out, data, 0o644); err != nil {
 		fatal(err)
 	}
 	fmt.Printf("%s: %s  %.0f rounds/s  %.0f ns/round  %.1f allocs/round  %.0f B/round  peak %.1f MiB  live %d/%d blocks\n",
@@ -162,18 +163,23 @@ func load(path, label string) (file, error) {
 	return f, nil
 }
 
+// encode renders the trajectory as it is written to disk.
+func encode(f file) ([]byte, error) {
+	data, err := json.MarshalIndent(f, "", "  ")
+	return append(data, '\n'), err
+}
+
 // measure times iters runs of a rounds-long simulation (the
 // BenchmarkSimulationRound body) and reports per-round cost. Allocation
 // counts come from runtime.MemStats deltas, matching -benchmem; peak
 // heap comes from a background sampler running across the timed loop.
-func measure(pr params.Params, rounds, iters, shards int, fastForward bool, compactEvery, retention int, scenario *neatbound.ScenarioSpec) (entry, error) {
+func measure(pr params.Params, rounds, iters int, fastForward bool, compactEvery, retention int, scenario *neatbound.ScenarioSpec) (entry, error) {
 	if iters < 1 || rounds < 1 {
 		return entry{}, fmt.Errorf("benchjson: iters and rounds must be ≥ 1")
 	}
 	opts := []neatbound.Option{
 		neatbound.WithRounds(rounds),
 		neatbound.WithConsistency(6, 0),
-		neatbound.WithShards(shards),
 		neatbound.WithCompaction(compactEvery, 0),
 		neatbound.WithCheckerRetention(retention),
 		neatbound.WithScenario(scenario),
@@ -211,7 +217,7 @@ func measure(pr params.Params, rounds, iters, shards int, fastForward bool, comp
 		EngineVersion: neatbound.EngineVersion,
 		N:             pr.N, P: pr.P, Delta: pr.Delta, Nu: pr.Nu,
 		RoundsPerOp: rounds, Iterations: iters,
-		Shards: shards, FastForward: fastForward,
+		FastForward:  fastForward,
 		CompactEvery: compactEvery, CheckerRetention: retention,
 		Cores: runtime.NumCPU(), Procs: runtime.GOMAXPROCS(0),
 		RoundsPerSec:   total / elapsed.Seconds(),

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -13,7 +14,7 @@ import (
 
 func TestMeasureProducesSaneEntry(t *testing.T) {
 	pr := params.Params{N: 50, P: 1e-3, Delta: 3, Nu: 0.3}
-	e, err := measure(pr, 200, 2, 2, true, 50, 4, nil)
+	e, err := measure(pr, 200, 2, true, 50, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,10 +52,10 @@ func TestMeasureProducesSaneEntry(t *testing.T) {
 
 func TestMeasureValidation(t *testing.T) {
 	pr := params.Params{N: 50, P: 1e-3, Delta: 3, Nu: 0.3}
-	if _, err := measure(pr, 0, 1, 0, false, 0, 0, nil); err == nil {
+	if _, err := measure(pr, 0, 1, false, 0, 0, nil); err == nil {
 		t.Error("0 rounds accepted")
 	}
-	if _, err := measure(pr, 10, 0, 0, false, 0, 0, nil); err == nil {
+	if _, err := measure(pr, 10, 0, false, 0, 0, nil); err == nil {
 		t.Error("0 iters accepted")
 	}
 }
@@ -83,5 +84,47 @@ func TestLoadRefusesExistingLabel(t *testing.T) {
 	}
 	if _, err := load(path, "second"); err == nil {
 		t.Error("corrupt trajectory accepted")
+	}
+}
+
+// TestAppendKeepsRecordedEntries pins that appending to the checked-in
+// trajectory re-encodes every recorded entry byte for byte, so a field
+// dropped from entry (or a changed encoding) cannot silently rewrite
+// recorded history.
+func TestAppendKeepsRecordedEntries(t *testing.T) {
+	const path = "../../BENCH_engine.json"
+	orig, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := load(path, "test-append")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Entries = append(f.Entries, entry{Label: "test-append"})
+	data, err := encode(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after struct {
+		Entries []json.RawMessage `json:"entries"`
+	}
+	if err := json.Unmarshal(orig, &before); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, &after); err != nil {
+		t.Fatal(err)
+	}
+	if len(before.Entries) == 0 || len(after.Entries) != len(before.Entries)+1 {
+		t.Fatalf("%d entries after appending to %d", len(after.Entries), len(before.Entries))
+	}
+	for i, want := range before.Entries {
+		if !bytes.Equal(after.Entries[i], want) {
+			t.Errorf("entry %d re-encoded as\n%s\nwant\n%s", i, after.Entries[i], want)
+		}
+	}
+	f.Entries = f.Entries[:len(f.Entries)-1]
+	if data, err := encode(f); err != nil || !bytes.Equal(data, orig) {
+		t.Errorf("re-encoding %s without the new entry changed its bytes (err %v)", path, err)
 	}
 }

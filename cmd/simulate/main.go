@@ -7,10 +7,6 @@
 // Usage:
 //
 //	simulate -n 100 -delta 4 -nu 0.3 -c 2 -rounds 100000 -adversary max-delay -T 8
-//
-// -shards controls the engine's delivery-phase parallelism: an integer
-// pins P, "auto" picks it from GOMAXPROCS and n. Any value is
-// bit-identical.
 package main
 
 import (
@@ -18,7 +14,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 
 	"neatbound"
@@ -29,23 +24,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "simulate:", err)
 		os.Exit(1)
 	}
-}
-
-// parseShards maps the -shards flag value onto engine shard counts:
-// "auto" selects the automatic heuristic, anything else must be an
-// integer (0 = serial).
-func parseShards(s string) (int, error) {
-	if strings.EqualFold(strings.TrimSpace(s), "auto") {
-		return neatbound.AutoShards, nil
-	}
-	v, err := strconv.Atoi(strings.TrimSpace(s))
-	if err != nil {
-		return 0, fmt.Errorf("parsing -shards %q (want an integer or \"auto\"): %w", s, err)
-	}
-	if v < 0 {
-		return 0, fmt.Errorf("-shards %d must be ≥ 0 (or \"auto\")", v)
-	}
-	return v, nil
 }
 
 func run(args []string) error {
@@ -60,8 +38,6 @@ func run(args []string) error {
 		"strategy: "+strings.Join(neatbound.AdversaryNames(), "|"))
 	forkDepth := fs.Int("fork-depth", 4, "private adversary's target fork depth")
 	tee := fs.Int("T", 8, "consistency chop parameter (Definition 1)")
-	shards := fs.String("shards", "0",
-		"engine delivery shards: an integer (0 = serial) or \"auto\"; any value is bit-identical")
 	ff := fs.Bool("fast-forward", false,
 		"event-driven round skipping for sparse-mining regimes; bit-identical (see docs/fastforward.md)")
 	scenarioArg := fs.String("scenario", "",
@@ -74,10 +50,6 @@ func run(args []string) error {
 		return err
 	}
 	scn, err := neatbound.ParseScenario(*scenarioArg)
-	if err != nil {
-		return err
-	}
-	nshards, err := parseShards(*shards)
 	if err != nil {
 		return err
 	}
@@ -94,7 +66,6 @@ func run(args []string) error {
 		neatbound.WithSeed(*seed),
 		neatbound.WithAdversaryName(*advName, neatbound.AdversaryOpts{ForkDepth: *forkDepth}),
 		neatbound.WithConsistency(*tee, 0),
-		neatbound.WithShards(nshards),
 	}
 	if *ff {
 		opts = append(opts, neatbound.WithFastForward())

@@ -45,34 +45,3 @@ func TestNewAdversaryNames(t *testing.T) {
 		}
 	}
 }
-
-func TestParseShards(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want int
-		ok   bool
-	}{
-		{"0", 0, true},
-		{"4", 4, true},
-		{"auto", neatbound.AutoShards, true},
-		{"AUTO", neatbound.AutoShards, true},
-		{" auto ", neatbound.AutoShards, true},
-		{"-1", 0, false},
-		{"many", 0, false},
-	} {
-		got, err := parseShards(tc.in)
-		if tc.ok && (err != nil || got != tc.want) {
-			t.Errorf("parseShards(%q) = %d, %v; want %d", tc.in, got, err, tc.want)
-		}
-		if !tc.ok && err == nil {
-			t.Errorf("parseShards(%q) accepted", tc.in)
-		}
-	}
-}
-
-func TestRunAutoShards(t *testing.T) {
-	if err := run([]string{"-n", "20", "-delta", "2", "-nu", "0.25", "-c", "5",
-		"-rounds", "500", "-adversary", "passive", "-shards", "auto"}); err != nil {
-		t.Fatal(err)
-	}
-}

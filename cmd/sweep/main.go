@@ -14,8 +14,7 @@
 // sweeps can be piped, monitored incrementally, and — when the grid is
 // partitioned across machines — reassembled with
 // neatbound.MergeCellStreams. -workers sizes the job pool (0 =
-// GOMAXPROCS); -shards additionally parallelizes the delivery phase
-// inside each cell's engine, for grids of few, large cells.
+// GOMAXPROCS).
 //
 // # Distributed mode
 //
@@ -107,7 +106,6 @@ func run(args []string) error {
 		"strategy: "+strings.Join(neatbound.AdversaryNames(), "|"))
 	forkDepth := fs.Int("fork-depth", 4, "private adversary's target fork depth")
 	workers := fs.Int("workers", 0, "parallel sweep workers (0 = GOMAXPROCS; single-process mode only)")
-	shards := fs.Int("shards", 0, "per-cell engine delivery shards (0 = serial)")
 	replicates := fs.Int("replicates", 1, "independent replicates per cell")
 	jsonOut := fs.Bool("json", false, "stream one JSON line per finished cell")
 	worker := fs.Bool("worker", false, "serve the shard protocol on stdin/stdout (spawned by -coordinator)")
@@ -154,7 +152,6 @@ func run(args []string) error {
 		neatbound.WithSeed(*seed),
 		neatbound.WithConsistency(*tee, 0),
 		neatbound.WithAdversaryName(*advName, neatbound.AdversaryOpts{ForkDepth: *forkDepth}),
-		neatbound.WithShards(*shards),
 		neatbound.WithReplicates(*replicates),
 	}
 	if scn != nil {

@@ -3,10 +3,12 @@ package neatbound
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"neatbound/internal/adversary"
 	"neatbound/internal/blockchain"
+	"neatbound/internal/consistency"
 	"neatbound/internal/engine"
 	"neatbound/internal/params"
 	"neatbound/internal/pool"
@@ -296,30 +298,79 @@ func TestGoldenCompactionRetires(t *testing.T) {
 	}
 }
 
-// TestGoldenTracesPooledShared pins the persistent-pool runtime against
-// the golden hashes: all nine golden configurations run sharded on ONE
-// injected worker pool, consecutively — the delivery barrier is reused
-// across engines (the sweep's usage pattern) — and every trace must
-// still reproduce the serial hashes bit for bit. The pool is
-// deliberately smaller than the shard count on P=7, so tasks queue on
-// the claim counter rather than mapping 1:1 onto workers.
+// TestGoldenTracesPooledShared pins the shared persistent pool against
+// the golden hashes: all nine golden configurations run concurrently,
+// each carrying a serial and a pooled consistency checker, and every
+// pooled checker scans on ONE shared P-worker pool — the way every sweep
+// cell's checker shares the process-wide pool. Every trace must still
+// reproduce its golden hash, and every pooled scan must equal the
+// serial one.
 func TestGoldenTracesPooledShared(t *testing.T) {
-	shared := pool.New(3)
-	defer shared.Close()
-	for _, shards := range []int{2, 7} {
+	for _, workers := range []int{2, 7} {
+		shared := pool.New(workers)
+		t.Cleanup(shared.Close)
 		for name, gc := range goldenCases(t) {
-			gc := gc
-			gc.cfg.Shards = shards
-			gc.cfg.Pool = shared
-			t.Run(fmt.Sprintf("%s/P=%d", name, shards), func(t *testing.T) {
-				got := traceHash(t, gc)
-				want := goldenTraces[name]
-				if got != want {
-					t.Errorf("pooled trace hash = %#x, want %#x — P=%d on the shared pool diverged from the serial engine", got, want, shards)
+			gc := withCheckerParity(t, gc, shared)
+			t.Run(fmt.Sprintf("%s/P=%d", name, workers), func(t *testing.T) {
+				t.Parallel()
+				if got, want := traceHash(t, gc), goldenTraces[name]; got != want {
+					t.Errorf("trace hash = %#x, want %#x — checkers sharing a %d-worker pool perturbed the run", got, want, workers)
 				}
 			})
 		}
 	}
+}
+
+// withCheckerParity returns gc with a checkerParity on its observer
+// stack, the pooled checker scanning on shared. Sampling every 10th
+// round of a 3000-round case gives 300 snapshots, enough pairs that
+// both scans take the pooled path.
+func withCheckerParity(t *testing.T, gc goldenCase, shared *pool.Pool) goldenCase {
+	t.Helper()
+	const every = 10
+	serial, err := consistency.NewChecker(6, every)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pooled, err := consistency.NewChecker(6, every)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pooled.UsePool(shared)
+	gc.cfg.Observer = engine.Observers(checkerParity{serial, pooled}, gc.cfg.Observer)
+	return gc
+}
+
+// checkerParity feeds one run to a serial and a pooled checker and fails
+// the run when their post-run violation lists or fork depths differ.
+// Observers only read the engine, so the trace hash is unaffected.
+type checkerParity struct{ serial, pooled *consistency.Checker }
+
+func (c checkerParity) OnRound(e *engine.Engine, rec engine.RoundRecord) {
+	c.serial.OnRound(e, rec)
+	c.pooled.OnRound(e, rec)
+}
+
+func (c checkerParity) OnFinish(res *engine.Result) error {
+	want, err := c.serial.Check(res.Tree)
+	if err != nil {
+		return err
+	}
+	got, err := c.pooled.Check(res.Tree)
+	if err != nil {
+		return err
+	}
+	if !reflect.DeepEqual(got, want) {
+		return fmt.Errorf("pooled scan found %d violations, serial %d", len(got), len(want))
+	}
+	wantDepth, err := c.serial.MaxForkDepth(res.Tree)
+	if err != nil {
+		return err
+	}
+	if gotDepth, err := c.pooled.MaxForkDepth(res.Tree); err != nil || gotDepth != wantDepth {
+		return fmt.Errorf("pooled fork depth %d (%v), serial %d", gotDepth, err, wantDepth)
+	}
+	return nil
 }
 
 // TestGoldenTracesObserver pins that a MultiObserver fan-out sees the

@@ -21,8 +21,8 @@
 // Check/MaxForkDepth run after (or between) rounds on the same
 // goroutine; nothing here is safe for concurrent use on one instance.
 // The pairwise scans behind Check and MaxForkDepth are internally
-// parallel when UsePool installs a worker pool (shared with the engine
-// and other checkers — owners take turns on it), partitioning the
+// parallel when UsePool installs a worker pool (shared with other
+// checkers — owners take turns on it), partitioning the
 // snapshot-pair upper triangle into contiguous chunks folded back in
 // the serial scan's lexicographic order, so pooled results are
 // bit-identical to serial ones. Snapshot tips are copied into a

@@ -8,15 +8,11 @@ import (
 	"fmt"
 	"io"
 
-	"neatbound/internal/pool"
 	"neatbound/internal/sweep"
 )
 
 // WorkerOptions tunes ServeWorker.
 type WorkerOptions struct {
-	// Pool is the persistent worker pool shard engines and checkers run
-	// on; nil shares the process-wide default.
-	Pool *pool.Pool
 	// Workers bounds each shard's (cell × replicate) job-queue
 	// parallelism (0 = GOMAXPROCS).
 	Workers int
@@ -92,7 +88,6 @@ func runShard(ctx context.Context, spec ShardSpec, opts WorkerOptions, enc *json
 		return failPerm(err)
 	}
 	cfg.Workers = opts.Workers
-	cfg.Pool = opts.Pool
 	cfg.CellOffset = spec.CellOffset + spec.NuOffset*len(spec.CValues)
 	cfg.RepOffset = spec.RepLo
 	reps := spec.RepHi - spec.RepLo

@@ -24,14 +24,14 @@ import (
 // adopt chains — rejoining miners are synced within Δ like everyone
 // else); leaving only stops their oracle queries. That models mining
 // participation churn without breaking the delivery invariants the
-// sharded/fast-forward paths rely on. docs/scenarios.md states the
+// walk and fast-forward paths rely on. docs/scenarios.md states the
 // semantics.
 
 // ChurnPlan schedules honest mining participation: in every epoch of
 // Period rounds, a seeded-hash-chosen subset of Leave honest players is
 // on leave (making no oracle queries); the subset rotates each epoch.
 // Identity is seed-stable — the same Seed reproduces the same schedule
-// for any shard count or pool, and the selection consumes no engine
+// under every result-neutral knob, and the selection consumes no engine
 // randomness (it is a pure hash of (Seed, epoch, player)).
 type ChurnPlan struct {
 	// Period is the epoch length in rounds (≥ 1); epoch e covers rounds
@@ -120,7 +120,7 @@ func (e *Engine) miningUnits(round int) []int32 {
 	// Mark the epoch's leavers: the Leave players with the smallest
 	// (hash key, index) rank. The rank is a pure function of (Seed,
 	// epoch, player) — no engine RNG draws, so the schedule is identical
-	// for every shard count, pool, and delivery path.
+	// on every delivery path.
 	onLeave := e.churnOff
 	if p := e.cfg.Churn; p != nil && p.Leave > 0 {
 		if onLeave == nil {

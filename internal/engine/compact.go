@@ -12,9 +12,8 @@ package engine
 // The watermark invariant. W is the running common ancestor of
 //
 //   - the tree's best block (covers strategies that mine on Best),
-//   - every live honest view tip (via the per-shard distinct tip
-//     lists), plus every parked corrupted view under adaptive
-//     corruption,
+//   - every live honest view tip (via the distinct tip list), plus
+//     every parked corrupted view under adaptive corruption,
 //   - every block the adversary reports through Retainer (withheld
 //     private chains),
 //   - every block any observer reports through Retainer (the
@@ -101,12 +100,10 @@ func (e *Engine) compactionWatermark() (blockchain.BlockID, bool) {
 		}
 		w = ca
 	}
-	// Live honest views, deduplicated through the shard tip lists; then
-	// the parked corrupted views under adaptive corruption (empty slice
+	// Live honest views, deduplicated through the tip list; then the
+	// parked corrupted views under adaptive corruption (empty slice
 	// otherwise — players == honest).
-	e.retainBuf = e.retainBuf[:0]
-	e.mergeTips(&e.retainBuf)
-	for _, id := range e.retainBuf {
+	for _, id := range e.stats.tipList {
 		fold(id)
 	}
 	for _, id := range e.tips[e.honest:] {

@@ -24,13 +24,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 
 	"neatbound/internal/blockchain"
 	"neatbound/internal/mining"
 	"neatbound/internal/network"
 	"neatbound/internal/params"
-	"neatbound/internal/pool"
 	"neatbound/internal/rng"
 )
 
@@ -52,38 +50,16 @@ type Adversary interface {
 
 // Config parameterizes an execution.
 //
-// # Sharded round execution
-//
-// When Shards = P > 1, the round loop's delivery/adoption phase runs as
-// P tasks on a persistent worker pool (internal/pool), each task owning
-// a contiguous slice of the player range. Adoption under the
-// longest-chain rule is a pure per-recipient height comparison, so the
-// phase is embarrassingly parallel; the per-view statistics the engine
-// reports (height histogram brackets, tip refcounts, per-half branch
-// maxima) are kept in per-shard accumulators that the tasks update
-// privately and the engine merges in O(P) after the phase barrier. The
-// mining and adversary phases stay serial.
-//
 // # Determinism contract
 //
-// Sharded runs are bit-identical to serial runs of the same Config (and
-// to each other across any P): the RoundRecord stream, final tips, and
-// block tree reproduce exactly. This holds because
-//
-//   - all randomness is drawn in the serial phases, in a fixed order,
-//     from streams split once from Seed — the parallel delivery phase
-//     draws no randomness at all;
-//   - each delivery task touches only its own players' views and its own
-//     shard accumulator, and walks the round's due entries in the
-//     network's deterministic (sent round, block ID, sender) order, so
-//     every player meets its messages in that order;
-//   - every merged statistic is an exact function of the current views
-//     (max/min over shard brackets, distinct count over shard tip
-//     lists, per-half argmax with min-index tie break), not of the
-//     order in which workers raced through the round.
-//
-// TestGoldenTracesSharded pins this contract across P ∈ {1, 2, 4, 7} on
-// every golden seed configuration.
+// An execution is a pure function of its Config: the RoundRecord
+// stream, final tips, and block tree reproduce exactly across runs and
+// across every result-neutral knob (FastForward, CompactEvery). This
+// holds because all randomness is drawn in a fixed order from streams
+// split once from Seed, delivery walks each round's due entries in the
+// network's deterministic (sent round, block ID, sender) order, and
+// every reported statistic is an exact function of the current views.
+// The golden trace tests pin this on every golden seed configuration.
 type Config struct {
 	// Params is the protocol parameterization; it must Validate.
 	Params params.Params
@@ -105,18 +81,11 @@ type Config struct {
 	// views; the currently corrupted ones are the tail of the index
 	// range. Params.Nu still bounds validation and sets the baseline.
 	NuSchedule func(round int) float64
-	// Shards is the delivery-phase parallelism P (see the type comment).
-	// 0 or 1 runs the phase serially; values above the player count are
-	// clamped to it; AutoShards (any negative value) picks P from
-	// GOMAXPROCS and the player count. Any P produces bit-identical
-	// executions.
+	// Shards was the delivery-phase parallelism.
+	//
+	// Deprecated: ignored; delivery is serial. Kept so existing
+	// composite literals compile.
 	Shards int
-	// Pool supplies the persistent worker pool the sharded delivery
-	// phase runs on — inject one to share workers across engines (the
-	// sweep does, across its cells). Nil engages the process-wide shared
-	// pool (pool.Default()) the first time a parallel phase runs. The
-	// pool choice never affects results, only scheduling.
-	Pool *pool.Pool
 	// FastForward enables event-driven round skipping: rounds that are
 	// provable no-ops — no deliveries due, zero mining on both sides,
 	// adversary quiescent — are crossed in O(1) by sampling the gap to
@@ -163,44 +132,11 @@ type Config struct {
 	MiningWeights []int
 }
 
-// AutoShards, assigned to Config.Shards, selects the delivery-phase
-// parallelism automatically: serial below autoShardMinPlayers (where the
-// per-round barrier cost dominates — see the BENCH_engine.json large-n
-// notes), otherwise GOMAXPROCS capped so every shard keeps at least
-// autoShardPlayersPerWorker players. Because any shard count is
-// bit-identical, the pick affects only throughput, never results.
+// AutoShards was the Config.Shards value that picked the
+// delivery-phase parallelism automatically.
+//
+// Deprecated: ignored, like Config.Shards.
 const AutoShards = -1
-
-const (
-	// autoShardMinPlayers is the player count below which AutoShards
-	// stays serial. Retuned for the persistent worker pool: the fixed
-	// per-round cost fell from P goroutine spawns + a WaitGroup cycle
-	// (~1.5 µs and 9 allocs at P=4) to one pooled barrier (~1.2 µs on a
-	// 1-core box where every wakeup is a context switch, and
-	// allocation-free; wakeups overlap on real multi-core hardware), so
-	// sharding now breaks even at roughly half the PR-2 player count.
-	// Like the PR-2 value, this is a 1-core estimate — re-measure on a
-	// multi-core box.
-	autoShardMinPlayers = 4096
-	// autoShardPlayersPerWorker keeps auto-picked shards coarse enough
-	// to amortize the round barrier.
-	autoShardPlayersPerWorker = 1024
-)
-
-// autoShards resolves AutoShards for a player count.
-func autoShards(players int) int {
-	if players < autoShardMinPlayers {
-		return 1
-	}
-	p := runtime.GOMAXPROCS(0)
-	if cap := players / autoShardPlayersPerWorker; p > cap {
-		p = cap
-	}
-	if p < 1 {
-		p = 1
-	}
-	return p
-}
 
 // RoundRecord summarizes one executed round.
 type RoundRecord struct {
@@ -278,32 +214,14 @@ type Engine struct {
 	// cached stats
 	honestBlocks, adversaryBlocks int
 
-	// Incremental honest-view statistics, sharded. The per-round
-	// RoundRecord fields (MaxHonestHeight, MinHonestHeight,
-	// DistinctTips) used to be three O(players) scans with a fresh map
-	// each round; they are maintained event-wise in per-shard
-	// accumulators (see shardStat) on every tip change and honest-set
-	// resize, and merged in O(shards) when queried. The shards partition
-	// [0, players) contiguously, so the delivery phase can hand each
-	// shard to its own worker.
-	shards []shardStat
-	// halfLo is the honest/2 boundary the per-shard argmax splits on
+	// stats holds the incremental honest-view statistics behind the
+	// per-round RoundRecord fields (MaxHonestHeight, MinHonestHeight,
+	// DistinctTips), maintained event-wise on every tip change and
+	// honest-set resize (see viewStats).
+	stats viewStats
+	// halfLo is the honest/2 boundary the per-half argmax splits on
 	// (the Balance adversary's two branches).
 	halfLo int
-	// seen and seenStamp are the scratch stamp array for merging shard
-	// tip lists without a per-round map (seen[id] == seenStamp marks id
-	// counted in the current merge).
-	seen      []uint64
-	seenStamp uint64
-	// pool runs the sharded delivery phase on persistent workers;
-	// acquired once (Config.Pool or the process-wide default) when the
-	// first parallel phase runs. deliverFn is the persistent task
-	// closure handed to pool.Run — it reads the round's entries from
-	// due, so the steady state allocates no closures and spawns no
-	// goroutines.
-	pool      *pool.Pool
-	deliverFn func(task int)
-	due       []network.Entry
 	// winnersBuf is the reusable scratch for per-round mining winners.
 	winnersBuf []int
 	// ctx is the adversary's handle, allocated once per engine.
@@ -373,69 +291,25 @@ func New(cfg Config) (*Engine, error) {
 		tipHeights: make([]int, players),
 	}
 	// Every view starts at genesis: height 0 and GenesisID (= 0) are the
-	// zero values make already wrote. Partition the player range into
-	// contiguous shards (sizes differing by at most one) and count each
-	// shard's honest views into its accumulator in bulk.
-	nshards := cfg.Shards
-	if nshards < 0 {
-		nshards = autoShards(players)
-	}
-	if nshards < 1 {
-		nshards = 1
-	}
-	if nshards > players {
-		nshards = players
-	}
-	e.shards = make([]shardStat, nshards)
-	q, r := players/nshards, players%nshards
-	lo := 0
-	for k := range e.shards {
-		size := q
-		if k < r {
-			size++
-		}
-		e.shards[k].lo, e.shards[k].hi = lo, lo+size
-		e.shards[k].resetBest()
-		lo += size
-	}
-	for k := range e.shards {
-		s := &e.shards[k]
-		if c := min(s.hi, honest) - s.lo; c > 0 {
-			// What c calls of add at (GenesisID, 0) leave behind; height 0
-			// never enters the per-half argmax.
-			s.heightCount = append(s.heightCount, c)
-			s.tracked = c
-			s.addTipRef(blockchain.GenesisID, int32(c))
-		}
-	}
-	e.deliverFn = func(k int) { e.deliverRange(&e.shards[k], e.due) }
-	e.pool = cfg.Pool
+	// zero values make already wrote. Count the honest views in bulk —
+	// what honest calls of add at (GenesisID, 0) leave behind; height 0
+	// never enters the per-half argmax.
+	e.stats.resetBest()
+	e.stats.heightCount = append(e.stats.heightCount, honest)
+	e.stats.tracked = honest
+	e.stats.addTipRef(blockchain.GenesisID, int32(honest))
 	e.ctx = Context{e: e}
 	e.ff.preH, e.ff.preA = -1, -1
 	e.unitsEpoch = -1
 	return e, nil
 }
 
-// acquirePool binds the engine to its worker pool — the injected
-// Config.Pool or, absent one, the process-wide shared pool — the first
-// time a parallel phase needs it. The pool is reused for every
-// subsequent round's delivery phase.
-func (e *Engine) acquirePool() *pool.Pool {
-	if e.pool == nil {
-		e.pool = pool.Default()
-	}
-	return e.pool
-}
-
 // setTip moves player i's view to tip id at height h, keeping the
-// incremental statistics in sync when i is currently honest. During the
-// parallel delivery phase, i always lies in the calling worker's own
-// shard, so the statistics update stays worker-private.
+// incremental statistics in sync when i is currently honest.
 func (e *Engine) setTip(i int, id blockchain.BlockID, h int) {
 	if i < e.honest {
-		s := e.shardOf(i)
-		s.remove(e.view(i))
-		s.add(i, id, h, e.halfLo)
+		e.stats.remove(e.view(i))
+		e.stats.add(i, id, h, e.halfLo)
 	}
 	e.tips[i] = id
 	e.tipHeights[i] = h
@@ -452,16 +326,14 @@ func (e *Engine) resizeHonest(newHonest int) {
 		return
 	}
 	for i := newHonest; i < e.honest; i++ {
-		e.shardOf(i).remove(e.tips[i], e.tipHeights[i])
+		e.stats.remove(e.tips[i], e.tipHeights[i])
 	}
 	for i := e.honest; i < newHonest; i++ {
-		e.shardOf(i).add(i, e.tips[i], e.tipHeights[i], e.halfLo)
+		e.stats.add(i, e.tips[i], e.tipHeights[i], e.halfLo)
 	}
 	e.honest = newHonest
 	e.halfLo = newHonest / 2
-	for k := range e.shards {
-		e.shards[k].recomputeBest(e.tips, e.tipHeights, e.honest, e.halfLo)
-	}
+	e.stats.recomputeBest(e.tips, e.tipHeights, e.honest, e.halfLo)
 }
 
 // Params returns the engine's parameterization.
@@ -485,34 +357,9 @@ func (e *Engine) PlayerTip(i int) (blockchain.BlockID, error) {
 	return id, nil
 }
 
-// mergeTips stamps every distinct tip across the shard tip lists and
-// returns the distinct count, optionally appending the ids to out. The
-// stamp array replaces the per-call map the serial engine used to
-// allocate; the cost is O(Σ shard tips), independent of the player
-// count.
-func (e *Engine) mergeTips(out *[]blockchain.BlockID) int {
-	e.seenStamp++
-	count := 0
-	for k := range e.shards {
-		for _, id := range e.shards[k].tipList {
-			for uint64(len(e.seen)) <= uint64(id) {
-				e.seen = append(e.seen, 0)
-			}
-			if e.seen[id] != e.seenStamp {
-				e.seen[id] = e.seenStamp
-				count++
-				if out != nil {
-					*out = append(*out, id)
-				}
-			}
-		}
-	}
-	return count
-}
-
 // DistinctTips returns the distinct honest chain tips, sorted by height
-// then ID. It enumerates the per-shard tip lists instead of walking all
-// honest views, so the cost scales with the number of tips.
+// then ID. It enumerates the tip list instead of walking all honest
+// views, so the cost scales with the number of tips.
 func (e *Engine) DistinctTips() []blockchain.BlockID {
 	return e.AppendDistinctTips(nil)
 }
@@ -524,7 +371,7 @@ func (e *Engine) DistinctTips() []blockchain.BlockID {
 // allocates nothing.
 func (e *Engine) AppendDistinctTips(buf []blockchain.BlockID) []blockchain.BlockID {
 	base := len(buf)
-	e.mergeTips(&buf)
+	buf = append(buf, e.stats.tipList...)
 	out := buf[base:]
 	// Insertion sort by (height, ID); tip sets are tiny.
 	height := func(id blockchain.BlockID) int {
@@ -544,71 +391,25 @@ func (e *Engine) AppendDistinctTips(buf []blockchain.BlockID) []blockchain.Block
 	return buf
 }
 
-// DistinctTipCount returns the number of distinct honest chain tips from
-// the incrementally maintained per-shard refcounts, in O(tips).
-func (e *Engine) DistinctTipCount() int {
-	if len(e.shards) == 1 {
-		return len(e.shards[0].tipList)
-	}
-	return e.mergeTips(nil)
-}
+// DistinctTipCount returns the number of distinct honest chain tips
+// from the incrementally maintained refcounts, in O(1).
+func (e *Engine) DistinctTipCount() int { return len(e.stats.tipList) }
 
-// MaxHonestHeight returns the tallest honest view in O(shards).
-func (e *Engine) MaxHonestHeight() int {
-	max, any := 0, false
-	for k := range e.shards {
-		s := &e.shards[k]
-		if s.tracked == 0 {
-			continue
-		}
-		if !any || s.maxH > max {
-			max = s.maxH
-		}
-		any = true
-	}
-	return max
-}
+// MaxHonestHeight returns the tallest honest view in O(1). At least one
+// player is always honest, so the height brackets are never empty.
+func (e *Engine) MaxHonestHeight() int { return e.stats.maxH }
 
-// minHonestHeight returns the shortest honest view in O(shards).
-func (e *Engine) minHonestHeight() int {
-	min, any := 0, false
-	for k := range e.shards {
-		s := &e.shards[k]
-		if s.tracked == 0 {
-			continue
-		}
-		if !any || s.minH < min {
-			min = s.minH
-		}
-		any = true
-	}
-	return min
-}
+// minHonestHeight returns the shortest honest view in O(1).
+func (e *Engine) minHonestHeight() int { return e.stats.minH }
 
 // BranchBest returns, for each half of the honest player range (split at
 // honest/2 — the two branches the Balance adversary sustains), the
-// highest honest tip and its height, merged from the per-shard argmax
-// accumulators in O(shards). Ties on height resolve to the
-// lowest-indexed player, matching a serial ascending scan; halves with
-// every view still at genesis report (GenesisID, 0).
+// highest honest tip and its height from the incremental argmax, in
+// O(1). Ties on height resolve to the lowest-indexed player, matching a
+// serial ascending scan; halves with every view still at genesis report
+// (GenesisID, 0).
 func (e *Engine) BranchBest() (tips [2]blockchain.BlockID, heights [2]int) {
-	tips = [2]blockchain.BlockID{blockchain.GenesisID, blockchain.GenesisID}
-	idx := [2]int{maxIdx, maxIdx}
-	for k := range e.shards {
-		s := &e.shards[k]
-		for half := 0; half < 2; half++ {
-			if s.bestH[half] == 0 {
-				continue
-			}
-			if s.bestH[half] > heights[half] ||
-				(s.bestH[half] == heights[half] && s.bestIdx[half] < idx[half]) {
-				heights[half] = s.bestH[half]
-				idx[half] = s.bestIdx[half]
-				tips[half] = s.bestTip[half]
-			}
-		}
-	}
-	return tips, heights
+	return e.stats.bestTip, e.stats.bestH
 }
 
 // Run executes cfg.Rounds rounds and returns the result. It is
@@ -626,11 +427,6 @@ func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
 	res := &Result{
 		Tree:    e.tree,
 		Records: make([]RoundRecord, 0, e.cfg.Rounds),
-	}
-	if len(e.shards) > 1 {
-		// Acquire the worker pool once; every round's delivery phase
-		// reuses it without further setup.
-		e.acquirePool()
 	}
 	e.armFastForward()
 	e.nextCompact = e.cfg.CompactEvery
@@ -734,9 +530,9 @@ func (e *Engine) step() (RoundRecord, error) {
 	// messages and adopts the longest chain seen (the longest-chain rule
 	// inlined: a candidate wins only when strictly higher; ties keep the
 	// current chain). The network hands the round over whole, and
-	// deliver adopts it — in bulk under fast-forward, otherwise by the
-	// sharded walk, with bit-identical results either way (see the
-	// Config doc). A round with nothing due skips the phase outright.
+	// deliver adopts it — in bulk under fast-forward, otherwise by a
+	// per-recipient walk, with bit-identical results either way. A round
+	// with nothing due skips the phase outright.
 	if due := e.net.Deliver(t); len(due) > 0 {
 		if err := e.deliver(t, due); err != nil {
 			return RoundRecord{}, err
@@ -849,8 +645,8 @@ func (c *Context) MaxHonestHeight() int { return c.e.MaxHonestHeight() }
 
 // BranchBest returns the highest honest tip and height of each half of
 // the honest player range (split at honest/2), from the engine's
-// incremental per-shard accumulators — O(shards) instead of a walk over
-// all honest views.
+// incremental accumulators — O(1) instead of a walk over all honest
+// views.
 func (c *Context) BranchBest() (tips [2]blockchain.BlockID, heights [2]int) {
 	return c.e.BranchBest()
 }

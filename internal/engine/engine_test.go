@@ -389,9 +389,9 @@ func (a *rogueAnnouncer) Mine(ctx *Context, _ int) {
 // TestUnknownBlockDeliveryError pins the engine's refusal to deliver a
 // block missing from the tree: the run fails in the delivery round with
 // ErrUnknownBlock, is marked Partial, and keeps exactly the records of
-// the rounds before it — on the serial and the sharded walk, and with
-// fast-forward on, where a SendToAll round is delivered by the flash
-// fold.
+// the rounds before it — on the delivery walk (with the ignored Shards
+// field unset and set), and with fast-forward on, where a SendToAll
+// round is delivered by the flash fold.
 func TestUnknownBlockDeliveryError(t *testing.T) {
 	for _, toAll := range []bool{false, true} {
 		for _, shards := range []int{1, 3} {

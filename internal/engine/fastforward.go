@@ -29,7 +29,7 @@ package engine
 //     network's uniform broadcast slot and the honest views are
 //     compactly tracked (one majority tip plus ≤ ffMaxDeviants recent
 //     miners), the per-recipient adoption walk collapses to one fold
-//     per view class plus an O(shards + deviants) statistics rebuild —
+//     per view class plus an O(height span + deviants) statistics rebuild —
 //     bit-identical to the walk because the longest-chain fold from a
 //     given start height has a unique outcome (see flashDeliver). The
 //     views stay lazy while tracked: only the deviants' per-player
@@ -70,7 +70,7 @@ const (
 	maxSkipSpan = 1 << 14
 	// ffMaxDeviants caps the compact view tracking: once more players
 	// deviate from the majority tip than this, flash delivery hands the
-	// round back to the sharded walk (re-arming when views reconverge).
+	// round back to the walk (re-arming when views reconverge).
 	ffMaxDeviants = 64
 )
 
@@ -255,7 +255,7 @@ func (e *Engine) isDeviant(i int) bool {
 // view into every non-deviant entry of e.tips/e.tipHeights so each entry
 // is authoritative again. It is the only O(players) step of the
 // fast-forward path and runs only where per-player views are read in
-// bulk: before the sharded walk, when the deviant list overflows, and at
+// bulk: before the delivery walk, when the deviant list overflows, and at
 // finalize. A no-op when the views are not tracked.
 func (e *Engine) materializeViews() {
 	if !e.ff.uniformValid {
@@ -367,38 +367,21 @@ func (e *Engine) flashDeliver(due []network.Entry) {
 	e.ff.deviants = keep
 	e.ff.majTip, e.ff.majH = newTip, newH
 
-	// Rebuild the per-shard statistics from the two view classes in
-	// O(shard span + deviants) per shard, instead of per-player
-	// remove/add pairs.
-	for k := range e.shards {
-		e.rebuildShardUniform(&e.shards[k])
-	}
+	// Rebuild the statistics from the two view classes in O(height span
+	// + deviants), instead of per-player remove/add pairs.
+	e.rebuildUniform()
 }
 
-// addTipRef counts count views on tip id, growing the refcount arena
-// and registering the tip in tipList on first reference — the tip half
-// of shardStat.add, for bulk counts.
-func (s *shardStat) addTipRef(id blockchain.BlockID, count int32) {
-	for uint64(len(s.tipRefs)) <= uint64(id) {
-		s.tipRefs = append(s.tipRefs, 0)
-		s.tipPos = append(s.tipPos, 0)
-	}
-	s.tipRefs[id] += count
-	if s.tipRefs[id] == count {
-		s.tipList = append(s.tipList, id)
-		s.tipPos[id] = int32(len(s.tipList))
-	}
-}
-
-// rebuildShardUniform rewrites shard s's accumulators for the
-// post-flash views: every player in [lo, hi) on the new majority
-// (ff.majTip, ff.majH) except the tracked deviants, whose entries hold
-// their own views. All resulting fields are exact functions of the
-// current views — the same values the serial remove/add pairs would
-// have produced — so sharded and flash runs stay on one trace.
-func (e *Engine) rebuildShardUniform(s *shardStat) {
+// rebuildUniform rewrites the view statistics for the post-flash views:
+// every player on the new majority (ff.majTip, ff.majH) except the
+// tracked deviants, whose entries hold their own views. All resulting
+// fields are exact functions of the current views — the same values the
+// per-player remove/add pairs would have produced — so walked and flash
+// runs stay on one trace.
+func (e *Engine) rebuildUniform() {
+	s := &e.stats
 	newTip, newH := e.ff.majTip, e.ff.majH
-	size := s.hi - s.lo
+	size := e.players
 	// Drop the old state: the height support is exactly [minH, maxH],
 	// and tipList enumerates every tip with a live refcount.
 	for h := s.minH; h <= s.maxH; h++ {
@@ -418,22 +401,15 @@ func (e *Engine) rebuildShardUniform(s *shardStat) {
 	s.minH, s.maxH = newH, newH
 	s.tracked = size
 	s.resetBest()
-	// Per-half argmax candidate: the lowest-indexed player of each half
-	// segment. If it is a majority member it is the majority class's
-	// argmax (all majority views tie at newH; lowest index wins); if it
-	// is a deviant, its height ≥ newH means no majority member can beat
-	// it either on height or on the min-index tie-break, so comparing
-	// the deviants (below) against this candidate is exhaustive.
-	for half := 0; half < 2; half++ {
-		a, b := s.lo, s.hi
-		if half == 0 {
-			if b > e.halfLo {
-				b = e.halfLo
-			}
-		} else if a < e.halfLo {
-			a = e.halfLo
-		}
-		if a >= b {
+	// Per-half argmax candidate: the lowest-indexed player of each half.
+	// If it is a majority member it is the majority class's argmax (all
+	// majority views tie at newH; lowest index wins); if it is a
+	// deviant, its height ≥ newH means no majority member can beat it
+	// either on height or on the min-index tie-break, so comparing the
+	// deviants (below) against this candidate is exhaustive.
+	for half, seg := range [2][2]int{{0, e.halfLo}, {e.halfLo, size}} {
+		a := seg[0]
+		if a >= seg[1] {
 			continue
 		}
 		if tip, h := e.view(a); h > 0 {
@@ -442,9 +418,6 @@ func (e *Engine) rebuildShardUniform(s *shardStat) {
 	}
 	majCount := size
 	for _, d := range e.ff.deviants {
-		if d < s.lo || d >= s.hi {
-			continue
-		}
 		dTip, dH := e.tips[d], e.tipHeights[d]
 		majCount--
 		if dH != newH {
@@ -472,8 +445,8 @@ func (e *Engine) rebuildShardUniform(s *shardStat) {
 	if majCount > 0 {
 		s.addTipRef(newTip, int32(majCount))
 	}
-	// Every shard member may be a taller deviant, leaving zero views at
-	// newH: advance the bracket onto the real support.
+	// Every player may be a taller deviant, leaving zero views at newH:
+	// advance the bracket onto the real support.
 	for s.minH < s.maxH && s.heightCount[s.minH] == 0 {
 		s.minH++
 	}

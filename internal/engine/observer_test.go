@@ -6,7 +6,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"runtime"
 	"strings"
 	"testing"
 )
@@ -181,35 +180,12 @@ func TestRunContextFinishRunsOnCancel(t *testing.T) {
 	}
 }
 
-func TestAutoShardsHeuristic(t *testing.T) {
-	if got := autoShards(100); got != 1 {
-		t.Errorf("autoShards(100) = %d, want 1 (serial below the threshold)", got)
-	}
-	if got := autoShards(autoShardMinPlayers - 1); got != 1 {
-		t.Errorf("autoShards(threshold-1) = %d, want 1", got)
-	}
-	big := autoShards(1 << 20)
-	if big < 1 || big > runtime.GOMAXPROCS(0) {
-		t.Errorf("autoShards(1M) = %d outside [1, GOMAXPROCS]", big)
-	}
-	// Just above the threshold every shard keeps ≥ the per-worker floor.
-	p := autoShards(autoShardMinPlayers)
-	if p < 1 || (p > 1 && autoShardMinPlayers/p < autoShardPlayersPerWorker) {
-		t.Errorf("autoShards(%d) = %d leaves shards below %d players",
-			autoShardMinPlayers, p, autoShardPlayersPerWorker)
-	}
-}
-
 func TestAutoShardsConfigResolves(t *testing.T) {
-	// AutoShards must build and run; with 16 honest players it resolves
-	// to serial, and the trace matches an explicit serial run.
+	// The deprecated AutoShards value must still build and run.
 	cfg := Config{Params: testParams(), Rounds: 200, Seed: 6, Shards: AutoShards}
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(e.shards) != 1 {
-		t.Errorf("AutoShards resolved to %d shards for 15 players, want 1", len(e.shards))
 	}
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)

@@ -11,50 +11,43 @@ import (
 // real player index compares smaller.
 const maxIdx = int(^uint(0) >> 1)
 
-// shardStat owns the incremental honest-view statistics of the players
-// in [lo, hi) — one shard of the delivery phase. Every field is written
-// only by the worker that owns the shard (delivery phase) or by the
-// serial phases of the round loop, so shards never need locks; the
-// engine's global queries (MaxHonestHeight, DistinctTipCount,
-// BranchBest, …) merge the P shard accumulators in O(P) after the
-// delivery barrier.
+// viewStats holds the incremental honest-view statistics: every tip
+// change and honest-set resize updates it, so the engine's global
+// queries (MaxHonestHeight, DistinctTipCount, BranchBest, …) are O(1)
+// reads instead of scans over all players.
 //
-// The accumulators are exact functions of the current honest views in
-// the shard, not of the update order: heights only ever increase under
-// the longest-chain rule, so merging shard maxima reproduces bit for bit
-// what a serial scan over all players would report. That property is
-// what keeps sharded runs on the serial engine's golden traces.
-type shardStat struct {
-	// lo, hi bound the player index range this shard owns.
-	lo, hi int
-	// heightCount[h] counts honest views in the shard at chain height h;
-	// minH and maxH bracket its support (heights only grow, so the
-	// brackets advance amortized O(1)); tracked is the number of honest
-	// views currently counted.
+// The accumulators are exact functions of the current honest views, not
+// of the update order: heights only ever increase under the
+// longest-chain rule, so the brackets, refcounts and per-half argmax
+// report bit for bit what a scan over all players would.
+type viewStats struct {
+	// heightCount[h] counts honest views at chain height h; minH and
+	// maxH bracket its support (heights only grow, so the brackets
+	// advance amortized O(1)); tracked is the number of honest views
+	// currently counted.
 	heightCount []int
 	minH, maxH  int
 	tracked     int
-	// tipRefs[id] counts honest views in the shard sitting on tip id.
-	// tipList enumerates the ids with non-zero refcount (unordered) and
-	// tipPos[id] is that id's tipList index plus one (0 = absent), so
-	// distinct-tip queries never scan the refcount arena.
+	// tipRefs[id] counts honest views sitting on tip id. tipList
+	// enumerates the ids with non-zero refcount (unordered, hence
+	// distinct) and tipPos[id] is that id's tipList index plus one
+	// (0 = absent), so distinct-tip queries never scan the refcount
+	// arena.
 	tipRefs []int32
 	tipPos  []int32
 	tipList []blockchain.BlockID
 	// Per-half argmax for the adversary's BranchBest query: for half
 	// ∈ {0, 1} (split at the engine's halfLo boundary), the maximal
-	// honest chain height in shard∩half, the minimal player index
-	// attaining it, and that player's tip. bestIdx is maxIdx until a
-	// player passes height 0.
+	// honest chain height in that half, the minimal player index
+	// attaining it, and that player's tip. bestIdx is maxIdx and bestTip
+	// GenesisID until a player of the half passes height 0.
 	bestH   [2]int
 	bestIdx [2]int
 	bestTip [2]blockchain.BlockID
-	// pad defeats false sharing between adjacent shards' hot counters.
-	_ [64]byte
 }
 
 // resetBest clears the per-half argmax accumulators.
-func (s *shardStat) resetBest() {
+func (s *viewStats) resetBest() {
 	for half := 0; half < 2; half++ {
 		s.bestH[half] = 0
 		s.bestIdx[half] = maxIdx
@@ -64,7 +57,7 @@ func (s *shardStat) resetBest() {
 
 // add counts honest player i at tip id, height h. halfLo is the engine's
 // current half boundary (honest/2).
-func (s *shardStat) add(i int, id blockchain.BlockID, h, halfLo int) {
+func (s *viewStats) add(i int, id blockchain.BlockID, h, halfLo int) {
 	for len(s.heightCount) <= h {
 		s.heightCount = append(s.heightCount, 0)
 	}
@@ -80,15 +73,7 @@ func (s *shardStat) add(i int, id blockchain.BlockID, h, halfLo int) {
 	}
 	s.tracked++
 	s.heightCount[h]++
-	for uint64(len(s.tipRefs)) <= uint64(id) {
-		s.tipRefs = append(s.tipRefs, 0)
-		s.tipPos = append(s.tipPos, 0)
-	}
-	s.tipRefs[id]++
-	if s.tipRefs[id] == 1 {
-		s.tipList = append(s.tipList, id)
-		s.tipPos[id] = int32(len(s.tipList))
-	}
+	s.addTipRef(id, 1)
 	half := 0
 	if i >= halfLo {
 		half = 1
@@ -103,12 +88,26 @@ func (s *shardStat) add(i int, id blockchain.BlockID, h, halfLo int) {
 	}
 }
 
+// addTipRef counts count views on tip id, growing the refcount arena
+// and registering the tip in tipList on first reference.
+func (s *viewStats) addTipRef(id blockchain.BlockID, count int32) {
+	for uint64(len(s.tipRefs)) <= uint64(id) {
+		s.tipRefs = append(s.tipRefs, 0)
+		s.tipPos = append(s.tipPos, 0)
+	}
+	s.tipRefs[id] += count
+	if s.tipRefs[id] == count {
+		s.tipList = append(s.tipList, id)
+		s.tipPos[id] = int32(len(s.tipList))
+	}
+}
+
 // remove uncounts an honest view at tip id, height h. The per-half
 // argmax is deliberately left alone: on the longest-chain path a remove
 // is always paired with an add of the same player at a greater height
 // (setTip), which re-establishes the argmax; honest-set resizes instead
 // trigger recomputeBest.
-func (s *shardStat) remove(id blockchain.BlockID, h int) {
+func (s *viewStats) remove(id blockchain.BlockID, h int) {
 	s.tracked--
 	s.heightCount[h]--
 	if s.heightCount[h] == 0 && s.tracked > 0 {
@@ -136,16 +135,12 @@ func (s *shardStat) remove(id blockchain.BlockID, h int) {
 	}
 }
 
-// recomputeBest rebuilds the per-half argmax from the current views —
-// needed after honest-set resizes, which both evict players and move the
-// half boundary.
-func (s *shardStat) recomputeBest(tips []blockchain.BlockID, heights []int, honest, halfLo int) {
+// recomputeBest rebuilds the per-half argmax from the current views of
+// the honest players [0, honest) — needed after honest-set resizes,
+// which both evict players and move the half boundary.
+func (s *viewStats) recomputeBest(tips []blockchain.BlockID, heights []int, honest, halfLo int) {
 	s.resetBest()
-	hi := s.hi
-	if honest < hi {
-		hi = honest
-	}
-	for i := s.lo; i < hi; i++ {
+	for i := 0; i < honest; i++ {
 		half := 0
 		if i >= halfLo {
 			half = 1
@@ -156,19 +151,6 @@ func (s *shardStat) recomputeBest(tips []blockchain.BlockID, heights []int, hone
 	}
 }
 
-// shardOf returns the shard owning player i.
-func (e *Engine) shardOf(i int) *shardStat {
-	if len(e.shards) == 1 {
-		return &e.shards[0]
-	}
-	q, r := e.players/len(e.shards), e.players%len(e.shards)
-	t := r * (q + 1)
-	if i < t {
-		return &e.shards[i/(q+1)]
-	}
-	return &e.shards[r+(i-t)/q]
-}
-
 // deliver runs round t's delivery phase over the due entries. It first
 // checks that every delivered block is in the global tree (an O(1)
 // arena probe per entry): a strategy sending an unregistered block is a
@@ -176,7 +158,10 @@ func (e *Engine) shardOf(i int) *shardStat {
 // on the first unknown block in delivery order before any view moves.
 // A round of nil-list entries onto compactly tracked views is then
 // folded in bulk (flashDeliver, bit-identical by construction); any
-// other round writes the tracked views back and takes the sharded walk.
+// other round writes the tracked views back and walks the entries,
+// applying the longest-chain rule (adopt only strictly higher chains).
+// The entries are in delivery order, so every recipient meets its
+// messages in that order.
 func (e *Engine) deliver(t int, due []network.Entry) error {
 	uniform := true
 	for k := range due {
@@ -190,40 +175,22 @@ func (e *Engine) deliver(t int, due []network.Entry) error {
 		return nil
 	}
 	e.materializeViews()
-	if len(e.shards) == 1 {
-		e.deliverRange(&e.shards[0], due)
-		return nil
-	}
-	// One pool task per shard (persistent workers — zero goroutine
-	// spawns per round in steady state). The shards' recipient ranges
-	// partition [0, players), so the tasks touch disjoint views and
-	// accumulators; the entries and the block tree are only read.
-	e.due = due
-	e.acquirePool().Run(len(e.shards), e.deliverFn)
-	e.due = nil
-	return nil
-}
-
-// deliverRange walks the due entries over shard s's recipients, applying
-// the longest-chain rule (adopt only strictly higher chains). The
-// entries are in delivery order, so every recipient meets its messages
-// in that order.
-func (e *Engine) deliverRange(s *shardStat, due []network.Entry) {
 	for k := range due {
 		en := &due[k]
 		id, h := en.Msg.Block.ID, int(en.Msg.Block.Height)
 		if en.To != nil {
-			for _, i := range en.Within(s.lo, s.hi) {
+			for _, i := range en.To {
 				if h > e.tipHeights[i] {
 					e.setTip(int(i), id, h)
 				}
 			}
 			continue
 		}
-		for i := s.lo; i < s.hi; i++ {
+		for i := 0; i < e.players; i++ {
 			if h > e.tipHeights[i] && i != int(en.Msg.From) {
 				e.setTip(i, id, h)
 			}
 		}
 	}
+	return nil
 }

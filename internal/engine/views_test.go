@@ -8,42 +8,6 @@ import (
 	"neatbound/internal/params"
 )
 
-// TestShardPartition checks the contiguous player partition for many
-// (players, shards) combinations, including shards > players.
-func TestShardPartition(t *testing.T) {
-	for _, n := range []int{4, 8, 17, 41, 101, 128} {
-		for _, shards := range []int{1, 2, 3, 7, 16, 200} {
-			e, err := New(Config{
-				Params: params.Params{N: n, P: 0.01, Delta: 2, Nu: 0.25},
-				Rounds: 1, Shards: shards,
-			})
-			if err != nil {
-				t.Fatalf("n=%d shards=%d: %v", n, shards, err)
-			}
-			players := e.players
-			if got := len(e.shards); got > players || got < 1 {
-				t.Fatalf("players=%d shards=%d: %d shards built", players, shards, got)
-			}
-			next := 0
-			for k := range e.shards {
-				s := &e.shards[k]
-				if s.lo != next || s.hi <= s.lo {
-					t.Fatalf("players=%d shards=%d: shard %d spans [%d, %d) after %d", players, shards, k, s.lo, s.hi, next)
-				}
-				for i := s.lo; i < s.hi; i++ {
-					if e.shardOf(i) != s {
-						t.Fatalf("players=%d shards=%d: shardOf(%d) missed shard %d", players, shards, i, k)
-					}
-				}
-				next = s.hi
-			}
-			if next != e.players {
-				t.Fatalf("players=%d shards=%d: partition covers %d of %d", players, shards, next, e.players)
-			}
-		}
-	}
-}
-
 // branchBestBrute is the O(honest) reference scan BranchBest replaced:
 // ascending player index, strictly-greater height wins.
 func branchBestBrute(e *Engine) (tips [2]blockchain.BlockID, heights [2]int) {
@@ -64,8 +28,8 @@ func branchBestBrute(e *Engine) (tips [2]blockchain.BlockID, heights [2]int) {
 // TestBranchBestMatchesScan runs a balance-attacked, adaptively
 // corrupted execution — exercising adopt, mine, and resize updates plus
 // the half-boundary moves the golden set never combines — and checks
-// the incremental per-shard argmax against the reference scan after
-// every round, for serial and sharded engines.
+// the incremental per-half argmax against the reference scan after
+// every round, with the ignored Shards field unset and set.
 func TestBranchBestMatchesScan(t *testing.T) {
 	for _, shards := range []int{1, 3} {
 		adv := &balanceProbe{}
@@ -137,10 +101,10 @@ func (balanceProbe) Mine(ctx *Context, mined int) {
 	}
 }
 
-// TestShardedParityLargeN pins serial/sharded bit-identity at a player
-// count above the network's parallel-broadcast threshold (4096), which
-// the n=40 golden cases never reach: the records, final tips and tree
-// of a Shards=1 and a Shards=4 run must match field for field.
+// TestShardedParityLargeN pins that the ignored Shards field stays
+// result-neutral at a player count the n=40 golden cases never reach:
+// the records, final tips and tree of a Shards=1 and a Shards=4 run
+// must match field for field.
 func TestShardedParityLargeN(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large-n simulation")

@@ -94,14 +94,6 @@ type Entry struct {
 	To []int32
 }
 
-// Within returns the recipients of the explicit list To that lie in
-// [lo, hi), by binary search. It must not be called on a nil To.
-func (en *Entry) Within(lo, hi int) []int32 {
-	a, _ := slices.BinarySearch(en.To, int32(lo))
-	b, _ := slices.BinarySearch(en.To, int32(hi))
-	return en.To[a:b]
-}
-
 // DelayPolicy is the adversary's scheduling interface for honest
 // broadcasts: it picks the delivery round for a message to a specific
 // recipient. Returned values outside [SentRound+1, SentRound+Δ] are

@@ -2,6 +2,7 @@ package network
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -14,8 +15,7 @@ func blk(id blockchain.BlockID) Announce {
 }
 
 // drain delivers round and expands its entries into each recipient's
-// messages, walking the recipients in shards contiguous ranges the way
-// the engine's sharded delivery does.
+// messages, walking the recipients in shards contiguous ranges.
 func drain(n *Network, round, shards int) [][]Message {
 	bounds := make([][2]int, shards)
 	for k := range bounds {
@@ -25,10 +25,10 @@ func drain(n *Network, round, shards int) [][]Message {
 }
 
 // drainShards delivers round and expands its entries over each
-// [lo, hi) range of bounds, one goroutine per range, as the engine's
-// delivery shards read the entries concurrently. Recipients outside
-// every range get nothing. It panics when an explicit recipient list is
-// not strictly ascending, since Within relies on that.
+// [lo, hi) range of bounds, one goroutine per range, so the entries are
+// read concurrently. Recipients outside every range get nothing. It
+// panics when an explicit recipient list is not strictly ascending,
+// since within relies on that.
 func drainShards(n *Network, round int, bounds [][2]int) [][]Message {
 	got := make([][]Message, n.Players())
 	due := n.Deliver(round)
@@ -48,7 +48,7 @@ func drainShards(n *Network, round int, bounds [][2]int) [][]Message {
 			for i := range due {
 				en := &due[i]
 				if en.To != nil {
-					for _, r := range en.Within(lo, hi) {
+					for _, r := range within(en.To, lo, hi) {
 						got[r] = append(got[r], en.Msg)
 					}
 					continue
@@ -63,6 +63,14 @@ func drainShards(n *Network, round int, bounds [][2]int) [][]Message {
 	}
 	wg.Wait()
 	return got
+}
+
+// within returns the recipients of the ascending list to that lie in
+// [lo, hi), by binary search.
+func within(to []int32, lo, hi int) []int32 {
+	a, _ := slices.BinarySearch(to, int32(lo))
+	b, _ := slices.BinarySearch(to, int32(hi))
+	return to[a:b]
 }
 
 func TestNewValidation(t *testing.T) {

@@ -1,11 +1,10 @@
 // Package pool provides the persistent worker-pool runtime the
-// simulation's parallel phases run on. The engine's sharded delivery
-// phase and the consistency checker's pairwise scan both used to spawn
-// fresh goroutines per call (per round, in the engine's case); a Pool
-// replaces those spawns with long-lived workers and a lightweight
-// reusable barrier, so the steady-state cost of a parallel phase is a
-// handful of channel operations instead of P goroutine creations plus a
-// sync.WaitGroup cycle.
+// consistency checker's pairwise scans run on. The scans used to spawn
+// fresh goroutines per call; a Pool replaces those spawns with
+// long-lived workers and a lightweight reusable barrier, so the
+// steady-state cost of a parallel phase is a handful of channel
+// operations instead of P goroutine creations plus a sync.WaitGroup
+// cycle.
 //
 // # Barrier protocol
 //
@@ -37,7 +36,7 @@
 // # Ownership rules
 //
 // Run is safe for concurrent use: a Pool serializes phases internally,
-// so independent owners (the per-cell engines of a sweep, say) may share
+// so independent owners (the per-cell checkers of a sweep, say) may share
 // one Pool — they take turns instead of oversubscribing the scheduler
 // with competing goroutine fleets. Everything else is single-owner:
 // Close must not race with Run, and a closed Pool must not be Run again.
@@ -193,9 +192,8 @@ var (
 )
 
 // Default returns the process-wide shared Pool, created with GOMAXPROCS
-// workers on first use and never closed. Components that are not handed
-// an explicit Pool (engine delivery, checker scans, sweep cells) all
-// share it, so concurrent owners take turns on one worker set instead
+// workers on first use and never closed. Every sweep cell's checker
+// scans on it, so concurrent owners take turns on one worker set instead
 // of each spawning their own.
 func Default() *Pool {
 	defaultOnce.Do(func() { defaultPool = New(runtime.GOMAXPROCS(0)) })

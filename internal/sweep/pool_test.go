@@ -2,36 +2,35 @@ package sweep
 
 import (
 	"testing"
-
-	"neatbound/internal/pool"
 )
 
-// TestSweepSharedPoolParity pins that running a grid's cells sharded on
-// one injected shared pool — concurrent cell engines and checkers
-// taking turns on the same workers — reproduces the serial-cell grid
-// cell for cell. It also exercises pool reuse across sweep cells under
+// TestSweepSharedPoolParity pins that running a grid's cells
+// concurrently — their consistency checkers' pairwise scans taking
+// turns on the shared process-wide pool — reproduces the one-worker
+// grid cell for cell, with the ignored EngineShards set on the
+// concurrent side. Sampling every other round keeps every scan on the
+// pooled path. It also exercises pool reuse across sweep cells under
 // the race detector.
 func TestSweepSharedPoolParity(t *testing.T) {
 	base := Config{
-		N:        24,
-		Delta:    2,
-		NuValues: []float64{0.15, 0.3},
-		CValues:  []float64{2, 6},
-		Rounds:   600,
-		Seed:     11,
-		T:        4,
-		Workers:  3,
+		N:           24,
+		Delta:       2,
+		NuValues:    []float64{0.15, 0.3},
+		CValues:     []float64{2, 6},
+		Rounds:      600,
+		SampleEvery: 2,
+		Seed:        11,
+		T:           4,
+		Workers:     1,
 	}
 	serial, err := runOnce(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shared := pool.New(2)
-	defer shared.Close()
-	pooled := base
-	pooled.EngineShards = 3
-	pooled.Pool = shared
-	got, err := runOnce(pooled)
+	shared := base
+	shared.Workers = 3
+	shared.EngineShards = 3
+	got, err := runOnce(shared)
 	if err != nil {
 		t.Fatal(err)
 	}

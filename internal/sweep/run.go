@@ -85,13 +85,9 @@ func RunOne(ctx context.Context, ecfg engine.Config, sem Semantics) (Report, *en
 	if err != nil {
 		return Report{}, nil, err
 	}
-	// The post-run pairwise scan shares the worker pool the engine's
-	// sharded phases use.
-	p := ecfg.Pool
-	if p == nil {
-		p = pool.Default()
-	}
-	checker.UsePool(p)
+	// The post-run pairwise scan runs on the process-wide pool, which
+	// every concurrent cell shares.
+	checker.UsePool(pool.Default())
 	checker.SetRetention(sem.CheckerRetention)
 	ledger, err := consistency.NewLedgerRecorder(ecfg.Params.Delta)
 	if err != nil {

@@ -56,10 +56,11 @@ type Semantics struct {
 // traces pin it), so content addresses ignore it and a cached or
 // resumed sweep may be retuned freely.
 type Tuning struct {
-	// EngineShards is the engine's delivery-phase parallelism
-	// (engine.Config.Shards; engine.AutoShards picks from GOMAXPROCS).
-	// 0 keeps engines serial, the right choice when the grid itself
-	// saturates the workers.
+	// EngineShards was the engine's delivery-phase parallelism.
+	//
+	// Deprecated: ignored; engine delivery is serial. Kept because
+	// engine_shards is part of the shard-spec and job-request wire
+	// formats, whose fields are add-only.
 	EngineShards int `json:"engine_shards,omitempty"`
 	// FastForward enables the engine's event-driven round skipping
 	// (engine.Config.FastForward); it pays off in sparse-mining cells
@@ -75,7 +76,6 @@ type Tuning struct {
 
 // Apply returns ecfg with the tuning knobs set.
 func (t Tuning) Apply(ecfg engine.Config) engine.Config {
-	ecfg.Shards = t.EngineShards
 	ecfg.FastForward = t.FastForward
 	ecfg.CompactEvery = t.CompactEvery
 	ecfg.CompactMinRetire = t.CompactMinRetire

@@ -9,10 +9,9 @@
 //
 // Execution is a job queue: every (cell, replicate) pair is one
 // independent job — the per-cell engine and RNG stream are
-// self-contained — fanned out across a bounded worker pool
-// (GOMAXPROCS-sized by default); all cells additionally share one
-// persistent pool.Pool (Config.Pool, defaulting to the process-wide
-// pool) for their engines' sharded phases and consistency scans, so
+// self-contained — fanned out across a bounded set of workers
+// (GOMAXPROCS by default); all cells additionally share the
+// process-wide pool.Default() for their consistency scans, so
 // concurrent cells take turns instead of oversubscribing the scheduler.
 // Callbacks (onCell, collect, onRep) always run on the caller's
 // goroutine, in completion order; a Config is value-copied at entry and
@@ -43,7 +42,6 @@ import (
 
 	"neatbound/internal/engine"
 	"neatbound/internal/params"
-	"neatbound/internal/pool"
 	"neatbound/internal/scenario"
 )
 
@@ -73,12 +71,6 @@ type Config struct {
 	Workers int
 	// Tuning holds the cell engines' throughput knobs.
 	Tuning
-	// Pool is the persistent worker pool every cell shares — sharded
-	// cell engines and the consistency checkers' pairwise scans all
-	// take turns on its workers instead of spawning competing goroutine
-	// fleets per cell. Nil shares the process-wide default pool. The
-	// pool never affects results.
-	Pool *pool.Pool
 	// CellOffset and RepOffset place this grid inside a larger parent
 	// sweep for cross-process sharding: per-job seeds derive from the
 	// parent's ν-major cell index (local index + CellOffset) and the
@@ -157,11 +149,6 @@ func runJobs(ctx context.Context, cfg Config, replicates int, collect func(idx, 
 	if workers > total {
 		workers = total
 	}
-	if cfg.Pool == nil {
-		// One pool for the whole grid: cells take turns on a shared
-		// worker set instead of each acquiring parallelism on its own.
-		cfg.Pool = pool.Default()
-	}
 	done := ctx.Done()
 	jobs := make(chan job)
 	results := make(chan result, workers)
@@ -222,7 +209,6 @@ func runCell(ctx context.Context, cfg Config, nu, c float64, seed uint64) Cell {
 		Params:    pr,
 		Seed:      seed,
 		Adversary: adv,
-		Pool:      cfg.Pool,
 	}), cfg.semantics())
 	return cell
 }

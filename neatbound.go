@@ -36,14 +36,14 @@
 // docs/interchange.md — with the merged grid bit-identical to RunSweep
 // for any partitioning.
 //
-// All parallel execution — the sharded delivery phase (WithShards /
-// WithAutoShards), the post-run consistency scan, and every sweep
-// cell — runs on one process-wide persistent worker pool
-// (internal/pool): workers are spawned once and reused through a
-// lightweight barrier, so steady-state rounds spawn no goroutines, and
-// concurrent owners (sweep cells, say) take turns on the shared worker
-// set instead of oversubscribing the scheduler. The pool never affects
-// results, only wall-clock time.
+// A single execution steps its rounds serially; parallelism comes from
+// running independent executions side by side (sweep cells, replicates,
+// distributed shards). The post-run consistency scan of every execution
+// runs on one process-wide persistent worker pool (internal/pool):
+// workers are spawned once and reused through a lightweight barrier,
+// and concurrent owners (sweep cells, say) take turns on the shared
+// worker set instead of oversubscribing the scheduler. The pool never
+// affects results, only wall-clock time.
 package neatbound
 
 import (

@@ -54,11 +54,10 @@ type ObserverFunc = engine.ObserverFunc
 // flattened).
 func Observers(obs ...Observer) Observer { return engine.Observers(obs...) }
 
-// AutoShards, passed to WithShards (or set by WithAutoShards), picks the
-// engine's delivery-phase parallelism from GOMAXPROCS and the player
-// count — serial below a measured player threshold, where per-round
-// worker spawn overhead dominates. Any shard count is bit-identical, so
-// the choice affects only throughput.
+// AutoShards was the WithShards value that picked the engine's
+// delivery-phase parallelism automatically.
+//
+// Deprecated: ignored, like WithShards.
 const AutoShards = engine.AutoShards
 
 // AdversaryOpts carries the strategy-specific knobs NewAdversaryByName
@@ -199,18 +198,14 @@ func WithAdversaryName(name string, opts AdversaryOpts) Option {
 		apply: func(o *runOptions) { o.Adversary, o.ForkDepth, o.advNameSet = name, opts.ForkDepth, true }}
 }
 
-// WithShards sets the engine's delivery-phase parallelism (see
-// engine.Config.Shards): 0 or 1 serial, P > 1 sharded, AutoShards picks
-// from GOMAXPROCS and the player count. Any value is bit-identical.
+// WithShards set the engine's delivery-phase parallelism. It still
+// fills the engine_shards field of a SweepRequest, which the wire format
+// keeps.
+//
+// Deprecated: ignored; engine delivery is serial.
 func WithShards(shards int) Option {
 	return Option{name: "WithShards", scope: scopeRun | scopeSweep | scopeDist | scopeSvc,
 		apply: func(o *runOptions) { o.EngineShards = shards }}
-}
-
-// WithAutoShards is WithShards(AutoShards).
-func WithAutoShards() Option {
-	return Option{name: "WithAutoShards", scope: scopeRun | scopeSweep | scopeDist | scopeSvc,
-		apply: func(o *runOptions) { o.EngineShards = AutoShards }}
 }
 
 // WithConsistency sets Definition 1's chop parameter T and the checker's

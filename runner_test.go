@@ -490,6 +490,9 @@ func TestUnmarshalCellsRoundTripsErrors(t *testing.T) {
 	}
 }
 
+// TestRunAutoShardsBitIdentical pins that the deprecated
+// WithShards(AutoShards), which frozen callers still pass, is ignored:
+// the report equals the default run's.
 func TestRunAutoShardsBitIdentical(t *testing.T) {
 	pr := Params{N: 40, P: 0.005, Delta: 4, Nu: 0.3}
 	serial, err := Run(context.Background(), pr,
@@ -498,11 +501,11 @@ func TestRunAutoShardsBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	auto, err := Run(context.Background(), pr,
-		WithRounds(1500), WithSeed(21), WithConsistency(6, 0), WithAutoShards())
+		WithRounds(1500), WithSeed(21), WithConsistency(6, 0), WithShards(AutoShards))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(serial.SimulationReport, auto.SimulationReport) {
-		t.Error("WithAutoShards diverged from the serial run")
+		t.Error("WithShards(AutoShards) diverged from the default run")
 	}
 }

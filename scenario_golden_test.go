@@ -14,10 +14,10 @@ import (
 // These golden hashes pin the scenario layer's observable behavior —
 // stochastic delay schedules, the healing partition, player churn and
 // skewed mining power — exactly like golden_trace_test.go pins the base
-// engine: the same trace hash must come out of every shard count, the
-// shared pool, and the FastForward configuration (scenarios disarm the
-// fast path, so the flag must be a byte-for-byte no-op, never a silent
-// divergence).
+// engine: the same trace hash must come out of every (ignored) shard
+// count, concurrent runs whose checkers share a pool, and the
+// FastForward configuration (scenarios disarm the fast path, so the
+// flag must be a byte-for-byte no-op, never a silent divergence).
 
 // scenarioGoldenCase compiles a scenario spec onto an engine config; the
 // base adversary (nil = passive) is wrapped with the scenario's delay
@@ -139,21 +139,23 @@ func TestScenarioGoldenTracesFastForward(t *testing.T) {
 	}
 }
 
-// TestScenarioGoldenTracesPooled pins that running the scenario cases on
-// one shared persistent pool changes nothing.
+// TestScenarioGoldenTracesPooled pins that running the scenario cases
+// concurrently, their pooled consistency checkers sharing one
+// persistent pool of 2 or 7 workers, changes nothing: every trace keeps
+// its golden hash and every pooled scan equals the serial one (see
+// TestGoldenTracesPooledShared).
 func TestScenarioGoldenTracesPooled(t *testing.T) {
-	p := pool.New(3)
-	defer p.Close()
-	for name, gc := range scenarioGoldenCases(t) {
-		for _, shards := range []int{2, 7} {
-			gc := gc
-			gc.cfg.Shards = shards
-			gc.cfg.Pool = p
-			t.Run(fmt.Sprintf("%s/pool-shards=%d", name, shards), func(t *testing.T) {
+	for _, workers := range []int{2, 7} {
+		p := pool.New(workers)
+		t.Cleanup(p.Close)
+		for name, gc := range scenarioGoldenCases(t) {
+			gc := withCheckerParity(t, gc, p)
+			t.Run(fmt.Sprintf("%s/pool-shards=%d", name, workers), func(t *testing.T) {
+				t.Parallel()
 				got := traceHash(t, gc)
 				if want := scenarioGoldenTraces[name]; got != want {
-					t.Errorf("scenario golden trace %q pooled at shards=%d: hash %#x, want %#x",
-						name, shards, got, want)
+					t.Errorf("scenario golden trace %q with checkers on a %d-worker pool: hash %#x, want %#x",
+						name, workers, got, want)
 				}
 			})
 		}
