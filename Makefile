@@ -6,16 +6,16 @@ GO ?= go
 # append-only — cmd/benchjson refuses to overwrite an existing one.
 BENCH_LABEL ?= current
 
-.PHONY: verify fmt vet build examples docs-check loc perfbench test test-race test-parallel test-pool test-dist test-skip test-mem test-svc test-chaos test-scenarios bench bench-mem
+.PHONY: verify fmt vet build examples docs-check loc perfbench test test-race test-parallel test-dist test-skip test-mem test-svc test-chaos test-scenarios bench bench-mem
 
 ## verify: the full tier-1 gate — formatting, vet, build (`go build
 ## ./...` compiles the examples too), the package-doc check, the quick
-## pooled-parity, distributed-parity, fast-forward-equivalence,
-## memory/compaction, sweep-service, and fault-tolerance checks, and
-## the race test suite (~6 min; internal/dist's statistical tests
-## dominate), plus vet and tests of the perfbench module, which the root
-## `go test ./...` never compiles.
-verify: fmt vet build docs-check perfbench test-pool test-dist test-skip test-mem test-svc test-chaos test-scenarios test-race
+## distributed-parity, fast-forward-equivalence, memory/compaction,
+## sweep-service, and fault-tolerance checks, and the race test suite
+## (~6 min; internal/dist's statistical tests dominate), plus vet and
+## tests of the perfbench module, which the root `go test ./...` never
+## compiles.
+verify: fmt vet build docs-check perfbench test-dist test-skip test-mem test-svc test-chaos test-scenarios test-race
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -58,18 +58,9 @@ test-race:
 	$(GO) test -race ./...
 
 ## test-parallel: quick race pass over just the worker-parallel code
-## (worker pool, sweep job queue, façade).
+## (sweep job queue, façade).
 test-parallel:
-	$(GO) test -race ./internal/pool/ ./internal/sweep/ .
-
-## test-pool: seconds-long short-mode race pass over the worker pool and
-## the pooled checker-scan parity tests (the consistency scans alone,
-## a sweep's concurrent cells, and the golden runs whose checkers share
-## one pool), so the tier-1 gate exercises the persistent-pool path on
-## every run.
-test-pool:
-	$(GO) test -race -short ./internal/pool/
-	$(GO) test -race -short -run 'Pool|Pooled' ./internal/consistency/ ./internal/sweep/ .
+	$(GO) test -race ./internal/sweep/ .
 
 ## test-dist: seconds-long short-mode race pass over the distributed
 ## sweep driver — partitioning, the worker protocol, in-process
@@ -122,7 +113,7 @@ test-chaos:
 ## window and recipient-invariance properties, the partition heal, churn
 ## selection and weighted mining (incl. the all-ones ≡ unweighted
 ## identity and the FastForward disarm), the scenario golden traces
-## (with the ignored shard counts and with checkers on a shared pool),
+## (with the ignored shard counts and with consistency checkers attached),
 ## the interchange/shard-spec fuzz seed corpora, and the xval theory
 ## cross-checks (every scenario must sit on the correct side of the
 ## paper's bounds near c*). Every

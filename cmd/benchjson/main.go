@@ -40,9 +40,9 @@ type entry struct {
 	// became serial-only (0/1 = serial, -1 = automatic); it is kept so
 	// those entries re-encode unchanged, and new entries leave it 0.
 	// Cores records the machine's CPU count (runtime.NumCPU()) and Procs
-	// the GOMAXPROCS the run could actually use (what sizes the worker
-	// pool — it can be lower than Cores under an explicit override or a
-	// container CPU quota), both stamped automatically at measurement
+	// the GOMAXPROCS the run could actually use (it can be lower than
+	// Cores under an explicit override or a container CPU quota), both
+	// stamped automatically at measurement
 	// time — PR-2 hand-labeled the cores field and the entries from the
 	// 1-core build box were flagged as misleading. Without an honest
 	// parallelism record a parallel-vs-serial comparison is meaningless.

@@ -48,8 +48,7 @@ const (
 // subprocesses. jobWorkers bounds each worker's (cell × replicate)
 // job-queue parallelism; 0 means GOMAXPROCS, so when launching several
 // workers prefer dividing the budget (GOMAXPROCS / worker count), which
-// is what RunSweepDistributed's default executor does. The workers'
-// consistency scans share the process-wide persistent pool.
+// is what RunSweepDistributed's default executor does.
 func NewInProcessExecutor(jobWorkers int) ShardExecutor {
 	return distsweep.InProcess{Opts: distsweep.WorkerOptions{Workers: jobWorkers}}
 }

@@ -298,23 +298,22 @@ func TestGoldenCompactionRetires(t *testing.T) {
 	}
 }
 
-// TestGoldenTracesPooledShared pins the shared persistent pool against
-// the golden hashes: all nine golden configurations run concurrently,
-// each carrying a serial and a pooled consistency checker, and every
-// pooled checker scans on ONE shared P-worker pool — the way every sweep
-// cell's checker shares the process-wide pool. Every trace must still
-// reproduce its golden hash, and every pooled scan must equal the
-// serial one.
+// TestGoldenTracesPooledShared pins concurrent runs with checkers
+// attached against the golden hashes: all nine golden configurations
+// run as parallel subtests, each carrying a plain consistency checker
+// and one handed the ignored UsePool(pool.Default()). Every trace must
+// still reproduce its golden hash, and both checkers must agree. The
+// P=2 and P=7 labels name the pool sizes these runs once shared; they
+// are kept so the subtest names stay stable, and each label runs every
+// case once more.
 func TestGoldenTracesPooledShared(t *testing.T) {
 	for _, workers := range []int{2, 7} {
-		shared := pool.New(workers)
-		t.Cleanup(shared.Close)
 		for name, gc := range goldenCases(t) {
-			gc := withCheckerParity(t, gc, shared)
+			gc := withCheckerParity(t, gc)
 			t.Run(fmt.Sprintf("%s/P=%d", name, workers), func(t *testing.T) {
 				t.Parallel()
 				if got, want := traceHash(t, gc), goldenTraces[name]; got != want {
-					t.Errorf("trace hash = %#x, want %#x — checkers sharing a %d-worker pool perturbed the run", got, want, workers)
+					t.Errorf("trace hash = %#x, want %#x — attached checkers perturbed the run", got, want)
 				}
 			})
 		}
@@ -322,13 +321,12 @@ func TestGoldenTracesPooledShared(t *testing.T) {
 }
 
 // withCheckerParity returns gc with a checkerParity on its observer
-// stack, the pooled checker scanning on shared. Sampling every 10th
-// round of a 3000-round case gives 300 snapshots, enough pairs that
-// both scans take the pooled path.
-func withCheckerParity(t *testing.T, gc goldenCase, shared *pool.Pool) goldenCase {
+// stack. Sampling every 10th round of a 3000-round case gives 300
+// snapshots, so both scans do real pairwise work.
+func withCheckerParity(t *testing.T, gc goldenCase) goldenCase {
 	t.Helper()
 	const every = 10
-	serial, err := consistency.NewChecker(6, every)
+	plain, err := consistency.NewChecker(6, every)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,23 +334,24 @@ func withCheckerParity(t *testing.T, gc goldenCase, shared *pool.Pool) goldenCas
 	if err != nil {
 		t.Fatal(err)
 	}
-	pooled.UsePool(shared)
-	gc.cfg.Observer = engine.Observers(checkerParity{serial, pooled}, gc.cfg.Observer)
+	pooled.UsePool(pool.Default())
+	gc.cfg.Observer = engine.Observers(checkerParity{plain, pooled}, gc.cfg.Observer)
 	return gc
 }
 
-// checkerParity feeds one run to a serial and a pooled checker and fails
-// the run when their post-run violation lists or fork depths differ.
-// Observers only read the engine, so the trace hash is unaffected.
-type checkerParity struct{ serial, pooled *consistency.Checker }
+// checkerParity feeds one run to a plain checker and one handed the
+// ignored UsePool, and fails the run when their post-run violation
+// lists or fork depths differ. Observers only read the engine, so the
+// trace hash is unaffected.
+type checkerParity struct{ plain, pooled *consistency.Checker }
 
 func (c checkerParity) OnRound(e *engine.Engine, rec engine.RoundRecord) {
-	c.serial.OnRound(e, rec)
+	c.plain.OnRound(e, rec)
 	c.pooled.OnRound(e, rec)
 }
 
 func (c checkerParity) OnFinish(res *engine.Result) error {
-	want, err := c.serial.Check(res.Tree)
+	want, err := c.plain.Check(res.Tree)
 	if err != nil {
 		return err
 	}
@@ -361,14 +360,14 @@ func (c checkerParity) OnFinish(res *engine.Result) error {
 		return err
 	}
 	if !reflect.DeepEqual(got, want) {
-		return fmt.Errorf("pooled scan found %d violations, serial %d", len(got), len(want))
+		return fmt.Errorf("checker with UsePool found %d violations, plain checker %d", len(got), len(want))
 	}
-	wantDepth, err := c.serial.MaxForkDepth(res.Tree)
+	wantDepth, err := c.plain.MaxForkDepth(res.Tree)
 	if err != nil {
 		return err
 	}
 	if gotDepth, err := c.pooled.MaxForkDepth(res.Tree); err != nil || gotDepth != wantDepth {
-		return fmt.Errorf("pooled fork depth %d (%v), serial %d", gotDepth, err, wantDepth)
+		return fmt.Errorf("fork depth with UsePool %d (%v), plain checker %d", gotDepth, err, wantDepth)
 	}
 	return nil
 }

@@ -19,14 +19,11 @@
 //
 // A Checker is single-owner: OnRound observes one engine's rounds and
 // Check/MaxForkDepth run after (or between) rounds on the same
-// goroutine; nothing here is safe for concurrent use on one instance.
-// The pairwise scans behind Check and MaxForkDepth are internally
-// parallel when UsePool installs a worker pool (shared with other
-// checkers — owners take turns on it), partitioning the
-// snapshot-pair upper triangle into contiguous chunks folded back in
-// the serial scan's lexicographic order, so pooled results are
-// bit-identical to serial ones. Snapshot tips are copied into a
-// checker-owned arena, so the engine may reuse its buffers freely.
+// goroutine; nothing here is safe for concurrent use on one instance,
+// and nothing here spawns a goroutine: the pairwise scans behind Check
+// and MaxForkDepth walk the snapshot-pair upper triangle serially, in
+// lexicographic order. Snapshot tips are copied into a checker-owned
+// arena, so the engine may reuse its buffers freely.
 package consistency
 
 import (
@@ -209,9 +206,6 @@ type Checker struct {
 	// referenced by their snapshots when a new one is carved.
 	scratch []blockchain.BlockID
 	slab    []blockchain.BlockID
-	// pool, when set, runs ViolationsAtChop's pairwise scan on
-	// persistent workers (see UsePool).
-	pool *pool.Pool
 	// retain bounds the snapshot history to the most recent retain
 	// samples (0 = keep the whole run); pin is the running common
 	// ancestor of every retained snapshot tip, the single block the
@@ -243,10 +237,10 @@ func NewChecker(tee, every int) (*Checker, error) {
 	return &Checker{T: tee, Every: every}, nil
 }
 
-// UsePool sets the persistent worker pool ViolationsAtChop partitions
-// its pairwise scan over (nil reverts to the serial scan). Results are
-// bit-identical either way; the pool affects only wall-clock time.
-func (c *Checker) UsePool(p *pool.Pool) { c.pool = p }
+// UsePool does nothing: the pairwise scans are serial.
+//
+// Deprecated: ignored, like pool.Pool.
+func (c *Checker) UsePool(*pool.Pool) {}
 
 // SetRetention bounds the snapshot history to the most recent keep
 // samples; 0 (the default) retains the whole run. Retention is what
@@ -396,37 +390,31 @@ func (c *Checker) Check(tree *blockchain.Tree) ([]Violation, error) {
 	return c.ViolationsAtChop(tree, c.T)
 }
 
-// parallelCheckMinWork is the tip-pair comparison count below which
-// ViolationsAtChop stays serial even with a pool attached — under it,
-// the phase barrier costs more than the scan itself.
-const parallelCheckMinWork = 1 << 13
-
 // ViolationsAtChop evaluates the Definition-1 predicate at an arbitrary
 // chop parameter over the collected snapshots. It supports the S7
 // fork-depth-tail experiment, which scans chop values on one run.
 //
-// The scan is O(snaps² × tips²) pairwise work over a read-only tree.
-// With a pool attached (UsePool) and enough work to amortize a barrier,
-// the snapshot-pair upper triangle is partitioned across the pool's
-// workers and the per-chunk violation lists are concatenated in chunk
-// order — pairs are chunked contiguously in the serial scan's
-// lexicographic (r-index, s-index) order, so the pooled result is
-// bit-identical to the serial one, violations in the same order.
+// The scan is O(snaps² × tips²) pairwise work over a read-only tree,
+// walked in lexicographic (r-index, s-index) order; it stops at the
+// first error and then returns no violations.
 func (c *Checker) ViolationsAtChop(tree *blockchain.Tree, chop int) ([]Violation, error) {
 	if chop < 0 {
 		return nil, fmt.Errorf("consistency: chop %d must be ≥ 0", chop)
 	}
-	if c.pool != nil {
-		if work := c.pairWork(); work >= parallelCheckMinWork {
-			return c.violationsAtChopPooled(tree, chop, c.pool, work)
+	var out []Violation
+	var err error
+	for ri := range c.snaps {
+		for si := ri; si < len(c.snaps); si++ {
+			if out, err = c.scanPair(tree, chop, ri, si, out); err != nil {
+				return nil, err
+			}
 		}
 	}
-	return c.violationsAtChopSerial(tree, chop)
+	return out, nil
 }
 
 // scanPair evaluates the predicate for one snapshot pair (ri ≤ si),
-// appending violations to out — the shared inner loop of the serial and
-// pooled scans, so the two paths cannot drift apart.
+// appending violations to out.
 func (c *Checker) scanPair(tree *blockchain.Tree, chop, ri, si int, out []Violation) ([]Violation, error) {
 	sr, ss := c.snaps[ri], c.snaps[si]
 	for _, a := range sr.Tips {
@@ -454,129 +442,6 @@ func (c *Checker) scanPair(tree *blockchain.Tree, chop, ri, si int, out []Violat
 	return out, nil
 }
 
-// violationsAtChopSerial is the single-goroutine scan over the full
-// upper triangle.
-func (c *Checker) violationsAtChopSerial(tree *blockchain.Tree, chop int) ([]Violation, error) {
-	var out []Violation
-	var err error
-	for ri := range c.snaps {
-		for si := ri; si < len(c.snaps); si++ {
-			if out, err = c.scanPair(tree, chop, ri, si, out); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return out, nil
-}
-
-// pairWork estimates the scan's total tip-pair comparisons.
-func (c *Checker) pairWork() int {
-	work := 0
-	for ri := range c.snaps {
-		na := len(c.snaps[ri].Tips)
-		for si := ri; si < len(c.snaps); si++ {
-			work += na * len(c.snaps[si].Tips)
-		}
-	}
-	return work
-}
-
-// checkChunk is one pooled scan task: a contiguous range of the pair
-// sequence — [start, end) in the lexicographic (r-index, s-index) order
-// the serial scan walks — plus its private outputs (viols for the
-// violation scan, depth for the fork-depth scan). Storing boundary
-// positions instead of a materialized pair list keeps the pooled scan,
-// like the serial one, at O(1) extra space per task.
-type checkChunk struct {
-	startRi, startSi int // first pair, inclusive
-	endRi, endSi     int // boundary pair, exclusive
-	viols            []Violation
-	depth            int
-	err              error
-}
-
-// pairChunks cuts the snapshot-pair upper triangle into at most ntasks
-// contiguous chunks of roughly equal comparison counts (pair weights
-// vary with tip-set sizes) in one pass; total is the caller's
-// pairWork() estimate.
-func (c *Checker) pairChunks(ntasks, total int) []checkChunk {
-	nsnaps := len(c.snaps)
-	npairs := nsnaps * (nsnaps + 1) / 2
-	if ntasks > npairs {
-		ntasks = npairs
-	}
-	chunks := make([]checkChunk, 0, ntasks)
-	target, acc := (total+ntasks-1)/ntasks, 0
-	curRi, curSi := 0, 0
-	for ri := 0; ri < nsnaps; ri++ {
-		na := len(c.snaps[ri].Tips)
-		for si := ri; si < nsnaps; si++ {
-			acc += na * len(c.snaps[si].Tips)
-			if acc >= target && len(chunks) < ntasks-1 {
-				// The chunk ends after (ri, si); the boundary is the
-				// next pair in lexicographic order.
-				nri, nsi := ri, si+1
-				if nsi == nsnaps {
-					nri, nsi = ri+1, ri+1
-				}
-				chunks = append(chunks, checkChunk{startRi: curRi, startSi: curSi, endRi: nri, endSi: nsi})
-				curRi, curSi, acc = nri, nsi, 0
-			}
-		}
-	}
-	if curRi < nsnaps {
-		chunks = append(chunks, checkChunk{startRi: curRi, startSi: curSi, endRi: nsnaps, endSi: nsnaps})
-	}
-	return chunks
-}
-
-// scanChunk walks chunk ch's pair range in lexicographic order, calling
-// visit(ri, si) until the range is exhausted or visit errors (the error
-// lands in ch.err).
-func (c *Checker) scanChunk(ch *checkChunk, visit func(ri, si int) error) {
-	nsnaps := len(c.snaps)
-	ri, si := ch.startRi, ch.startSi
-	for ri < ch.endRi || (ri == ch.endRi && si < ch.endSi) {
-		if ch.err = visit(ri, si); ch.err != nil {
-			return
-		}
-		if si++; si == nsnaps {
-			ri++
-			si = ri
-		}
-	}
-}
-
-// violationsAtChopPooled partitions the snapshot-pair upper triangle
-// across the pool. The pair sequence is walked in the serial scan's
-// lexicographic order and cut into one contiguous, work-balanced chunk
-// per task; every task appends to its own violation list against the
-// frozen tree (all reads), and the lists concatenate in chunk order —
-// reproducing the serial output bit for bit. A chunk stops at its first
-// error; the error returned is the one from the lowest-indexed failing
-// chunk, i.e. the first error of the serial scan (earlier chunks
-// completed clean). total is the caller's pairWork() estimate (the
-// gating check already paid for the triangle walk).
-func (c *Checker) violationsAtChopPooled(tree *blockchain.Tree, chop int, p *pool.Pool, total int) ([]Violation, error) {
-	chunks := c.pairChunks(p.Workers()+1, total) // the Run caller participates
-	p.Run(len(chunks), func(t int) {
-		ch := &chunks[t]
-		c.scanChunk(ch, func(ri, si int) error {
-			var err error
-			ch.viols, err = c.scanPair(tree, chop, ri, si, ch.viols)
-			return err
-		})
-	})
-	var out []Violation
-	for i := range chunks {
-		if chunks[i].err != nil {
-			return nil, chunks[i].err
-		}
-		out = append(out, chunks[i].viols...)
-	}
-	return out, nil
-}
-
 // forkDepth returns height(a) − height(commonAncestor(a, b)).
 func forkDepth(tree *blockchain.Tree, a, b blockchain.BlockID) (int, error) {
 	anc, err := tree.CommonAncestor(a, b)
@@ -596,17 +461,20 @@ func forkDepth(tree *blockchain.Tree, a, b blockchain.BlockID) (int, error) {
 
 // MaxForkDepth returns the deepest fork across all sampled pairs — the
 // smallest T for which the run would have been consistent is
-// MaxForkDepth. It is cheaper than Check when only the depth is needed.
-// With a pool attached it partitions the same pair triangle as
-// ViolationsAtChop; the per-chunk maxima merge with plain max, which is
-// order-independent, so the pooled result is exactly the serial one.
+// MaxForkDepth. It is cheaper than Check when only the depth is needed:
+// one running maximum, threaded through the whole triangle, doubles as
+// the pruning bound.
 func (c *Checker) MaxForkDepth(tree *blockchain.Tree) (int, error) {
-	if c.pool != nil {
-		if work := c.pairWork(); work >= parallelCheckMinWork {
-			return c.maxForkDepthPooled(tree, c.pool, work)
+	max := 0
+	var err error
+	for ri := range c.snaps {
+		for si := ri; si < len(c.snaps); si++ {
+			if max, err = c.scanPairDepth(tree, ri, si, max); err != nil {
+				return 0, err
+			}
 		}
 	}
-	return c.maxForkDepthSerial(tree)
+	return max, nil
 }
 
 // scanPairDepth deepens max with the forks of one snapshot pair: depth
@@ -630,49 +498,6 @@ func (c *Checker) scanPairDepth(tree *blockchain.Tree, ri, si, max int) (int, er
 			if d > max {
 				max = d
 			}
-		}
-	}
-	return max, nil
-}
-
-// maxForkDepthSerial threads one global pruning bound through the whole
-// triangle.
-func (c *Checker) maxForkDepthSerial(tree *blockchain.Tree) (int, error) {
-	max := 0
-	var err error
-	for ri := range c.snaps {
-		for si := ri; si < len(c.snaps); si++ {
-			if max, err = c.scanPairDepth(tree, ri, si, max); err != nil {
-				return 0, err
-			}
-		}
-	}
-	return max, nil
-}
-
-// maxForkDepthPooled runs the depth scan chunked on the pool. Each
-// chunk prunes with its own running bound (slightly weaker pruning than
-// the serial scan's global bound — the only cost of parallelizing);
-// the final depth is the max over chunks, identical to the serial
-// result. Errors follow the lowest-chunk-first contract of
-// violationsAtChopPooled.
-func (c *Checker) maxForkDepthPooled(tree *blockchain.Tree, p *pool.Pool, total int) (int, error) {
-	chunks := c.pairChunks(p.Workers()+1, total)
-	p.Run(len(chunks), func(t int) {
-		ch := &chunks[t]
-		c.scanChunk(ch, func(ri, si int) error {
-			var err error
-			ch.depth, err = c.scanPairDepth(tree, ri, si, ch.depth)
-			return err
-		})
-	})
-	max := 0
-	for i := range chunks {
-		if chunks[i].err != nil {
-			return 0, chunks[i].err
-		}
-		if chunks[i].depth > max {
-			max = chunks[i].depth
 		}
 	}
 	return max, nil

@@ -36,129 +36,106 @@ func attackedChecker(t *testing.T, seed uint64, rounds, every int) (*Checker, *b
 	return ck, res.Tree
 }
 
-// TestPooledViolationsMatchSerial pins the pooled ViolationsAtChop
-// contract: for seeded attack runs, every chop value, and several pool
-// sizes, the pooled scan returns bit-identical violations — same
-// entries, same order — as the serial scan.
-func TestPooledViolationsMatchSerial(t *testing.T) {
-	for _, seed := range []uint64{3, 17} {
-		ck, tree := attackedChecker(t, seed, 2000, 8)
-		for _, workers := range []int{1, 3, 7} {
-			p := pool.New(workers)
-			for _, chop := range []int{0, 2, 5} {
-				want, err := ck.violationsAtChopSerial(tree, chop)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := ck.violationsAtChopPooled(tree, chop, p, ck.pairWork())
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(got) != len(want) {
-					t.Fatalf("seed=%d workers=%d chop=%d: pooled %d violations, serial %d",
-						seed, workers, chop, len(got), len(want))
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("seed=%d workers=%d chop=%d: violation %d diverged\npooled %+v\nserial %+v",
-							seed, workers, chop, i, got[i], want[i])
-					}
-				}
-			}
-			p.Close()
-		}
-	}
-}
-
-// TestPooledViolationsViaUsePool drives the public path: a checker with
-// an attached pool must route through the pooled scan (the run below
-// clears parallelCheckMinWork) and still reproduce the serial result.
+// TestPooledViolationsViaUsePool pins that the ignored UsePool stays
+// result-neutral: a checker handed pool.Default() reproduces the plain
+// checker's violations and fork depth, on a fixture that has violations.
 func TestPooledViolationsViaUsePool(t *testing.T) {
 	ck, tree := attackedChecker(t, 3, 2000, 8)
-	if work := ck.pairWork(); work < parallelCheckMinWork {
-		t.Fatalf("fixture too small to engage the pooled path: work %d < %d", work, parallelCheckMinWork)
-	}
 	want, err := ck.ViolationsAtChop(tree, ck.T)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := pool.New(4)
-	defer p.Close()
-	ck.UsePool(p)
+	wantDepth, err := ck.MaxForkDepth(tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck.UsePool(pool.Default())
 	got, err := ck.ViolationsAtChop(tree, ck.T)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != len(want) {
-		t.Fatalf("pooled %d violations, serial %d", len(got), len(want))
+		t.Fatalf("with UsePool %d violations, without %d", len(got), len(want))
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("violation %d diverged: pooled %+v serial %+v", i, got[i], want[i])
+			t.Fatalf("violation %d diverged: with UsePool %+v, without %+v", i, got[i], want[i])
 		}
 	}
 	if len(want) == 0 {
 		t.Fatal("fixture produced no violations — the comparison is vacuous")
 	}
-}
-
-// TestPooledMaxForkDepthMatchesSerial pins that the pooled depth scan —
-// chunk-local pruning bounds, max-merged — returns exactly the serial
-// scan's depth, through the public MaxForkDepth on both paths.
-func TestPooledMaxForkDepthMatchesSerial(t *testing.T) {
-	for _, seed := range []uint64{3, 17} {
-		ck, tree := attackedChecker(t, seed, 2000, 8)
-		want, err := ck.maxForkDepthSerial(tree)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want == 0 {
-			t.Fatal("fixture produced no forks — the comparison is vacuous")
-		}
-		for _, workers := range []int{1, 3, 7} {
-			p := pool.New(workers)
-			got, err := ck.maxForkDepthPooled(tree, p, ck.pairWork())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != want {
-				t.Fatalf("seed=%d workers=%d: pooled depth %d, serial %d", seed, workers, got, want)
-			}
-			p.Close()
-		}
-		ck.UsePool(pool.Default())
-		got, err := ck.MaxForkDepth(tree)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("seed=%d: MaxForkDepth via UsePool %d, serial %d", seed, got, want)
-		}
+	if gotDepth, err := ck.MaxForkDepth(tree); err != nil || gotDepth != wantDepth {
+		t.Fatalf("MaxForkDepth with UsePool %d (%v), without %d", gotDepth, err, wantDepth)
 	}
 }
 
 // TestPooledViolationsErrorMatchesSerial pins the error contract: a
-// snapshot referencing an unknown block must surface the same first
-// error from both scans, with no partial violation list.
+// snapshot referencing an unknown block makes both scans fail, with or
+// without the ignored UsePool, and ViolationsAtChop returns no partial
+// violation list.
 func TestPooledViolationsErrorMatchesSerial(t *testing.T) {
 	ck, tree := attackedChecker(t, 3, 1000, 8)
 	// Corrupt a mid-sequence snapshot with a tip the tree never saw.
 	ck.snaps[len(ck.snaps)/2].Tips = []blockchain.BlockID{987654}
-	serialViols, serialErr := ck.violationsAtChopSerial(tree, 0)
+	serialViols, serialErr := ck.ViolationsAtChop(tree, 0)
 	if serialErr == nil {
-		t.Fatal("serial scan accepted an unknown tip")
+		t.Fatal("scan accepted an unknown tip")
 	}
-	p := pool.New(3)
-	defer p.Close()
-	pooledViols, pooledErr := ck.violationsAtChopPooled(tree, 0, p, ck.pairWork())
+	if _, err := ck.MaxForkDepth(tree); err == nil {
+		t.Fatal("depth scan accepted an unknown tip")
+	}
+	ck.UsePool(pool.Default())
+	pooledViols, pooledErr := ck.ViolationsAtChop(tree, 0)
 	if pooledErr == nil {
-		t.Fatal("pooled scan accepted an unknown tip")
+		t.Fatal("scan with UsePool accepted an unknown tip")
 	}
 	if pooledErr.Error() != serialErr.Error() {
-		t.Fatalf("errors diverged:\npooled %v\nserial %v", pooledErr, serialErr)
+		t.Fatalf("errors diverged:\nwith UsePool %v\nwithout %v", pooledErr, serialErr)
 	}
 	if serialViols != nil || pooledViols != nil {
-		t.Fatalf("violations returned alongside error: serial %d, pooled %d", len(serialViols), len(pooledViols))
+		t.Fatalf("violations returned alongside error: without UsePool %d, with %d", len(serialViols), len(pooledViols))
+	}
+}
+
+// TestMaxForkDepthIsSmallestConsistentChop pins MaxForkDepth's
+// definition against ViolationsAtChop on attack runs: with d the depth,
+// the run is consistent at chop d but not at d−1, and the violations at
+// chop 0 have fork depths in [1, d] with d attained. The pruned depth
+// scan and the unpruned violation scan share only the tree queries, so
+// each checks the other.
+func TestMaxForkDepthIsSmallestConsistentChop(t *testing.T) {
+	for _, seed := range []uint64{3, 17, 29} {
+		ck, tree := attackedChecker(t, seed, 2000, 8)
+		d, err := ck.MaxForkDepth(tree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d < 1 {
+			t.Fatalf("seed=%d: fixture produced no forks (depth %d) — the checks are vacuous", seed, d)
+		}
+		if viols, err := ck.ViolationsAtChop(tree, d); err != nil || len(viols) != 0 {
+			t.Fatalf("seed=%d: %d violations (%v) at chop %d = MaxForkDepth, want none", seed, len(viols), err, d)
+		}
+		if viols, err := ck.ViolationsAtChop(tree, d-1); err != nil || len(viols) == 0 {
+			t.Fatalf("seed=%d: no violations (%v) at chop %d = MaxForkDepth−1", seed, err, d-1)
+		}
+		viols, err := ck.ViolationsAtChop(tree, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		deepest := 0
+		for _, v := range viols {
+			if v.ForkDepth < 1 {
+				t.Fatalf("seed=%d: violation at chop 0 with fork depth %d: %+v", seed, v.ForkDepth, v)
+			}
+			if v.ForkDepth > deepest {
+				deepest = v.ForkDepth
+			}
+		}
+		if deepest != d {
+			t.Fatalf("seed=%d: deepest violation at chop 0 is %d, MaxForkDepth %d", seed, deepest, d)
+		}
 	}
 }
 

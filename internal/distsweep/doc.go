@@ -42,7 +42,5 @@
 // safe for concurrent Start calls. Cancelling ctx tears the fleet down:
 // subprocess workers are killed (exec.CommandContext), in-process
 // workers see the context and stop within one engine round, and Run
-// returns the cells committed so far with ctx.Err(). The consistency
-// scans of workers launched in-process share the process-wide
-// persistent pool (internal/pool); a subprocess owns its own.
+// returns the cells committed so far with ctx.Err().
 package distsweep

@@ -12,8 +12,7 @@
 // sweep configuration; its fields are add-only (docs/interchange.md),
 // and a nil Spec marshals to nothing, so pre-scenario streams are
 // byte-identical. Compilation is deterministic: the same Spec and
-// parameters produce the same policies and schedules on every shard
-// count, pool, and process.
+// parameters produce the same policies and schedules in every process.
 package scenario
 
 import (

@@ -4,13 +4,12 @@ import (
 	"testing"
 )
 
-// TestSweepSharedPoolParity pins that running a grid's cells
-// concurrently — their consistency checkers' pairwise scans taking
-// turns on the shared process-wide pool — reproduces the one-worker
-// grid cell for cell, with the ignored EngineShards set on the
-// concurrent side. Sampling every other round keeps every scan on the
-// pooled path. It also exercises pool reuse across sweep cells under
-// the race detector.
+// TestSweepSharedPoolParity pins that running a grid's cells on three
+// concurrent workers reproduces the one-worker grid cell for cell, with
+// the ignored EngineShards set on the concurrent side. Sampling every
+// other round gives every cell's consistency scans real work, and under
+// the race detector it checks that concurrent cells share no checker
+// state.
 func TestSweepSharedPoolParity(t *testing.T) {
 	base := Config{
 		N:           24,

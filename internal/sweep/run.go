@@ -6,7 +6,6 @@ import (
 	"neatbound/internal/consistency"
 	"neatbound/internal/engine"
 	"neatbound/internal/metrics"
-	"neatbound/internal/pool"
 	"neatbound/internal/scenario"
 )
 
@@ -85,9 +84,6 @@ func RunOne(ctx context.Context, ecfg engine.Config, sem Semantics) (Report, *en
 	if err != nil {
 		return Report{}, nil, err
 	}
-	// The post-run pairwise scan runs on the process-wide pool, which
-	// every concurrent cell shares.
-	checker.UsePool(pool.Default())
 	checker.SetRetention(sem.CheckerRetention)
 	ledger, err := consistency.NewLedgerRecorder(ecfg.Params.Delta)
 	if err != nil {

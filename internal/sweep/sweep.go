@@ -10,9 +10,8 @@
 // Execution is a job queue: every (cell, replicate) pair is one
 // independent job — the per-cell engine and RNG stream are
 // self-contained — fanned out across a bounded set of workers
-// (GOMAXPROCS by default); all cells additionally share the
-// process-wide pool.Default() for their consistency scans, so
-// concurrent cells take turns instead of oversubscribing the scheduler.
+// (GOMAXPROCS by default). A job's consistency scans run serially on
+// the job's own goroutine, so the workers are the only parallelism.
 // Callbacks (onCell, collect, onRep) always run on the caller's
 // goroutine, in completion order; a Config is value-copied at entry and
 // never written by the runner, so one Config may drive concurrent

@@ -38,12 +38,8 @@
 //
 // A single execution steps its rounds serially; parallelism comes from
 // running independent executions side by side (sweep cells, replicates,
-// distributed shards). The post-run consistency scan of every execution
-// runs on one process-wide persistent worker pool (internal/pool):
-// workers are spawned once and reused through a lightweight barrier,
-// and concurrent owners (sweep cells, say) take turns on the shared
-// worker set instead of oversubscribing the scheduler. The pool never
-// affects results, only wall-clock time.
+// distributed shards). The post-run consistency scan of an execution is
+// serial too, on the goroutine that ran it.
 package neatbound
 
 import (

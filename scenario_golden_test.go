@@ -7,7 +7,6 @@ import (
 	"neatbound/internal/adversary"
 	"neatbound/internal/engine"
 	"neatbound/internal/params"
-	"neatbound/internal/pool"
 	"neatbound/internal/scenario"
 )
 
@@ -15,7 +14,7 @@ import (
 // stochastic delay schedules, the healing partition, player churn and
 // skewed mining power — exactly like golden_trace_test.go pins the base
 // engine: the same trace hash must come out of every (ignored) shard
-// count, concurrent runs whose checkers share a pool, and the
+// count, concurrent runs with consistency checkers attached, and the
 // FastForward configuration (scenarios disarm the fast path, so the
 // flag must be a byte-for-byte no-op, never a silent divergence).
 
@@ -140,22 +139,20 @@ func TestScenarioGoldenTracesFastForward(t *testing.T) {
 }
 
 // TestScenarioGoldenTracesPooled pins that running the scenario cases
-// concurrently, their pooled consistency checkers sharing one
-// persistent pool of 2 or 7 workers, changes nothing: every trace keeps
-// its golden hash and every pooled scan equals the serial one (see
-// TestGoldenTracesPooledShared).
+// as parallel subtests, each carrying a plain consistency checker and
+// one handed the ignored UsePool, changes nothing: every trace keeps its
+// golden hash and both checkers agree (see TestGoldenTracesPooledShared,
+// which also explains the kept pool-size labels).
 func TestScenarioGoldenTracesPooled(t *testing.T) {
 	for _, workers := range []int{2, 7} {
-		p := pool.New(workers)
-		t.Cleanup(p.Close)
 		for name, gc := range scenarioGoldenCases(t) {
-			gc := withCheckerParity(t, gc, p)
+			gc := withCheckerParity(t, gc)
 			t.Run(fmt.Sprintf("%s/pool-shards=%d", name, workers), func(t *testing.T) {
 				t.Parallel()
 				got := traceHash(t, gc)
 				if want := scenarioGoldenTraces[name]; got != want {
-					t.Errorf("scenario golden trace %q with checkers on a %d-worker pool: hash %#x, want %#x",
-						name, workers, got, want)
+					t.Errorf("scenario golden trace %q with checkers attached: hash %#x, want %#x",
+						name, got, want)
 				}
 			})
 		}
