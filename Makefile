@@ -81,10 +81,12 @@ test-skip:
 
 ## test-mem: ~20 s short-mode race pass over the memory path — the SoA
 ## arena's compaction query-parity, sparse-ID, and payload-side-table
-## tests, the checker retention contract, and golden-trace bit-identity
-## under aggressive compaction (docs/memory.md).
+## tests, the subtree labelling against IsAncestor and the labelled
+## consistency scans against the per-pair predicate (both across
+## compaction), the checker retention contract, and golden-trace
+## bit-identity under aggressive compaction (docs/memory.md).
 test-mem:
-	$(GO) test -race -short -run 'Compact|Retention|Payload|Sparse' ./internal/blockchain/ ./internal/consistency/ .
+	$(GO) test -race -short -run 'Compact|Retention|Payload|Sparse|SubtreesMatch|ScanMatches' ./internal/blockchain/ ./internal/consistency/ .
 
 ## test-svc: seconds-long short-mode race pass over the sweep service —
 ## the content-addressed store's crash/corruption/keep-first semantics,

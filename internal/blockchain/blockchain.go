@@ -14,9 +14,12 @@
 // block. Payloads live in a side table allocated only when an
 // environment actually supplies one, so payload-free runs pay nothing.
 // Every Add also maintains a skip pointer per block (binary-lifting
-// style, one pointer per node), so the ancestor predicates the
-// consistency checker hammers — AncestorAt, IsAncestor, CommonAncestor,
-// PrefixHolds — run in O(log height) instead of O(height) parent walks.
+// style, one pointer per node), so the ancestor queries — AncestorAt,
+// IsAncestor, CommonAncestor, PrefixHolds — run in O(log height)
+// instead of O(height) parent walks. For the many-pair questions of a
+// finished run, Subtrees labels the read-only arena in pre-order once,
+// in O(live blocks), after which each ancestry test is one integer
+// comparison; the consistency checker's pairwise scans use it.
 //
 // CompactBelow retires the ID prefix strictly below a floor block: IDs
 // stay stable while the storage index rebases behind an O(1) offset
@@ -574,6 +577,78 @@ func (t *Tree) PrefixHolds(tipA, tipB BlockID, chop int) (bool, error) {
 		return false, nil
 	}
 	return aAnchor == bAnchor, nil
+}
+
+// Subtrees is a pre-order labelling of a Tree's live arena: every
+// stored block gets an interval [pre, end) that holds exactly the labels
+// of its stored descendants, itself included. It answers ancestry in one
+// integer comparison, for as long as the tree it was built from is not
+// mutated; Tree.Subtrees (re)builds it in place, reusing its buffers.
+type Subtrees struct {
+	base BlockID
+	// pre and end are indexed by storage index, like the Tree columns;
+	// holes carry the empty interval [-1, -1).
+	pre, end []int32
+}
+
+// Subtrees labels the live arena into s in O(live blocks), reusing s's
+// buffers. Ancestry is ID-monotonic, so two flat passes suffice: a
+// reverse-ID pass sums subtree sizes into end, then a forward-ID pass
+// hands each block the next free label under its parent (a block whose
+// parent is retired — the floor, an orphan branch — starts a new root).
+// While the forward pass runs, end[p] doubles as parent p's cursor:
+// once p's last child is placed it has advanced to pre[p] + size(p).
+func (t *Tree) Subtrees(s *Subtrees) {
+	n := len(t.parent)
+	s.base = t.base
+	s.pre = append(s.pre[:0], make([]int32, n)...)
+	s.end = append(s.end[:0], make([]int32, n)...)
+	for i := n - 1; i >= 0; i-- {
+		if !bitGet(t.present, i) {
+			continue
+		}
+		s.end[i]++
+		if p := t.parent[i]; i > 0 && p >= t.base {
+			s.end[p-t.base] += s.end[i]
+		}
+	}
+	var next int32 // the next root's label
+	for i := 0; i < n; i++ {
+		if !bitGet(t.present, i) {
+			s.pre[i], s.end[i] = -1, -1
+			continue
+		}
+		size := s.end[i]
+		if p := t.parent[i]; i > 0 && p >= t.base {
+			pi := p - t.base
+			s.pre[i] = s.end[pi]
+			s.end[pi] += size
+		} else {
+			s.pre[i] = next
+			next += size
+		}
+		s.end[i] = s.pre[i] + 1
+	}
+}
+
+// Span returns id's label interval [pre, end): a stored b descends from
+// id (or is id) exactly when pre ≤ Span(b).pre < end. ok is false for an
+// ID the labelled arena does not store.
+func (s *Subtrees) Span(id BlockID) (pre, end int32, ok bool) {
+	if id < s.base || id-s.base >= BlockID(len(s.pre)) {
+		return 0, 0, false
+	}
+	i := id - s.base
+	return s.pre[i], s.end[i], s.pre[i] >= 0
+}
+
+// Contains reports whether a is an ancestor of b or equal to it — the
+// same answer as Tree.IsAncestor for two stored blocks, in O(1). It is
+// false when either block is not stored.
+func (s *Subtrees) Contains(a, b BlockID) bool {
+	lo, hi, okA := s.Span(a)
+	pb, _, okB := s.Span(b)
+	return okA && okB && lo <= pb && pb < hi
 }
 
 // Tips returns all stored blocks with no stored children, sorted by

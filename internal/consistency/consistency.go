@@ -219,6 +219,10 @@ type Checker struct {
 	pin       blockchain.BlockID
 	pinOK     bool
 	pinBroken bool
+	// sub and anchors are the pairwise scans' buffers: the tree's
+	// subtree labels, and the anchors of the r-snapshot being scanned.
+	sub     blockchain.Subtrees
+	anchors []anchor
 }
 
 // Compile-time check: the checker participates in the engine's
@@ -394,37 +398,79 @@ func (c *Checker) Check(tree *blockchain.Tree) ([]Violation, error) {
 // chop parameter over the collected snapshots. It supports the S7
 // fork-depth-tail experiment, which scans chop values on one run.
 //
-// The scan is O(snaps² × tips²) pairwise work over a read-only tree,
-// walked in lexicographic (r-index, s-index) order; it stops at the
-// first error and then returns no violations.
+// The scan walks a read-only tree's snapshot pairs in lexicographic
+// (r-index, s-index) order; it stops at the first error and then
+// returns no violations. It costs an O(live blocks) labelling of the
+// tree (Tree.Subtrees), O(snaps × tips × log height) anchor
+// resolutions, and O(1) per tip pair.
 func (c *Checker) ViolationsAtChop(tree *blockchain.Tree, chop int) ([]Violation, error) {
 	if chop < 0 {
 		return nil, fmt.Errorf("consistency: chop %d must be ≥ 0", chop)
 	}
+	tree.Subtrees(&c.sub)
 	var out []Violation
 	var err error
 	for ri := range c.snaps {
+		c.resolveAnchors(tree, c.snaps[ri].Tips, chop)
 		for si := ri; si < len(c.snaps); si++ {
 			if out, err = c.scanPair(tree, chop, ri, si, out); err != nil {
-				return nil, err
+				return nil, fmt.Errorf("consistency: %w", err)
 			}
 		}
 	}
 	return out, nil
 }
 
+// anchor is one tip's Definition-1 cut — its ancestor at height
+// h − chop — as a label interval of the checker's Subtrees: the chopped
+// chain is a prefix of the chain at a stored b exactly when b's label
+// falls in [lo, hi). lo < 0 marks a tip whose cut did not resolve.
+type anchor struct{ lo, hi int32 }
+
+// resolveAnchors fills c.anchors with the anchors of tips at chop. A
+// cut at or below the floor height (0 on an uncompacted tree, so this
+// includes a chop that leaves only genesis) stays unresolved, and so
+// does a tip or cut the tree cannot resolve: PrefixHolds answers those
+// exactly, floor rules and errors included.
+func (c *Checker) resolveAnchors(tree *blockchain.Tree, tips []blockchain.BlockID, chop int) {
+	c.anchors = c.anchors[:0]
+	for _, a := range tips {
+		anc := anchor{lo: -1}
+		if h, err := tree.Height(a); err == nil && h-chop > tree.FloorHeight() {
+			if id, err := tree.AncestorAt(a, h-chop); err == nil {
+				if lo, hi, ok := c.sub.Span(id); ok {
+					anc = anchor{lo, hi}
+				}
+			}
+		}
+		c.anchors = append(c.anchors, anc)
+	}
+}
+
+// prefixHolds answers tree.PrefixHolds(a, b, chop) for a tip a whose
+// anchor at chop is anc: one label comparison when the anchor resolved
+// and b is stored, else the tree predicate itself.
+func (c *Checker) prefixHolds(tree *blockchain.Tree, anc anchor, a, b blockchain.BlockID, chop int) (bool, error) {
+	if anc.lo >= 0 {
+		if pb, _, ok := c.sub.Span(b); ok {
+			return anc.lo <= pb && pb < anc.hi, nil
+		}
+	}
+	return tree.PrefixHolds(a, b, chop)
+}
+
 // scanPair evaluates the predicate for one snapshot pair (ri ≤ si),
-// appending violations to out.
+// appending violations to out. c.anchors holds ri's anchors at chop.
 func (c *Checker) scanPair(tree *blockchain.Tree, chop, ri, si int, out []Violation) ([]Violation, error) {
 	sr, ss := c.snaps[ri], c.snaps[si]
-	for _, a := range sr.Tips {
+	for k, a := range sr.Tips {
 		for _, b := range ss.Tips {
 			if sr.Round == ss.Round && a == b {
 				continue // a view is trivially consistent with itself
 			}
-			ok, err := tree.PrefixHolds(a, b, chop)
+			ok, err := c.prefixHolds(tree, c.anchors[k], a, b, chop)
 			if err != nil {
-				return out, fmt.Errorf("consistency: %w", err)
+				return out, err
 			}
 			if ok {
 				continue
@@ -463,14 +509,17 @@ func forkDepth(tree *blockchain.Tree, a, b blockchain.BlockID) (int, error) {
 // smallest T for which the run would have been consistent is
 // MaxForkDepth. It is cheaper than Check when only the depth is needed:
 // one running maximum, threaded through the whole triangle, doubles as
-// the pruning bound.
+// the pruning bound. Its cost is Check's, plus one anchor re-resolution
+// of a snapshot's tips each time the maximum grows.
 func (c *Checker) MaxForkDepth(tree *blockchain.Tree) (int, error) {
+	tree.Subtrees(&c.sub)
 	max := 0
 	var err error
 	for ri := range c.snaps {
+		c.resolveAnchors(tree, c.snaps[ri].Tips, max)
 		for si := ri; si < len(c.snaps); si++ {
 			if max, err = c.scanPairDepth(tree, ri, si, max); err != nil {
-				return 0, err
+				return 0, fmt.Errorf("consistency: %w", err)
 			}
 		}
 	}
@@ -479,12 +528,13 @@ func (c *Checker) MaxForkDepth(tree *blockchain.Tree) (int, error) {
 
 // scanPairDepth deepens max with the forks of one snapshot pair: depth
 // only grows when a chopped by the running max is not a prefix of b, so
-// the threshold doubles as a pruning bound.
+// the threshold doubles as a pruning bound. c.anchors holds ri's
+// anchors at max, and is re-resolved whenever max grows.
 func (c *Checker) scanPairDepth(tree *blockchain.Tree, ri, si, max int) (int, error) {
 	sr, ss := c.snaps[ri], c.snaps[si]
-	for _, a := range sr.Tips {
+	for k, a := range sr.Tips {
 		for _, b := range ss.Tips {
-			ok, err := tree.PrefixHolds(a, b, max)
+			ok, err := c.prefixHolds(tree, c.anchors[k], a, b, max)
 			if err != nil {
 				return 0, err
 			}
@@ -497,6 +547,7 @@ func (c *Checker) scanPairDepth(tree *blockchain.Tree, ri, si, max int) (int, er
 			}
 			if d > max {
 				max = d
+				c.resolveAnchors(tree, sr.Tips, max)
 			}
 		}
 	}

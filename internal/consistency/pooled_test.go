@@ -1,6 +1,8 @@
 package consistency
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"neatbound/internal/adversary"
@@ -72,8 +74,9 @@ func TestPooledViolationsViaUsePool(t *testing.T) {
 
 // TestPooledViolationsErrorMatchesSerial pins the error contract: a
 // snapshot referencing an unknown block makes both scans fail, with or
-// without the ignored UsePool, and ViolationsAtChop returns no partial
-// violation list.
+// without the ignored UsePool, ViolationsAtChop returns no partial
+// violation list, and both scans' errors carry the package prefix while
+// still matching the tree's sentinel under errors.Is.
 func TestPooledViolationsErrorMatchesSerial(t *testing.T) {
 	ck, tree := attackedChecker(t, 3, 1000, 8)
 	// Corrupt a mid-sequence snapshot with a tip the tree never saw.
@@ -82,8 +85,14 @@ func TestPooledViolationsErrorMatchesSerial(t *testing.T) {
 	if serialErr == nil {
 		t.Fatal("scan accepted an unknown tip")
 	}
-	if _, err := ck.MaxForkDepth(tree); err == nil {
+	_, depthErr := ck.MaxForkDepth(tree)
+	if depthErr == nil {
 		t.Fatal("depth scan accepted an unknown tip")
+	}
+	for _, err := range []error{serialErr, depthErr} {
+		if !strings.HasPrefix(err.Error(), "consistency: ") || !errors.Is(err, blockchain.ErrUnknownBlock) {
+			t.Fatalf("scan error %q: want the consistency: prefix wrapping ErrUnknownBlock", err)
+		}
 	}
 	ck.UsePool(pool.Default())
 	pooledViols, pooledErr := ck.ViolationsAtChop(tree, 0)

@@ -72,14 +72,18 @@ func (b Binomial) SampleWith(u float64) int {
 	if !b.InversionEligible() {
 		panic("dist: SampleWith on a non-inversion-eligible Binomial")
 	}
-	return inversionFrom(u, b.N, b.P)
+	return inversionFrom(u, b.N, b.P, b.PZero())
 }
 
 // Sample draws one binom(N, P) variate from r. The draw is exact for all
 // parameterizations: small means use CDF inversion, large means use the
 // BTRS transformed-rejection sampler, and p > ½ is reflected through
 // n − binom(n, 1−p). Expected work is O(min(n·p, 1) + 1) — never O(n).
-func (b Binomial) Sample(r *rng.Stream) int {
+func (b Binomial) Sample(r *rng.Stream) int { return b.sample(r, nil) }
+
+// sample is Sample with an optional zero-mass cache for the inversion
+// path; the cache changes no draw.
+func (b Binomial) sample(r *rng.Stream, cache *Sampler) int {
 	n, p := b.N, b.P
 	// The !(p > 0) form also rejects NaN, which would otherwise slip
 	// past every threshold below and spin the rejection sampler forever.
@@ -90,28 +94,52 @@ func (b Binomial) Sample(r *rng.Stream) int {
 		return n
 	}
 	if p > 0.5 {
-		return n - Binomial{N: n, P: 1 - p}.Sample(r)
+		return n - Binomial{N: n, P: 1 - p}.sample(r, cache)
 	}
 	if float64(n)*p < btrsThreshold {
-		return inversion(r, n, p)
+		return inversionFrom(r.Float64(), n, p, cache.zeroMass(n, p))
 	}
 	return btrs(r, n, p)
 }
 
-// inversion walks the binomial CDF from k = 0: a single uniform is
-// compared against the running mass, with the pmf updated by the
-// recurrence f(k+1) = f(k)·(n−k)/(k+1)·(p/q). Valid for n·p small enough
-// that q^n does not underflow (n·p < 10 ⇒ q^n ≥ e^{-10}·(1+o(1))).
-func inversion(r *rng.Stream, n int, p float64) int {
-	return inversionFrom(r.Float64(), n, p)
+// Sampler draws binomials whose parameters rarely change, as a round
+// loop's mining draws do. Sample(r, n, p) consumes and returns exactly
+// what Binomial{N: n, P: p}.Sample(r) would, but keeps the inversion
+// walk's starting mass (1−p)^n from the previous draw, recomputing it
+// only when n or p changes. The zero value is ready to use; a Sampler
+// is single-owner.
+type Sampler struct {
+	n    int
+	p    float64
+	mass float64 // math.Pow(1−p, n) for the cached (n, p); unset while n == 0
 }
 
-// inversionFrom is the inversion walk with the uniform already drawn; it
-// is the shared core of Sample's small-mean path and SampleWith.
-func inversionFrom(u float64, n int, p float64) int {
-	q := 1 - p
-	s := p / q
-	f := math.Pow(q, float64(n))
+// Sample draws one binom(n, p) variate from r, bit-identical to
+// Binomial{N: n, P: p}.Sample(r).
+func (s *Sampler) Sample(r *rng.Stream, n int, p float64) int {
+	return Binomial{N: n, P: p}.sample(r, s)
+}
+
+// zeroMass returns (1−p)^n — the same math.Pow expression as PZero —
+// from the cache when it holds (n, p); a nil Sampler computes it afresh.
+func (s *Sampler) zeroMass(n int, p float64) float64 {
+	if s == nil {
+		return math.Pow(1-p, float64(n))
+	}
+	if s.n != n || s.p != p {
+		s.n, s.p, s.mass = n, p, math.Pow(1-p, float64(n))
+	}
+	return s.mass
+}
+
+// inversionFrom walks the binomial CDF from k = 0 with the uniform u
+// already drawn and f = (1−p)^n, the mass at k = 0: u is compared
+// against the running mass, with the pmf updated by the recurrence
+// f(k+1) = f(k)·(n−k)/(k+1)·(p/q). Valid for n·p small enough that q^n
+// does not underflow (n·p < 10 ⇒ q^n ≥ e^{-10}·(1+o(1))). It is the
+// shared core of Sample's small-mean path and SampleWith.
+func inversionFrom(u float64, n int, p, f float64) int {
+	s := p / (1 - p)
 	k := 0
 	for u > f {
 		u -= f

@@ -155,3 +155,40 @@ func BenchmarkBinomialSample(b *testing.B) {
 		})
 	}
 }
+
+// TestSamplerMatchesSample pins the cached zero mass: one Sampler fed a
+// sequence of (n, p) that holds still, changes n, changes p, reflects
+// through p > ½, crosses into the BTRS regime and hits the no-draw
+// cases must return exactly Binomial.Sample's values and leave its
+// stream exactly where Sample leaves an identically seeded one.
+func TestSamplerMatchesSample(t *testing.T) {
+	type np struct {
+		n int
+		p float64
+	}
+	phases := []np{
+		{40, 0.005}, {39, 0.005}, {40, 0.005}, {1000000, 1e-7},
+		{40, 0.03}, {0, 0.03}, {40, 0.97}, {40, 0.03}, {5000, 0.01},
+		{7, 0.5}, {40, 0.005},
+	}
+	for seed := uint64(1); seed <= 3; seed++ {
+		var s Sampler
+		r1, r2 := rng.New(seed), rng.New(seed)
+		for round := 0; round < 4000; round++ {
+			// Mostly long runs of one parameter set, with a change of
+			// count every few rounds as NuSchedule or churn would make.
+			ph := phases[(round/40)%len(phases)]
+			if round%7 == 3 {
+				ph.n++
+			}
+			got := s.Sample(r1, ph.n, ph.p)
+			want := Binomial{N: ph.n, P: ph.p}.Sample(r2)
+			if got != want {
+				t.Fatalf("seed %d round %d Binomial{%d, %g}: Sampler %d, Sample %d", seed, round, ph.n, ph.p, got, want)
+			}
+		}
+		if a, b := r1.Float64(), r2.Float64(); a != b {
+			t.Fatalf("seed %d: streams diverged after the draws (%v vs %v)", seed, a, b)
+		}
+	}
+}

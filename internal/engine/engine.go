@@ -26,6 +26,7 @@ import (
 	"math"
 
 	"neatbound/internal/blockchain"
+	"neatbound/internal/dist"
 	"neatbound/internal/mining"
 	"neatbound/internal/network"
 	"neatbound/internal/params"
@@ -197,6 +198,11 @@ type Engine struct {
 	obs    Observer
 	advRng *rng.Stream
 	mineRg *rng.Stream
+	// mineDraw and advDraw are the honest and adversary mining-count
+	// draws on mineRg and advRng: each keeps (1−p)^n between rounds and
+	// recomputes it only when its miner count changes (NuSchedule,
+	// churn), drawing exactly what mining.MineCount would.
+	mineDraw, advDraw dist.Sampler
 	// tips holds one view per player; [0, honest) are honest. While the
 	// fast-forward path tracks the views compactly (ff.uniformValid), an
 	// entry is authoritative only for a listed deviant: every other
@@ -541,7 +547,7 @@ func (e *Engine) step() (RoundRecord, error) {
 
 	// 2. Honest mining: parallel queries; winners extend their own views.
 	// A pre-drawn count (the fast-forward path detects the event round by
-	// consuming exactly the round's binomial uniform) skips MineCount;
+	// consuming exactly the round's binomial uniform) skips the count draw;
 	// WinnersInto then draws exactly what MineRoundInto would have.
 	policy := e.adv.HonestDelayPolicy(ctx)
 	var winners []int
@@ -555,7 +561,7 @@ func (e *Engine) step() (RoundRecord, error) {
 		// player winning through several units chains its blocks — the
 		// second extends the first, exactly like sequential self-mining.
 		units := e.miningUnits(t)
-		k := mining.MineCount(e.mineRg, len(units), e.pr.P)
+		k := e.mineDraw.Sample(e.mineRg, len(units), e.pr.P)
 		winners = mining.WinnersInto(e.mineRg, len(units), k, e.winnersBuf)
 		for j, u := range winners {
 			winners[j] = int(units[u])
@@ -563,7 +569,7 @@ func (e *Engine) step() (RoundRecord, error) {
 	} else {
 		k := e.ff.preH
 		if k < 0 {
-			k = mining.MineCount(e.mineRg, e.honest, e.pr.P)
+			k = e.mineDraw.Sample(e.mineRg, e.honest, e.pr.P)
 		}
 		winners = mining.WinnersInto(e.mineRg, e.honest, k, e.winnersBuf)
 	}
@@ -594,7 +600,7 @@ func (e *Engine) step() (RoundRecord, error) {
 	// 3. Adversary: sequential queries, then strategy action.
 	advMined := e.ff.preA
 	if advMined < 0 {
-		advMined = mining.MineCount(e.advRng, e.pr.N-e.honest, e.pr.P)
+		advMined = e.advDraw.Sample(e.advRng, e.pr.N-e.honest, e.pr.P)
 	}
 	e.ff.preA = -1
 	e.adversaryBlocks += advMined
