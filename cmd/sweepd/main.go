@@ -1,8 +1,8 @@
 // Command sweepd is the persistent sweep service: a long-running HTTP
 // server that accepts sweep-job submissions (the cmd/sweep grid
 // vocabulary as JSON), serves every cell it has already computed from a
-// durable content-addressed result store, dispatches only the missing
-// cells to the distributed sweep coordinator, and streams job progress
+// durable content-addressed result store, computes only the missing
+// cells (sweep.RunGrid, in this process), and streams job progress
 // as Server-Sent Events. A job's result is byte-identical to a cold
 // single-process run of the same sweep; submitting the same grid twice
 // computes each cell exactly once.
@@ -19,16 +19,14 @@
 //	curl localhost:8632/jobs/job-1/result          # finished cell stream (JSONL)
 //	curl -X DELETE localhost:8632/jobs/job-1       # cancel
 //
-// -workers sizes each job's worker fleet, -dist-shards the shard
-// granularity, -retries the per-shard reassignment budget, and
-// -stall-timeout the per-shard progress deadline (the cmd/sweep
-// coordinator flags, applied server-side). -journal FILE makes jobs
-// durable: submissions are journalled before they start, and on the
-// next boot the daemon resubmits every job that was still in flight
-// when it died — already-finished cells come from the store, so a
-// restarted job recomputes only what was lost. docs/sweepd.md
-// specifies the API, the store layout, and the event schema;
-// docs/faults.md the crash-recovery contract.
+// -workers sets how many simulation runs each job executes at once
+// (0 = GOMAXPROCS). -journal FILE makes jobs durable: submissions are
+// journalled before they start, and on the next boot the daemon
+// resubmits every job that was still in flight when it died —
+// already-finished cells come from the store, so a restarted job
+// recomputes only what was lost. docs/sweepd.md specifies the API, the
+// store layout, and the event schema; docs/faults.md the crash-recovery
+// contract.
 package main
 
 import (
@@ -72,11 +70,7 @@ func run(ctx context.Context, args []string, stderr io.Writer, ready chan<- stri
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", ":8632", "HTTP listen address")
 	storeDir := fs.String("store", "sweepd-store", "result store directory (created if absent)")
-	workers := fs.Int("workers", 0, "worker fleet size per job (0 = 1)")
-	distShards := fs.Int("dist-shards", 0, "target shard count per dispatch (0 = one per worker)")
-	retries := fs.Int("retries", 0, "per-shard reassignment budget (0 = default 2, negative = disabled)")
-	stallTimeout := fs.Duration("stall-timeout", 0, "declare a shard attempt failed after this long without worker progress (0 = disabled)")
-	respawnBackoff := fs.Duration("respawn-backoff", 0, "base delay before relaunching a failed worker, doubling with jitter (0 = disabled)")
+	workers := fs.Int("workers", 0, "simulation runs each job executes at once (0 = GOMAXPROCS)")
 	journal := fs.String("journal", "", "durable job journal file; unfinished jobs are resubmitted on restart (empty = jobs die with the daemon)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -91,15 +85,7 @@ func run(ctx context.Context, args []string, stderr io.Writer, ready chan<- stri
 		fmt.Fprintf(stderr, "sweepd: store %s: dropped a torn tail record from a previous crash (%d cells intact)\n", *storeDir, stats.Cells)
 	}
 
-	svc, err := sweepsvc.New(sweepsvc.Options{
-		Store:          st,
-		Workers:        *workers,
-		TargetShards:   *distShards,
-		Retries:        *retries,
-		StallTimeout:   *stallTimeout,
-		RespawnBackoff: *respawnBackoff,
-		Journal:        *journal,
-	})
+	svc, err := sweepsvc.New(sweepsvc.Options{Store: st, Workers: *workers, Journal: *journal})
 	if err != nil {
 		return err
 	}

@@ -3,8 +3,8 @@
 // façade's grid/option vocabulary, keys every grid cell by its content
 // address (sweep.CellJob — parameters, ν, per-replicate seeds, engine
 // semantics version), consults the persistent result store first,
-// dispatches only the missing cells to the distributed coordinator, and
-// merges cached and freshly computed cells into exactly the stream a
+// computes only the missing cells on sweep.RunGrid's job queue, and
+// returns cached and freshly computed cells as exactly the stream a
 // cold single-process RunSweep would have produced.
 //
 // # Exactly-once computation
@@ -32,9 +32,9 @@
 // job's replay log; Watch streams the log from the start and then
 // follows live — the HTTP layer (server.go) exposes this as
 // Server-Sent Events, the rest of the lifecycle as plain JSON. Jobs are
-// cancellable at any point: cancellation tears down the job's
-// coordinator via context, aborts its unfinished claims, and leaves
-// every cell it did finish in the store for the next submission.
+// cancellable at any point: cancellation stops the job's grid runs via
+// context, aborts its unfinished claims, and leaves every cell it did
+// finish in the store for the next submission.
 //
 // docs/sweepd.md is the service's user-facing specification.
 package sweepsvc
@@ -49,7 +49,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"neatbound/internal/distsweep"
 	"neatbound/internal/store"
@@ -60,28 +59,10 @@ import (
 type Options struct {
 	// Store is the persistent content-addressed cell store (required).
 	Store *store.Store
-	// Workers is the distributed coordinator's worker-fleet size per
-	// job; values < 1 mean 1.
+	// Workers is the width of each job's sweep.RunGrid job queue (how
+	// many (cell × replicate) runs execute at once); values < 1 mean
+	// GOMAXPROCS.
 	Workers int
-	// TargetShards is the coordinator's target shard count per
-	// dispatched rectangle; 0 means one per worker.
-	TargetShards int
-	// Retries bounds per-shard reassignments (distsweep.Options.Retries
-	// semantics: 0 = default, negative = disabled).
-	Retries int
-	// Executor launches the coordinator's workers; nil runs them
-	// in-process.
-	Executor distsweep.Executor
-	// StallTimeout declares a shard attempt failed when its worker makes
-	// no record progress for this long, tearing it down and requeueing
-	// the shard under the retry budget (0 disables stall detection;
-	// distsweep.Options.StallTimeout semantics).
-	StallTimeout time.Duration
-	// RespawnBackoff is the base delay before relaunching a worker after
-	// a failure; consecutive failures back off exponentially with jitter
-	// on a wall clock (0 disables; distsweep.Options.RespawnBackoff
-	// semantics).
-	RespawnBackoff time.Duration
 	// Journal, when non-empty, is the path of the durable job journal:
 	// every submission is recorded (fsynced) before its job starts and
 	// struck out when the job reaches a user-visible terminal state —
@@ -114,7 +95,8 @@ type JobRequest struct {
 	sweep.Spec
 }
 
-// Sweep converts the request to the coordinator's sweep description.
+// Sweep converts the request to the sweep description the service
+// validates, keys and cuts into cache-miss rectangles.
 func (r JobRequest) Sweep() distsweep.Sweep {
 	return distsweep.Sweep{Spec: r.Spec}
 }
@@ -132,14 +114,14 @@ type JobStatus struct {
 	CellsCached    int `json:"cells_cached"`
 	CellsCoalesced int `json:"cells_coalesced"`
 	CellsComputed  int `json:"cells_computed"`
-	// ShardsDone / ShardsTotal track the coordinator shards dispatched
-	// for this job's cache misses (both 0 on a fully cached job).
+	// ShardsDone / ShardsTotal track the sub-grids (one per cache-miss
+	// rectangle) dispatched for this job (both 0 on a fully cached job).
 	// ShardsTotal grows as cache-miss rectangles are planned.
 	ShardsDone  int `json:"shards_done"`
 	ShardsTotal int `json:"shards_total"`
-	// Retries counts shard reassignments; ShardRetries breaks them down
-	// per job-global shard id (cmd/sweep's coordinator summary shows the
-	// same counts on stderr).
+	// Retries and ShardRetries are kept for wire compatibility (the
+	// add-only rule); the service never retries a shard, so they stay
+	// zero and absent.
 	Retries      int         `json:"retries"`
 	ShardRetries map[int]int `json:"shard_retries,omitempty"`
 	// Error is the terminal failure ("" unless State is failed or
@@ -164,14 +146,11 @@ type Event struct {
 	// joined from another job's computation. Both false = computed here.
 	Cached    bool `json:"cached,omitempty"`
 	Coalesced bool `json:"coalesced,omitempty"`
-	// Shard is the job-global shard a "shard" event concerns; Retried
-	// marks a reassignment rather than a commit.
-	Shard   *int `json:"shard,omitempty"`
-	Retried bool `json:"retried,omitempty"`
-	// Stalled marks a retried "shard" event whose attempt was torn down
-	// by the coordinator's stall watchdog; Reason classifies the event
-	// (the distsweep.Reason* vocabulary: "stall", "launch", "error").
-	// Both add-only, forwarded verbatim from the coordinator's Progress.
+	// Shard is the job-global sub-grid a "shard" event reports finished.
+	Shard *int `json:"shard,omitempty"`
+	// Retried, Stalled and Reason are kept for wire compatibility (the
+	// add-only rule); the service never sets them.
+	Retried bool   `json:"retried,omitempty"`
 	Stalled bool   `json:"stalled,omitempty"`
 	Reason  string `json:"reason,omitempty"`
 }
@@ -217,7 +196,7 @@ func (j *job) update(mutate func(*JobStatus), ev *Event) {
 		mutate(&j.status)
 	}
 	if ev != nil {
-		ev.Status = snapshotLocked(j.status)
+		ev.Status = j.status
 		j.events = append(j.events, *ev)
 		close(j.changed)
 		j.changed = make(chan struct{})
@@ -225,24 +204,11 @@ func (j *job) update(mutate func(*JobStatus), ev *Event) {
 	j.mu.Unlock()
 }
 
-// snapshotLocked deep-copies a status (the ShardRetries map must not be
-// shared with concurrent mutation).
-func snapshotLocked(st JobStatus) JobStatus {
-	if st.ShardRetries != nil {
-		m := make(map[int]int, len(st.ShardRetries))
-		for k, v := range st.ShardRetries {
-			m[k] = v
-		}
-		st.ShardRetries = m
-	}
-	return st
-}
-
 // Snapshot returns the job's current status.
 func (j *job) Snapshot() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return snapshotLocked(j.status)
+	return j.status
 }
 
 // jobJournalVersion is the current job-journal record version; records
@@ -595,28 +561,33 @@ func (s *Service) Watch(ctx context.Context, id string, fn func(Event) error) er
 	}
 }
 
+// runGrid runs one cache-miss rectangle; tests swap it to wedge or
+// script a job's computation.
+var runGrid = sweep.RunGrid
+
 // run drives one job to a terminal state.
 func (s *Service) run(j *job) {
 	defer s.wg.Done()
 	defer j.cancel()
 	j.update(func(st *JobStatus) { st.State = StateRunning }, &Event{Type: StateRunning})
 
-	cells, cached, err := s.resolve(j)
+	cells, err := s.resolve(j)
 	if err == nil {
-		var result []byte
-		result, err = assemble(j, cells, cached)
-		if err == nil {
+		// Every cell sits at its parent index, so the grid marshals
+		// straight into the cold RunSweep byte stream.
+		var out bytes.Buffer
+		if err = sweep.MarshalCells(&out, cells); err == nil {
 			j.mu.Lock()
-			j.result = result
+			j.result = out.Bytes()
 			j.mu.Unlock()
 			j.update(func(st *JobStatus) { st.State = StateDone }, &Event{Type: StateDone})
 			s.journalEnd(j, StateDone)
 			return
 		}
 	}
-	// A cancelled job context wins over however the coordinator wrapped
-	// the resulting failure: the caller asked for cancellation and gets
-	// "cancelled", not a launch or shard error downstream of it.
+	// A cancelled job context wins over however the failure was wrapped:
+	// the caller asked for cancellation and gets "cancelled", not an
+	// error downstream of it.
 	state := StateFailed
 	if errors.Is(err, context.Canceled) || j.ctx.Err() != nil {
 		state = StateCancelled
@@ -628,61 +599,22 @@ func (s *Service) run(j *job) {
 	s.journalEnd(j, state)
 }
 
-// assemble merges the job's cached and fresh cells through the
-// interchange merge (MergeCellStreams — the same fold that reassembles
-// cross-process shard outputs) and re-orders the result into the
-// parent grid's ν-major order, returning the final MarshalCells bytes.
-func assemble(j *job, cells []sweep.AggregateCell, cached []bool) ([]byte, error) {
-	var cachedBuf, freshBuf bytes.Buffer
-	for idx, cell := range cells {
-		buf := &freshBuf
-		if cached[idx] {
-			buf = &cachedBuf
-		}
-		if err := sweep.MarshalCells(buf, []sweep.AggregateCell{cell}); err != nil {
-			return nil, err
-		}
-	}
-	merged, err := sweep.MergeCellStreams(&cachedBuf, &freshBuf)
-	if err != nil {
-		return nil, err
-	}
-	if len(merged) != len(cells) {
-		return nil, fmt.Errorf("sweepsvc: job %s: merged %d cells, expected %d", j.id, len(merged), len(cells))
-	}
-	ordered := make([]sweep.AggregateCell, len(cells))
-	for _, cell := range merged {
-		idx, ok := j.cellIdx[cellCoord{cell.Nu, cell.C}]
-		if !ok {
-			return nil, fmt.Errorf("sweepsvc: job %s: merged stream has unknown cell (ν=%g, c=%g)", j.id, cell.Nu, cell.C)
-		}
-		ordered[idx] = cell
-	}
-	var out bytes.Buffer
-	if err := sweep.MarshalCells(&out, ordered); err != nil {
-		return nil, err
-	}
-	return out.Bytes(), nil
-}
-
 // resolve produces every cell of the job's grid, in parent order,
 // sourcing each from the store, a joined flight, or its own
-// computation. cached[idx] reports a store hit (the "served from cache"
-// half of the merge). It loops until every cell is resolved: a round
-// claims or joins each pending cell, computes everything claimed
+// computation. It loops until every cell is resolved: a round claims or
+// joins each pending cell, computes everything claimed
 // (compute-before-wait — the deadlock-freedom invariant), then waits on
 // the joins; joins whose owner aborted are retried next round.
-func (s *Service) resolve(j *job) (cells []sweep.AggregateCell, cached []bool, err error) {
+func (s *Service) resolve(j *job) ([]sweep.AggregateCell, error) {
 	n := len(j.keys)
-	cells = make([]sweep.AggregateCell, n)
-	cached = make([]bool, n)
+	cells := make([]sweep.AggregateCell, n)
 	pending := make([]int, n)
 	for i := range pending {
 		pending[i] = i
 	}
 	for len(pending) > 0 {
 		if err := j.ctx.Err(); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		var hits, owned, joined []int
 		flights := make(map[int]*flight)
@@ -716,9 +648,9 @@ func (s *Service) resolve(j *job) (cells []sweep.AggregateCell, cached []bool, e
 			}
 			if err != nil {
 				s.abortFlights(j, owned)
-				return nil, nil, err
+				return nil, err
 			}
-			cells[idx], cached[idx] = cell, true
+			cells[idx] = cell
 			nu, c := cell.Nu, cell.C
 			j.update(func(st *JobStatus) { st.CellsCached++ },
 				&Event{Type: "cell", Nu: nu, C: c, Cached: true})
@@ -726,7 +658,7 @@ func (s *Service) resolve(j *job) (cells []sweep.AggregateCell, cached []bool, e
 
 		if len(owned) > 0 {
 			if err := s.compute(j, owned, cells); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 		}
 
@@ -736,7 +668,7 @@ func (s *Service) resolve(j *job) (cells []sweep.AggregateCell, cached []bool, e
 			select {
 			case <-f.done:
 			case <-j.ctx.Done():
-				return nil, nil, j.ctx.Err()
+				return nil, j.ctx.Err()
 			}
 			if !f.ok {
 				// The owner failed or was cancelled; reclaim next round.
@@ -750,7 +682,7 @@ func (s *Service) resolve(j *job) (cells []sweep.AggregateCell, cached []bool, e
 		}
 		pending = retry
 	}
-	return cells, cached, nil
+	return cells, nil
 }
 
 // abortFlights aborts the job's still-incomplete claims among idxs so
@@ -770,16 +702,16 @@ func (s *Service) abortFlights(j *job, idxs []int) {
 	}
 }
 
-// compute runs the job's claimed cells through the distributed
-// coordinator and commits each finished cell — store first, then the
-// flight — as it lands. The claimed set is decomposed into the fewest
-// grid-aligned rectangles the shard protocol can express (whole ν-row
-// spans, or single-row c-spans); each rectangle runs as a sub-sweep
-// whose CellOffset places it in the parent frame, so its seeds — and
-// therefore its cells — are exactly the parent's. On any failure the
-// remaining incomplete claims are aborted for other jobs to reclaim.
+// compute runs the job's claimed cells and commits each finished cell —
+// store first, then the flight — as it lands. The claimed set is
+// decomposed into the fewest grid-aligned rectangles (whole ν-row
+// spans, or single-row c-spans); each rectangle is one shard, run by
+// sweep.RunGrid with a CellOffset that places it in the parent frame, so
+// its seeds — and therefore its cells — are exactly the parent's. On any
+// failure the remaining incomplete claims are aborted for other jobs to
+// reclaim.
 func (s *Service) compute(j *job, owned []int, cells []sweep.AggregateCell) (err error) {
-	committed := make(map[int]bool, len(owned)) // guarded by the coordinator callback serialization + Run return
+	committed := make(map[int]bool, len(owned)) // written only by commit, on this goroutine
 	defer func() {
 		if err == nil {
 			return
@@ -793,95 +725,68 @@ func (s *Service) compute(j *job, owned []int, cells []sweep.AggregateCell) (err
 		s.abortFlights(j, left)
 	}()
 
-	nC := len(j.sweep.CValues)
-	rects := decompose(owned, len(j.sweep.NuValues), nC)
+	rects := decompose(owned, len(j.sweep.NuValues), len(j.sweep.CValues))
+	var base int // job-global id of this round's first shard
+	j.update(func(st *JobStatus) {
+		base = st.ShardsTotal
+		st.ShardsTotal += len(rects)
+	}, nil)
 
-	// Plan shard accounting up front so ShardsTotal is stable for the
-	// whole compute round.
-	workers := s.opts.Workers
-	if workers < 1 {
-		workers = 1
+	commit := func(cell sweep.AggregateCell) error {
+		idx, ok := j.cellIdx[cellCoord{cell.Nu, cell.C}]
+		if !ok {
+			return fmt.Errorf("sweepsvc: job %s: grid run returned unknown cell (ν=%g, c=%g)", j.id, cell.Nu, cell.C)
+		}
+		// Store before flight: the claim-loop invariant (no flight + no
+		// store entry ⇒ unowned) depends on this order. A Put failure
+		// leaves the flight incomplete; the deferred abort hands the
+		// cell back.
+		if err := s.opts.Store.Put(j.keys[idx], cell); err != nil {
+			return err
+		}
+		s.mu.Lock()
+		if f, ok := s.inflight[j.keys[idx]]; ok {
+			f.cell = cell
+			f.ok = true
+			delete(s.inflight, j.keys[idx])
+			close(f.done)
+		}
+		s.computed++
+		s.mu.Unlock()
+		cells[idx] = cell
+		committed[idx] = true
+		j.update(func(st *JobStatus) { st.CellsComputed++ },
+			&Event{Type: "cell", Nu: cell.Nu, C: cell.C})
+		return nil
 	}
-	target := s.opts.TargetShards
-	if target == 0 {
-		target = workers
-	}
-	subs := make([]distsweep.Sweep, len(rects))
-	bases := make([]int, len(rects))
-	base := 0
+
 	for i, r := range rects {
-		subs[i] = subSweep(j.sweep, r)
-		bases[i] = base
-		base += distsweep.PartitionSize(subs[i], target)
-	}
-	added := base
-	j.update(func(st *JobStatus) { st.ShardsTotal += added }, nil)
-
-	for i, sub := range subs {
-		shardBase := bases[i]
-		var cbErr error // first commit error inside a callback; callbacks are serialized
-		_, runErr := distsweep.Run(j.ctx, sub, distsweep.Options{
-			Workers:        s.opts.Workers,
-			Shards:         s.opts.TargetShards,
-			Retries:        s.opts.Retries,
-			Executor:       s.opts.Executor,
-			StallTimeout:   s.opts.StallTimeout,
-			RespawnBackoff: s.opts.RespawnBackoff,
-			OnProgress: func(p distsweep.Progress) {
-				shard := shardBase + p.Shard
-				retried := p.Retried
-				j.update(func(st *JobStatus) {
-					if retried {
-						st.Retries++
-						if st.ShardRetries == nil {
-							st.ShardRetries = make(map[int]int)
-						}
-						st.ShardRetries[shard]++
-					} else {
-						st.ShardsDone++
-					}
-				}, &Event{Type: "shard", Shard: &shard, Retried: retried,
-					Stalled: p.Stalled, Reason: p.Reason})
-			},
-			OnCell: func(cell sweep.AggregateCell) {
-				idx, ok := j.cellIdx[cellCoord{cell.Nu, cell.C}]
-				if !ok {
-					if cbErr == nil {
-						cbErr = fmt.Errorf("sweepsvc: job %s: coordinator returned unknown cell (ν=%g, c=%g)", j.id, cell.Nu, cell.C)
-					}
-					return
-				}
-				// Store before flight: the claim-loop invariant (no flight +
-				// no store entry ⇒ unowned) depends on this order. A Put
-				// failure leaves the flight incomplete; the deferred abort
-				// hands the cell back.
-				if err := s.opts.Store.Put(j.keys[idx], cell); err != nil {
-					if cbErr == nil {
-						cbErr = err
-					}
-					return
-				}
-				s.mu.Lock()
-				if f, ok := s.inflight[j.keys[idx]]; ok {
-					f.cell = cell
-					f.ok = true
-					delete(s.inflight, j.keys[idx])
-					close(f.done)
-				}
-				s.computed++
-				s.mu.Unlock()
-				cells[idx] = cell
-				committed[idx] = true
-				j.update(func(st *JobStatus) { st.CellsComputed++ },
-					&Event{Type: "cell", Nu: cell.Nu, C: cell.C})
-			},
+		sub := subSweep(j.sweep, r)
+		cfg, err := sub.Spec.Config()
+		if err != nil {
+			return err
+		}
+		cfg.Workers = s.opts.Workers
+		cfg.CellOffset = sub.CellOffset
+		var commitErr error
+		_, runErr := runGrid(j.ctx, cfg, sub.Replicates, func(cell sweep.AggregateCell) {
+			// Commit every cell handed over while the job is live — an
+			// errored cell (every replicate failed) included, since it is
+			// the cell RunSweep reports. Once the job is cancelled a cell
+			// may be missing the replicates the cancellation cut short,
+			// so nothing more is committed.
+			if commitErr == nil && j.ctx.Err() == nil {
+				commitErr = commit(cell)
+			}
 		})
 		if runErr != nil {
 			return runErr
 		}
-		if cbErr != nil {
-			return cbErr
+		if commitErr != nil {
+			return commitErr
 		}
+		shard := base + i
+		j.update(func(st *JobStatus) { st.ShardsDone++ }, &Event{Type: "shard", Shard: &shard})
 	}
 	return nil
 }
@@ -890,8 +795,8 @@ func (s *Service) compute(j *job, owned []int, cells []sweep.AggregateCell) (err
 // parent grid's index space.
 type rect struct{ nuLo, nuHi, cLo, cHi int }
 
-// decompose covers the claimed cell set with rectangles the shard
-// protocol can express. Rows missing their full c-span stack into
+// decompose covers the claimed cell set with rectangles a sub-sweep can
+// express. Rows missing their full c-span stack into
 // multi-row rectangles (the spec's ν-major stride then equals the
 // parent's, so one CellOffset shifts every seed correctly); partially
 // missing rows become single-row rectangles per contiguous c-run. The

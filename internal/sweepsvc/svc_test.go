@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -14,7 +13,6 @@ import (
 	"time"
 
 	"neatbound"
-	"neatbound/internal/distsweep"
 	"neatbound/internal/store"
 	"neatbound/internal/sweep"
 	"neatbound/internal/sweepsvc"
@@ -32,7 +30,7 @@ func testReq() sweepsvc.JobRequest {
 }
 
 // newService opens a fresh store in a temp dir and a service over it.
-func newService(t *testing.T, opts sweepsvc.Options) (*sweepsvc.Service, *store.Store) {
+func newService(t testing.TB, opts sweepsvc.Options) (*sweepsvc.Service, *store.Store) {
 	t.Helper()
 	st, err := store.Open(t.TempDir())
 	if err != nil {
@@ -263,31 +261,47 @@ func TestConcurrentSubmitsCoalesce(t *testing.T) {
 	}
 }
 
-// blockingExecutor wedges every worker launch until the coordinator's
-// context dies — a deterministic stand-in for a long-running job.
-type blockingExecutor struct {
-	started chan struct{}
-	once    sync.Once
+// swapRunGrid routes every grid run through f until the returned restore
+// is called, or the test ends. Call it before newService, so the
+// end-of-test restore runs after the service's Close has stopped every
+// job.
+func swapRunGrid(t *testing.T, f sweepsvc.GridFunc) (restore func()) {
+	restore = sweepsvc.SetRunGrid(f)
+	t.Cleanup(restore)
+	return restore
 }
 
-func (e *blockingExecutor) Start(ctx context.Context, id int) (*distsweep.WorkerConn, error) {
-	e.once.Do(func() { close(e.started) })
-	<-ctx.Done()
-	return nil, ctx.Err()
+// blockingGrid wedges every grid run until the job's context dies — a
+// deterministic stand-in for a long-running job. started is closed when
+// the first run begins.
+func blockingGrid(started chan struct{}) sweepsvc.GridFunc {
+	var once sync.Once
+	return func(ctx context.Context, _ sweep.Config, _ int, _ func(sweep.AggregateCell)) ([]sweep.AggregateCell, error) {
+		once.Do(func() { close(started) })
+		<-ctx.Done()
+		return nil, ctx.Err()
+	}
+}
+
+// awaitStart fails the test unless a grid run begins in time.
+func awaitStart(t *testing.T, started <-chan struct{}) {
+	t.Helper()
+	select {
+	case <-started:
+	case <-time.After(30 * time.Second):
+		t.Fatal("job never started a grid run")
+	}
 }
 
 func TestCancelRunningJob(t *testing.T) {
-	exec := &blockingExecutor{started: make(chan struct{})}
-	svc, _ := newService(t, sweepsvc.Options{Executor: exec})
+	started := make(chan struct{})
+	swapRunGrid(t, blockingGrid(started))
+	svc, _ := newService(t, sweepsvc.Options{})
 	st0, err := svc.Submit(testReq())
 	if err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case <-exec.started:
-	case <-time.After(30 * time.Second):
-		t.Fatal("job never reached the executor")
-	}
+	awaitStart(t, started)
 	if _, ok := svc.Cancel(st0.ID); !ok {
 		t.Fatalf("cancel: job %s unknown", st0.ID)
 	}
@@ -304,13 +318,12 @@ func TestCancelRunningJob(t *testing.T) {
 // flights must survive the first job's cancellation by reclaiming and
 // computing the cells itself.
 func TestCancelReleasesClaims(t *testing.T) {
-	// First service call wedges; flipping release lets later launches
-	// through, so the reclaiming job can finish.
+	// Grid runs wedge until release flips; later runs go through to
+	// sweep.RunGrid, so the reclaiming job can finish.
 	var mu sync.Mutex
 	release := false
-	inner := distsweep.InProcess{}
 	started := make(chan struct{}, 16)
-	exec := executorFunc(func(ctx context.Context, id int) (*distsweep.WorkerConn, error) {
+	swapRunGrid(t, func(ctx context.Context, cfg sweep.Config, reps int, onCell func(sweep.AggregateCell)) ([]sweep.AggregateCell, error) {
 		mu.Lock()
 		ok := release
 		mu.Unlock()
@@ -322,25 +335,21 @@ func TestCancelReleasesClaims(t *testing.T) {
 			<-ctx.Done()
 			return nil, ctx.Err()
 		}
-		return inner.Start(ctx, id)
+		return sweep.RunGrid(ctx, cfg, reps, onCell)
 	})
-	svc, _ := newService(t, sweepsvc.Options{Executor: exec})
+	svc, _ := newService(t, sweepsvc.Options{})
 	req := testReq()
 	first, err := svc.Submit(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case <-started:
-	case <-time.After(30 * time.Second):
-		t.Fatal("first job never reached the executor")
-	}
+	awaitStart(t, started)
 	second, err := svc.Submit(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Give the second job a moment to join the first job's flights, then
-	// kill the owner and unblock the fleet.
+	// unblock the grid runs and kill the owner.
 	time.Sleep(50 * time.Millisecond)
 	mu.Lock()
 	release = true
@@ -360,11 +369,78 @@ func TestCancelReleasesClaims(t *testing.T) {
 	}
 }
 
-// executorFunc adapts a function to distsweep.Executor.
-type executorFunc func(ctx context.Context, id int) (*distsweep.WorkerConn, error)
+// TestCancelStoresOnlyWholeCells: a cell a grid run hands over after the
+// job was cancelled may be aggregated from fewer replicates than asked
+// for, so it must not reach the store; the whole cell delivered before
+// the cancellation must.
+func TestCancelStoresOnlyWholeCells(t *testing.T) {
+	req := testReq()
+	ids := make(chan string, 1)
+	var svc *sweepsvc.Service
+	swapRunGrid(t, func(ctx context.Context, cfg sweep.Config, reps int, onCell func(sweep.AggregateCell)) ([]sweep.AggregateCell, error) {
+		onCell(sweep.AggregateCell{Nu: cfg.NuValues[0], C: cfg.CValues[0], Replicates: reps})
+		svc.Cancel(<-ids)
+		<-ctx.Done()
+		onCell(sweep.AggregateCell{Nu: cfg.NuValues[0], C: cfg.CValues[1], Replicates: reps - 1})
+		return nil, ctx.Err()
+	})
+	svc, st := newService(t, sweepsvc.Options{})
+	st0, err := svc.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids <- st0.ID
+	if fin, _ := waitJob(t, svc, st0.ID); fin.State != sweepsvc.StateCancelled {
+		t.Fatalf("job ended %s (%s), want cancelled", fin.State, fin.Error)
+	}
+	keys := sweepsvc.CellKeys(req.Sweep())
+	if !st.Has(keys[0]) {
+		t.Error("the whole cell delivered before cancellation is not in the store")
+	}
+	if st.Has(keys[1]) {
+		t.Error("a cell delivered after cancellation reached the store")
+	}
+	if st.Len() != 1 {
+		t.Errorf("store holds %d cells, want 1", st.Len())
+	}
+}
 
-func (f executorFunc) Start(ctx context.Context, id int) (*distsweep.WorkerConn, error) {
-	return f(ctx, id)
+// TestErrorCellMatchesRunSweep: a cell whose every replicate fails (at
+// c = 0.01, p = 1/(c·n·Δ) ≈ 3.33 is no probability) is still a cell of
+// the result. It must be stored with its error, served byte-identical to
+// RunSweep, and hit the cache on resubmission.
+func TestErrorCellMatchesRunSweep(t *testing.T) {
+	svc, st := newService(t, sweepsvc.Options{})
+	req := testReq()
+	req.NuValues = []float64{0.2}
+	req.CValues = []float64{0.01, 1}
+	first, err := svc.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fin, _ := waitJob(t, svc, first.ID); fin.State != sweepsvc.StateDone {
+		t.Fatalf("cold job ended %s (%s), want done", fin.State, fin.Error)
+	}
+	got, err := svc.Result(first.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := coldBytes(t, req); !bytes.Equal(got, want) {
+		t.Errorf("result differs from cold RunSweep:\ngot:\n%s\nwant:\n%s", got, want)
+	}
+	for i, key := range sweepsvc.CellKeys(req.Sweep()) {
+		if !st.Has(key) {
+			// A resubmission would wait on the cell's never-finished flight.
+			t.Fatalf("cell %d is not in the store", i)
+		}
+	}
+	second, err := svc.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fin, _ := waitJob(t, svc, second.ID); fin.State != sweepsvc.StateDone || fin.CellsCached != 2 {
+		t.Errorf("resubmission: %+v, want done with 2 cells cached", fin)
+	}
 }
 
 func TestSubmitValidates(t *testing.T) {
@@ -543,20 +619,18 @@ func TestJournalRecoversUnfinishedJobs(t *testing.T) {
 	dir := t.TempDir()
 	req := testReq()
 
-	// Life 1: the job wedges in the executor; Close is daemon shutdown,
+	// Life 1: the job wedges in its grid run; Close is daemon shutdown,
 	// not user cancellation, so the journal keeps the job open.
-	exec := &blockingExecutor{started: make(chan struct{})}
-	svc1 := journalledService(t, dir, sweepsvc.Options{Executor: exec})
+	started := make(chan struct{})
+	restore := swapRunGrid(t, blockingGrid(started))
+	svc1 := journalledService(t, dir, sweepsvc.Options{})
 	st0, err := svc1.Submit(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case <-exec.started:
-	case <-time.After(30 * time.Second):
-		t.Fatal("job never reached the executor")
-	}
+	awaitStart(t, started)
 	svc1.Close()
+	restore()
 
 	// Life 2: Recover resubmits it under a fresh id and it finishes.
 	svc2 := journalledService(t, dir, sweepsvc.Options{})
@@ -595,17 +669,14 @@ func TestJournalRecoversUnfinishedJobs(t *testing.T) {
 // cancelled — it must not rise from the journal on the next start.
 func TestJournalUserCancelIsTerminal(t *testing.T) {
 	dir := t.TempDir()
-	exec := &blockingExecutor{started: make(chan struct{})}
-	svc1 := journalledService(t, dir, sweepsvc.Options{Executor: exec})
+	started := make(chan struct{})
+	restore := swapRunGrid(t, blockingGrid(started))
+	svc1 := journalledService(t, dir, sweepsvc.Options{})
 	st0, err := svc1.Submit(testReq())
 	if err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case <-exec.started:
-	case <-time.After(30 * time.Second):
-		t.Fatal("job never reached the executor")
-	}
+	awaitStart(t, started)
 	if _, ok := svc1.Cancel(st0.ID); !ok {
 		t.Fatalf("cancel: job %s unknown", st0.ID)
 	}
@@ -613,63 +684,12 @@ func TestJournalUserCancelIsTerminal(t *testing.T) {
 		t.Fatalf("cancelled job ended %s (%s)", st.State, st.Error)
 	}
 	svc1.Close()
+	restore()
 
 	svc2 := journalledService(t, dir, sweepsvc.Options{})
 	defer svc2.Close()
 	if recovered, err := svc2.Recover(); err != nil || len(recovered) != 0 {
 		t.Errorf("user-cancelled job recovered (%d jobs, err %v), want none", len(recovered), err)
-	}
-}
-
-// flakyLaunchExecutor fails its first Start and then delegates — the
-// smallest fault that exercises the coordinator's launch-retry path
-// through the service.
-type flakyLaunchExecutor struct {
-	inner distsweep.Executor
-	n     int32
-	mu    sync.Mutex
-}
-
-func (e *flakyLaunchExecutor) Start(ctx context.Context, id int) (*distsweep.WorkerConn, error) {
-	e.mu.Lock()
-	e.n++
-	first := e.n == 1
-	e.mu.Unlock()
-	if first {
-		return nil, errors.New("flaky launch")
-	}
-	return e.inner.Start(ctx, id)
-}
-
-// TestShardEventsCarryRetryReason: a retried shard's event must reach
-// watchers (and thus the SSE stream) with the coordinator's failure
-// classification attached.
-func TestShardEventsCarryRetryReason(t *testing.T) {
-	exec := &flakyLaunchExecutor{inner: distsweep.InProcess{}}
-	svc, _ := newService(t, sweepsvc.Options{
-		Executor:       exec,
-		Workers:        1,
-		RespawnBackoff: time.Millisecond,
-	})
-	st0, err := svc.Submit(testReq())
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, events := waitJob(t, svc, st0.ID)
-	if st.State != sweepsvc.StateDone {
-		t.Fatalf("job: %s (%s)", st.State, st.Error)
-	}
-	if st.Retries == 0 {
-		t.Fatal("flaky launch produced no retries")
-	}
-	found := false
-	for _, ev := range events {
-		if ev.Type == "shard" && ev.Retried && ev.Reason == distsweep.ReasonLaunch {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("no shard event carried Retried + Reason=%q; events: %+v", distsweep.ReasonLaunch, events)
 	}
 }
 

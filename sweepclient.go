@@ -27,7 +27,7 @@ type SweepJobRequest = sweepsvc.JobRequest
 
 // SweepJobStatus is a submitted job's observable state: lifecycle
 // (queued/running/done/failed/cancelled), the cached/coalesced/computed
-// cell breakdown, and per-shard retry counts.
+// cell breakdown, and the cache-miss sub-grids done and dispatched.
 type SweepJobStatus = sweepsvc.JobStatus
 
 // SweepJobEvent is one entry in a job's progress stream — the payload
