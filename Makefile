@@ -6,16 +6,16 @@ GO ?= go
 # append-only — cmd/benchjson refuses to overwrite an existing one.
 BENCH_LABEL ?= current
 
-.PHONY: verify fmt vet build examples docs-check loc perfbench test test-race test-parallel test-dist test-skip test-mem test-svc test-chaos test-scenarios bench bench-mem
+.PHONY: verify fmt vet build examples docs-check loc perfbench test test-race test-parallel test-skip test-mem test-svc test-chaos test-scenarios bench bench-mem
 
 ## verify: the full tier-1 gate — formatting, vet, build (`go build
 ## ./...` compiles the examples too), the package-doc check, the quick
-## distributed-parity, fast-forward-equivalence, memory/compaction,
-## sweep-service, and fault-tolerance checks, and the race test suite
+## fast-forward-equivalence, memory/compaction, sweep-service,
+## fault-tolerance and scenario checks, and the race test suite
 ## (~6 min; internal/dist's statistical tests dominate), plus vet and
 ## tests of the perfbench module, which the root `go test ./...` never
 ## compiles.
-verify: fmt vet build docs-check perfbench test-dist test-skip test-mem test-svc test-chaos test-scenarios test-race
+verify: fmt vet build docs-check perfbench test-skip test-mem test-svc test-chaos test-scenarios test-race
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -62,14 +62,6 @@ test-race:
 test-parallel:
 	$(GO) test -race ./internal/sweep/ .
 
-## test-dist: seconds-long short-mode race pass over the distributed
-## sweep driver — partitioning, the worker protocol, in-process
-## coordinator/worker parity, reassignment after worker death — plus the
-## façade and CLI distributed paths. (The real-subprocess parity tests
-## skip under -short; the full `test-race` pass runs them.)
-test-dist:
-	$(GO) test -race -short -run 'Dist|Partition|Worker|Replicate' ./internal/distsweep/ ./internal/sweep/ ./cmd/sweep/ .
-
 ## test-skip: seconds-long short-mode race pass over the event-driven
 ## round-skipping path — the Geometric sampler's draw-for-draw contract,
 ## the network's nil-list entries and the delivery-schedule fuzz seeds,
@@ -97,18 +89,15 @@ test-svc:
 	$(GO) test -race -short ./internal/store/ ./internal/sweepsvc/ ./cmd/sweepd/
 	$(GO) test -race -short -run 'SweepClient|SweepRequest' .
 
-## test-chaos: seconds-long short-mode race pass over the
-## fault-tolerance layer (docs/faults.md) — the deterministic chaos
-## soak (seeded worker kills, hangs, truncation, and corruption with
-## exactly-once commits and cold-run byte-identity), the
-## checkpoint/resume crash edges, stall detection, respawn backoff,
-## permanent-failure fast-fail, and the daemon's job-journal recovery.
-## Every fault schedule is seeded and the seed appears in the failure
-## message, so a red run replays exactly. (The real-subprocess kill -9
-## and stderr-tail tests skip under -short; `test-race` runs them.)
+## test-chaos: seconds-long short-mode race pass over the fault paths
+## (docs/faults.md) — the journal and cell store's torn-tail truncation,
+## mid-file corruption and checksum failures (plus the seed corpora of
+## FuzzStoreOpen and FuzzJournalOpen), the sweepd job journal's
+## recovery across restarts, and cmd/sweep -checkpoint resuming from
+## the cell store with output byte-identical to a cold run.
 test-chaos:
-	$(GO) test -race -short -run 'Chaos|Checkpoint|Resume|Stall|Backoff|Permanent|SweepKey|Journal|StderrTail' \
-		./internal/distsweep/ ./internal/store/ ./internal/sweepsvc/ ./cmd/sweepd/ ./cmd/sweep/
+	$(GO) test -race -short -run 'TornTail|Corruption|Checksum|StoreOpen|Journal|Restart|Checkpoint' \
+		./internal/store/ ./internal/sweepsvc/ ./cmd/sweepd/ ./cmd/sweep/
 
 ## test-scenarios: seconds-long short-mode race pass over the scenario
 ## layer (docs/scenarios.md) — the stochastic delay policies' delivery
@@ -116,14 +105,14 @@ test-chaos:
 ## selection and weighted mining (incl. the all-ones ≡ unweighted
 ## identity and the FastForward disarm), the scenario golden traces
 ## (with the ignored shard counts and with consistency checkers attached),
-## the interchange/shard-spec fuzz seed corpora, and the xval theory
+## the interchange fuzz seed corpora, and the xval theory
 ## cross-checks (every scenario must sit on the correct side of the
 ## paper's bounds near c*). Every
 ## stochastic check prints its seed in the failure message, so a red
 ## run replays exactly.
 test-scenarios:
 	$(GO) test -race -short -run 'Scenario|Churn|Weighted|Partition|Bursty|CrossCheck|Threshold|Compile|SkewedWeights|ParseRoundTrip|ValidateRejects|Fuzz' \
-		./internal/network/ ./internal/engine/ ./internal/scenario/... ./internal/sweep/ ./internal/distsweep/ .
+		./internal/network/ ./internal/engine/ ./internal/scenario/... ./internal/sweep/ .
 
 ## bench: append the BENCH_engine.json entry labeled $(BENCH_LABEL),
 ## then run the façade benchmarks — the core count is stamped

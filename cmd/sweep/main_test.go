@@ -1,8 +1,10 @@
 package main
 
 import (
-	"os"
-	"path/filepath"
+	"bytes"
+	"context"
+	"io"
+	"strings"
 	"testing"
 
 	"neatbound"
@@ -26,7 +28,7 @@ func TestRunSmallGrid(t *testing.T) {
 		"-n", "20", "-delta", "2",
 		"-nu", "0.25", "-c", "2,10",
 		"-rounds", "1000", "-adversary", "max-delay",
-	}); err != nil {
+	}, io.Discard, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -37,91 +39,84 @@ func TestRunInfeasibleCellPrinted(t *testing.T) {
 		"-n", "4", "-delta", "1",
 		"-nu", "0.3", "-c", "0.01",
 		"-rounds", "100", "-adversary", "passive",
-	}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestRunDistCoordinatorMode drives -coordinator end to end with
-// in-process workers (the executor seam spares the test a subprocess
-// spawn; the real subprocess protocol is pinned in internal/distsweep
-// and the root parity tests).
-func TestRunDistCoordinatorMode(t *testing.T) {
-	orig := newExecutor
-	newExecutor = func(int) neatbound.ShardExecutor { return neatbound.NewInProcessExecutor(0) }
-	defer func() { newExecutor = orig }()
-	if err := run([]string{
-		"-n", "8", "-delta", "2",
-		"-nu", "0.2,0.3", "-c", "2,10",
-		"-rounds", "200", "-adversary", "max-delay",
-		"-replicates", "2",
-		"-coordinator", "2", "-dist-shards", "3",
-		"-json",
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// The plain-table path must work in coordinator mode too.
-	if err := run([]string{
-		"-n", "8", "-delta", "2",
-		"-nu", "0.25", "-c", "2",
-		"-rounds", "200",
-		"-coordinator", "2",
-	}); err != nil {
+	}, io.Discard, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunUnknownAdversary(t *testing.T) {
-	if err := run([]string{"-adversary", "bogus", "-rounds", "100"}); err == nil {
+	if err := run([]string{"-adversary", "bogus", "-rounds", "100"}, io.Discard, io.Discard); err == nil {
 		t.Error("unknown adversary accepted")
 	}
 }
 
 func TestRunBadNuList(t *testing.T) {
-	if err := run([]string{"-nu", "abc", "-rounds", "100"}); err == nil {
+	if err := run([]string{"-nu", "abc", "-rounds", "100"}, io.Discard, io.Discard); err == nil {
 		t.Error("bad ν list accepted")
 	}
 }
 
 func TestRunBadCList(t *testing.T) {
-	if err := run([]string{"-c", "1,,2", "-rounds", "100"}); err == nil {
+	if err := run([]string{"-c", "1,,2", "-rounds", "100"}, io.Discard, io.Discard); err == nil {
 		t.Error("bad c list accepted")
 	}
 }
 
-// TestRunCheckpointResume drives the -checkpoint/-resume flags end to
-// end: a checkpointed coordinator run leaves a shard journal behind,
-// and a -resume rerun against it completes (serving every shard from
-// the journal — byte-identity of resumed grids is pinned in
-// internal/distsweep and the façade tests). The flag-validation
-// refusals ride along.
+// TestRunCheckpointResume drives -checkpoint end to end: a one-row
+// checkpointed sweep fills the cell store, and a two-row rerun against
+// the same directory serves the whole first row from it, computes only
+// the new row, and prints exactly the MarshalCells bytes of a cold
+// RunSweep of the two-row grid.
 func TestRunCheckpointResume(t *testing.T) {
-	orig := newExecutor
-	newExecutor = func(int) neatbound.ShardExecutor { return neatbound.NewInProcessExecutor(0) }
-	defer func() { newExecutor = orig }()
 	dir := t.TempDir()
-	args := []string{
-		"-n", "8", "-delta", "2",
-		"-nu", "0.2,0.3", "-c", "2,10",
-		"-rounds", "200", "-adversary", "max-delay",
-		"-replicates", "2",
-		"-coordinator", "2", "-dist-shards", "3",
-		"-json", "-checkpoint", dir,
+	args := func(nu string, extra ...string) []string {
+		return append([]string{
+			"-n", "8", "-delta", "2",
+			"-nu", nu, "-c", "2,10",
+			"-rounds", "200", "-adversary", "max-delay",
+			"-replicates", "2",
+			"-checkpoint", dir,
+		}, extra...)
 	}
-	if err := run(args); err != nil {
+	if err := run(args("0.2", "-json"), io.Discard, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	if fi, err := os.Stat(filepath.Join(dir, "shards.log")); err != nil || fi.Size() == 0 {
-		t.Fatalf("checkpointed run left no shard journal (err %v)", err)
+	var stdout, stderr bytes.Buffer
+	if err := run(args("0.2,0.3", "-json"), &stdout, &stderr); err != nil {
+		t.Fatalf("rerun: %v", err)
 	}
-	if err := run(append(args, "-resume")); err != nil {
-		t.Fatalf("resume rerun: %v", err)
+	// Row 0 (two c values) comes from the store; row 1 is computed.
+	if want := "2 cells served from the store, 2 computed"; !strings.Contains(stderr.String(), want) {
+		t.Errorf("rerun status %q, want %q", stderr.String(), want)
 	}
 
-	if err := run([]string{"-coordinator", "2", "-rounds", "100", "-resume"}); err == nil {
-		t.Error("-resume without -checkpoint accepted")
+	cold, err := neatbound.RunSweep(context.Background(),
+		neatbound.SweepGrid{N: 8, Delta: 2, NuValues: []float64{0.2, 0.3}, CValues: []float64{2, 10}},
+		neatbound.WithRounds(200), neatbound.WithSeed(1), neatbound.WithConsistency(4, 0),
+		neatbound.WithAdversaryName("max-delay", neatbound.AdversaryOpts{ForkDepth: 4}),
+		neatbound.WithReplicates(2))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := run([]string{"-rounds", "100", "-checkpoint", t.TempDir()}); err == nil {
-		t.Error("-checkpoint without -coordinator accepted")
+	var want bytes.Buffer
+	if err := neatbound.MarshalCells(&want, cold); err != nil {
+		t.Fatal(err)
+	}
+	if stdout.String() != want.String() {
+		t.Errorf("resumed -json output differs from a cold RunSweep\ngot:\n%s\nwant:\n%s", stdout.String(), want.String())
+	}
+
+	// The table layout reads the same store: everything is cached, and
+	// every cell gets a row under the header.
+	stdout.Reset()
+	stderr.Reset()
+	if err := run(args("0.2,0.3"), &stdout, &stderr); err != nil {
+		t.Fatal(err)
+	}
+	if want := "4 cells served from the store, 0 computed"; !strings.Contains(stderr.String(), want) {
+		t.Errorf("table rerun status %q, want %q", stderr.String(), want)
+	}
+	if rows := strings.Count(stdout.String(), "\n"); rows != 1+len(cold) {
+		t.Errorf("table rerun printed %d lines, want a header and %d rows:\n%s", rows, len(cold), stdout.String())
 	}
 }

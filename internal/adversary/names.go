@@ -19,9 +19,9 @@ func Names() []string {
 }
 
 // ByName builds a fresh strategy from its experiment/CLI name — the one
-// switch shared by the façade (NewAdversaryByName) and the distributed
-// sweep worker, which must resolve the name carried in a shard spec
-// without importing the façade. forkDepth ≤ 0 picks DefaultForkDepth;
+// switch shared by the façade (NewAdversaryByName) and the sweep
+// service, which must resolve the name carried in a job request without
+// importing the façade. forkDepth ≤ 0 picks DefaultForkDepth;
 // strategies other than "private" ignore it. Strategies are stateful:
 // call ByName once per concurrent run.
 func ByName(name string, forkDepth int) (engine.Adversary, error) {

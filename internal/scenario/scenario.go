@@ -8,7 +8,7 @@
 // min/max/hashed corners, and every scenario doubles as a theory
 // cross-check (package scenario/xval).
 //
-// A Spec travels on the wire inside the distsweep shard spec and the
+// A Spec travels on the wire inside the sweepd job request and the
 // sweep configuration; its fields are add-only (docs/interchange.md),
 // and a nil Spec marshals to nothing, so pre-scenario streams are
 // byte-identical. Compilation is deterministic: the same Spec and

@@ -14,7 +14,7 @@ func testParams() params.Params {
 }
 
 // TestValidateRejects pins the validation surface: the malformed specs
-// the wire (shard specs, CLI JSON) must reject.
+// the wire (job requests, CLI JSON) must reject.
 func TestValidateRejects(t *testing.T) {
 	bad := map[string]*Spec{
 		"delay and partition": {Delay: &DelaySpec{Kind: "iid"}, Partition: &PartitionSpec{}},

@@ -19,9 +19,8 @@ import (
 var ErrMalformed = errors.New("store: malformed record")
 
 // Journal is a durable append-only line log — the crash-safety
-// primitive under both the cell store (cells.log) and the
-// fault-tolerance journals built on it (distsweep's shard checkpoints,
-// sweepd's job journal). It owns exactly the store's write discipline:
+// primitive under both the cell store (cells.log) and sweepd's job
+// journal. It owns exactly the store's write discipline:
 //
 //   - Appends are single-writer (an internal mutex), written in one
 //     Write call, and fsynced before Append returns — so a record a

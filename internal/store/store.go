@@ -5,9 +5,9 @@
 // replicates, engine-semantics version). It is the memoization layer
 // behind the sweep service — identical cells requested by many users are
 // computed once and served from here — and its append-only Journal is
-// the crash-safety primitive the other fault-tolerance logs reuse
-// (distsweep's shard-checkpoint journal, sweepd's job journal;
-// docs/faults.md states the shared discipline).
+// the crash-safety primitive sweepd's job journal reuses
+// (docs/faults.md states the shared discipline). cmd/sweep -checkpoint
+// runs its sweeps over the same store.
 //
 // # Layout and durability
 //
@@ -111,8 +111,11 @@ func Open(dir string) (*Store, error) {
 		if rec.V > recordVersion {
 			return fmt.Errorf("version %d is newer than this store's %d", rec.V, recordVersion)
 		}
-		s.index[rec.Key] = loc{off: off, n: int64(len(line) + 1)}
-		s.stats.Cells++
+		// Keep-first, as Put: a later record under a committed key can
+		// only be a duplicate or damage, and must not shadow the first.
+		if _, dup := s.index[rec.Key]; !dup {
+			s.index[rec.Key] = loc{off: off, n: int64(len(line) + 1)}
+		}
 		return nil
 	})
 	if err != nil {

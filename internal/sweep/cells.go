@@ -14,13 +14,13 @@ import (
 // wireCell is the JSON-lines wire form of an AggregateCell: the cell's
 // fields plus its error as a string (errors do not round-trip through
 // encoding/json). It is the interchange format cmd/sweep -json emits and
-// the cross-process sweep sharding merges; docs/interchange.md is the
-// field-by-field specification.
+// MergeCellStreams merges; docs/interchange.md is the field-by-field
+// specification.
 type wireCell struct {
 	AggregateCell
-	// Rep tags a single-replicate record (the ReplicateCell form
-	// replicate-range shards emit) with its global replicate index; nil
-	// on plain aggregates.
+	// Rep tags a single-replicate record (the ReplicateCell form) with
+	// its replicate index; nil on plain aggregates. Only read: the
+	// interchange is add-only, so tagged records stay parseable.
 	Rep   *int   `json:"rep,omitempty"`
 	Error string `json:"error,omitempty"`
 	// EngineVersion stamps the producer's engine-semantics version on
@@ -57,21 +57,6 @@ func MarshalCell(enc *json.Encoder, cell AggregateCell) error {
 	return nil
 }
 
-// MarshalReplicateCell encodes one replicate's outcome (a ReplicateCell
-// record) tagged with its global replicate index rep — the cell-record
-// form replicate-range sweep shards stream, refolded exactly by
-// AggregateReplicates on the coordinator side.
-func MarshalReplicateCell(enc *json.Encoder, rep int, cell AggregateCell) error {
-	wc := wireCell{AggregateCell: cell, Rep: &rep, EngineVersion: EngineVersion}
-	if cell.Err != nil {
-		wc.Error = cell.Err.Error()
-	}
-	if err := enc.Encode(wc); err != nil {
-		return fmt.Errorf("sweep: marshal replicate cell (ν=%g, c=%g, rep=%d): %w", cell.Nu, cell.C, rep, err)
-	}
-	return nil
-}
-
 // UnmarshalCellLine parses one interchange cell record, returning the
 // cell and its replicate tag (−1 when the record is a plain aggregate).
 func UnmarshalCellLine(line []byte) (AggregateCell, int, error) {
@@ -92,7 +77,7 @@ func UnmarshalCellLine(line []byte) (AggregateCell, int, error) {
 
 // UnmarshalCells reads a JSON-lines AggregateCell stream (the
 // MarshalCells format), restoring "error" fields into Err. Blank lines
-// are skipped, so concatenated shard outputs parse directly. Replicate
+// are skipped, so concatenated per-host outputs parse directly. Replicate
 // tags are dropped: a tagged record reads back as a one-replicate
 // aggregate, which MergeCells pools like any other duplicate.
 func UnmarshalCells(r io.Reader) ([]AggregateCell, error) {
@@ -123,15 +108,15 @@ func UnmarshalCells(r io.Reader) ([]AggregateCell, error) {
 }
 
 // MergeCellStreams folds several JSON-lines AggregateCell streams — the
-// outputs of cross-process sweep shards, each covering a partition of
+// -json outputs of sweeps run on different hosts, each covering part of
 // the grid — into one slice sorted ascending by (ν, c). Cells appearing
 // in exactly one stream pass through unchanged; duplicate (ν, c) cells
-// (shards that split a cell's replicates) are merged exactly: replicate
+// (streams that split a cell's replicates) are merged exactly: replicate
 // and violation counts add, the Wilson interval is recomputed from the
 // pooled counts, and the margin/convergence/fork summaries combine via
 // the parallel Welford update (stats.Merge). A duplicate's Err survives
 // the merge even when the other side succeeded — a failed or cancelled
-// shard must stay visible in the pooled cell.
+// stream must stay visible in the pooled cell.
 func MergeCellStreams(streams ...io.Reader) ([]AggregateCell, error) {
 	var all []AggregateCell
 	for i, r := range streams {
@@ -189,7 +174,7 @@ func mergePair(a, b AggregateCell) (AggregateCell, error) {
 		MaxForkDepth:  stats.Merge(a.MaxForkDepth, b.MaxForkDepth),
 	}
 	// A side's error always survives the merge: a duplicate that failed
-	// wholesale (e.g. a cancelled shard streaming Replicates = 0 with
+	// wholesale (e.g. a cancelled sweep streaming Replicates = 0 with
 	// ctx.Err()) must not silently vanish into the other side's clean
 	// aggregate — the driver needs to see that replicates are missing.
 	out.Err = a.Err

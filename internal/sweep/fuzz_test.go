@@ -7,8 +7,8 @@ import (
 
 // FuzzUnmarshalCells drives the cell-interchange reader with arbitrary
 // byte streams: malformed input must come back as an error, never a
-// panic, and any stream that parses must survive MergeCells (the
-// coordinator's next step on every decoded stream).
+// panic, and any stream that parses must survive MergeCells (what
+// MergeCellStreams does next with every decoded stream).
 func FuzzUnmarshalCells(f *testing.F) {
 	var buf bytes.Buffer
 	if err := MarshalCells(&buf, []AggregateCell{{Nu: 0.3, C: 2, Replicates: 3, ViolationRuns: 1}}); err != nil {

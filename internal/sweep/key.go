@@ -21,9 +21,9 @@ const EngineVersion = 1
 // CellSeed derives the deterministic engine seed of one (cell,
 // replicate) job from the sweep's base seed and the cell's parent-frame
 // ν-major index. This is the one derivation every execution path uses —
-// the in-process job queue, distributed shard workers (shifted via
-// CellOffset/RepOffset), and the sweepd store's content addresses — so
-// it is exported rather than re-implied elsewhere. The formula matches
+// the in-process job queue (shifted via CellOffset for a sub-grid) and
+// the sweepd store's content addresses — so it is exported rather than
+// re-implied elsewhere. The formula matches
 // the pre-job-queue runner (replicate offsets the base seed, the 1-based
 // cell index XORs in), so historical seeded sweeps reproduce.
 func CellSeed(base uint64, cellIdx, rep int) uint64 {

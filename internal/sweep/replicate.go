@@ -43,9 +43,7 @@ type AggregateCell struct {
 // aggregate folds one cell's replicate results, always in replicate
 // order, so the floating-point summaries are bit-identical no matter how
 // the worker pool interleaved the runs. It is AggregateReplicates over
-// the ReplicateCell forms — literally the fold a distributed coordinator
-// applies to replicate-range shard records, which is what makes the two
-// paths bit-identical by construction.
+// the ReplicateCell forms.
 func aggregate(nu, c float64, reps []Cell) (AggregateCell, error) {
 	rcs := make([]AggregateCell, len(reps))
 	for i, cell := range reps {
@@ -58,10 +56,8 @@ func aggregate(nu, c float64, reps []Cell) (AggregateCell, error) {
 // AggregateCell: every summary holds exactly that replicate's value
 // (N = 1, Mean = Min = Max, Std = 0), ViolationRuns flags whether the
 // run violated at all, and a failed replicate carries Err with
-// Replicates = 0. Replicate-range sweep shards stream these records
-// (MarshalReplicateCell) so a coordinator can refold them — in global
-// replicate order, via AggregateReplicates — into exactly the aggregate
-// one process would have computed.
+// Replicates = 0. Refolded in replicate order by AggregateReplicates,
+// these records give exactly the cell's aggregate.
 func ReplicateCell(cell Cell) AggregateCell {
 	out := AggregateCell{Nu: cell.Nu, C: cell.C}
 	if cell.Err != nil {
@@ -86,14 +82,11 @@ func ReplicateCell(cell Cell) AggregateCell {
 }
 
 // AggregateReplicates folds single-replicate records (the ReplicateCell
-// form) into the cell's pooled aggregate, in the order given. The
-// arithmetic is the same index-ordered Welford fold the single-process
-// sweep applies to its own replicates — each record's Mean carries the
-// replicate's exact value — so refolding replicate-range shard records
-// in global replicate order reproduces the single-process AggregateCell
-// bit for bit. Records with Err set count as failed replicates: they
-// are skipped, and the last error surfaces only when every replicate
-// failed (matching the in-process aggregation).
+// form) into the cell's pooled aggregate, in the order given: an
+// index-ordered Welford fold over each record's Mean, which carries the
+// replicate's exact value. Records with Err set count as failed
+// replicates: they are skipped, and the last error surfaces only when
+// every replicate failed.
 func AggregateReplicates(nu, c float64, reps []AggregateCell) (AggregateCell, error) {
 	var margin, conv, adv, fork, viol stats.Accumulator
 	violationRuns, ok := 0, 0
@@ -129,21 +122,6 @@ func AggregateReplicates(nu, c float64, reps []AggregateCell) (AggregateCell, er
 	out.Adversary = adv.Summary()
 	out.MaxForkDepth = fork.Summary()
 	return out, nil
-}
-
-// RunEach executes every (cell, replicate) job of the grid and streams
-// each finished replicate to onRep as a ReplicateCell record, on the
-// caller's goroutine in completion order — the primitive replicate-range
-// sweep shards run on. idx and rep are the local cell/replicate indices
-// (the caller shifts them into the parent frame by the same
-// CellOffset/RepOffset it configured for seeding).
-func RunEach(ctx context.Context, cfg Config, replicates int, onRep func(idx, rep int, rc AggregateCell)) error {
-	if replicates < 1 {
-		return fmt.Errorf("sweep: replicates = %d must be ≥ 1", replicates)
-	}
-	return runJobs(ctx, cfg, replicates, func(idx, rep int, cell Cell) {
-		onRep(idx, rep, ReplicateCell(cell))
-	})
 }
 
 // RunGrid is the unified sweep pipeline every entry point flows through:

@@ -59,8 +59,8 @@ type Tuning struct {
 	// EngineShards was the engine's delivery-phase parallelism.
 	//
 	// Deprecated: ignored; engine delivery is serial. Kept because
-	// engine_shards is part of the shard-spec and job-request wire
-	// formats, whose fields are add-only.
+	// engine_shards is part of the job-request wire format, whose
+	// fields are add-only.
 	EngineShards int `json:"engine_shards,omitempty"`
 	// FastForward enables the engine's event-driven round skipping
 	// (engine.Config.FastForward); it pays off in sparse-mining cells

@@ -12,7 +12,7 @@
 // self-contained — fanned out across a bounded set of workers
 // (GOMAXPROCS by default). A job's consistency scans run serially on
 // the job's own goroutine, so the workers are the only parallelism.
-// Callbacks (onCell, collect, onRep) always run on the caller's
+// Callbacks (onCell, collect) always run on the caller's
 // goroutine, in completion order; a Config is value-copied at entry and
 // never written by the runner, so one Config may drive concurrent
 // sweeps. Replicated sweeps aggregate each cell as soon as its last
@@ -25,12 +25,10 @@
 //
 // Finished cells serialize to the JSONL interchange specified in
 // docs/interchange.md: MarshalCells/MarshalCell emit cell records,
-// MarshalReplicateCell emits replicate-tagged records for
-// replicate-range shards, UnmarshalCells/UnmarshalCellLine read them
-// back, and MergeCellStreams reassembles partitioned streams into one
-// grid (duplicate cells pooled via the parallel-Welford stats.Merge).
-// The cross-process driver on top of this format lives in
-// internal/distsweep.
+// UnmarshalCells/UnmarshalCellLine read them back (replicate-tagged
+// records included), and MergeCellStreams reassembles streams computed
+// on different hosts into one grid (duplicate cells pooled via the
+// parallel-Welford stats.Merge).
 package sweep
 
 import (
@@ -70,14 +68,11 @@ type Config struct {
 	Workers int
 	// Tuning holds the cell engines' throughput knobs.
 	Tuning
-	// CellOffset and RepOffset place this grid inside a larger parent
-	// sweep for cross-process sharding: per-job seeds derive from the
-	// parent's ν-major cell index (local index + CellOffset) and the
-	// parent's replicate index (local replicate + RepOffset), so a shard
-	// covering a slice of the parent grid draws exactly the seeds the
-	// parent's single-process run would. Both zero for a standalone
-	// sweep.
-	CellOffset, RepOffset int
+	// CellOffset places this grid inside a larger parent sweep: per-job
+	// seeds derive from the parent's ν-major cell index (local index +
+	// CellOffset), so a rectangle cut from the parent grid draws exactly
+	// the seeds the parent's run would. Zero for a standalone sweep.
+	CellOffset int
 }
 
 // semantics gathers the cells' Semantics from the flat knob fields.
@@ -115,10 +110,10 @@ func (cfg Config) validate() error {
 }
 
 // cellSeed derives the deterministic seed of one (cell, replicate) job —
-// CellSeed in the parent grid's frame (cross-process shards shift idx
-// and rep into it via CellOffset/RepOffset).
+// CellSeed in the parent grid's frame (a sub-grid shifts idx into it via
+// CellOffset).
 func (cfg Config) cellSeed(idx, rep int) uint64 {
-	return CellSeed(cfg.Seed, idx+cfg.CellOffset, rep+cfg.RepOffset)
+	return CellSeed(cfg.Seed, idx+cfg.CellOffset, rep)
 }
 
 // runJobs executes every (cell, replicate) pair of the grid on a worker

@@ -32,24 +32,14 @@ func TestMergeCellStreamsEmptyStream(t *testing.T) {
 	}
 }
 
-// TestReplicateCellWireRoundTrip pins the rep-tagged cell record:
-// MarshalReplicateCell tags, UnmarshalCellLine restores cell + tag, and
-// plain aggregates read back untagged.
+// TestReplicateCellWireRoundTrip pins the reader side of the rep-tagged
+// cell record: nothing writes the tag any more, but the interchange is
+// add-only, so UnmarshalCellLine still restores cell + tag, and plain
+// aggregates read back untagged.
 func TestReplicateCellWireRoundTrip(t *testing.T) {
-	rc := ReplicateCell(Cell{Nu: 0.2, C: 4, Report: Report{Violations: 3, MaxForkDepth: 2}})
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	if err := MarshalReplicateCell(enc, 5, rc); err != nil {
-		t.Fatal(err)
-	}
-	if err := MarshalCell(enc, rc); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("wrote %d lines", len(lines))
-	}
-	got, rep, err := UnmarshalCellLine([]byte(lines[0]))
+	tagged := `{"Nu":0.2,"C":4,"Replicates":1,"ViolationRuns":1,"ViolationRateLo":0.2065432914738929,"ViolationRateHi":1,` +
+		`"Violations":{"N":1,"Mean":3,"Std":0,"Min":3,"Max":3},"rep":5,"engine_version":1}`
+	got, rep, err := UnmarshalCellLine([]byte(tagged))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,26 +49,25 @@ func TestReplicateCellWireRoundTrip(t *testing.T) {
 	if got.Violations.Mean != 3 || got.Replicates != 1 || got.ViolationRuns != 1 {
 		t.Errorf("round-tripped %+v", got)
 	}
-	if _, rep, err = UnmarshalCellLine([]byte(lines[1])); err != nil || rep != -1 {
+	var buf bytes.Buffer
+	if err := MarshalCell(json.NewEncoder(&buf), got); err != nil {
+		t.Fatal(err)
+	}
+	if _, rep, err = UnmarshalCellLine(bytes.TrimSpace(buf.Bytes())); err != nil || rep != -1 {
 		t.Errorf("plain aggregate: rep = %d, err = %v; want -1, nil", rep, err)
 	}
 	// A failed replicate's error string round-trips too.
-	failed := ReplicateCell(Cell{Nu: 0.2, C: 4, Err: errors.New("infeasible p")})
-	buf.Reset()
-	if err := MarshalReplicateCell(enc, 0, failed); err != nil {
-		t.Fatal(err)
-	}
-	got, _, err = UnmarshalCellLine(bytes.TrimSpace(buf.Bytes()))
+	got, rep, err = UnmarshalCellLine([]byte(`{"Nu":0.2,"C":4,"rep":0,"error":"infeasible p","engine_version":1}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Err == nil || got.Err.Error() != "infeasible p" || got.Replicates != 0 {
-		t.Errorf("failed replicate round-tripped as %+v (err %v)", got, got.Err)
+	if rep != 0 || got.Err == nil || got.Err.Error() != "infeasible p" || got.Replicates != 0 {
+		t.Errorf("failed replicate round-tripped as %+v (rep %d, err %v)", got, rep, got.Err)
 	}
 }
 
 // TestAggregateReplicatesErrHandling pins the failure semantics of the
-// coordinator-side refold: failed replicates are skipped, and only an
+// replicate refold: failed replicates are skipped, and only an
 // all-failed cell surfaces an error — the same contract as the
 // in-process aggregation.
 func TestAggregateReplicatesErrHandling(t *testing.T) {

@@ -3,7 +3,6 @@ package sweepsvc
 import (
 	"testing"
 
-	"neatbound/internal/distsweep"
 	"neatbound/internal/scenario"
 	"neatbound/internal/sweep"
 )
@@ -51,7 +50,7 @@ func TestDecomposeCoversExactly(t *testing.T) {
 // cells it covers. If this breaks, a cache hit serves a cell computed
 // under different seeds.
 func TestSubSweepKeysMatchParent(t *testing.T) {
-	parent := distsweep.Sweep{Spec: sweep.Spec{
+	parent := Sweep{Spec: sweep.Spec{
 		Grid:       sweep.Grid{N: 10, Delta: 3, NuValues: []float64{0.2, 0.3, 0.45}, CValues: []float64{0.5, 1, 2, 5}},
 		Seed:       9,
 		Replicates: 2,
@@ -64,10 +63,9 @@ func TestSubSweepKeysMatchParent(t *testing.T) {
 			for cLo := 0; cLo < nC; cLo++ {
 				for cHi := cLo + 1; cHi <= nC; cHi++ {
 					r := rect{nuLo, nuHi, cLo, cHi}
-					// The shard protocol can only express full c-spans over
-					// multiple rows, but key derivation must line up for every
-					// rectangle decompose may emit (multi-row ones always have
-					// cLo = 0, cHi = nC).
+					// Key derivation must line up for every rectangle
+					// decompose may emit; multi-row ones always have
+					// cLo = 0, cHi = nC.
 					if nuHi-nuLo > 1 && (cLo != 0 || cHi != nC) {
 						continue
 					}
@@ -92,7 +90,7 @@ func TestSubSweepKeysMatchParent(t *testing.T) {
 // TestCellKeysSensitivity: the content address must move when anything
 // semantic moves, and stay put for throughput-only knobs.
 func TestCellKeysSensitivity(t *testing.T) {
-	base := distsweep.Sweep{Spec: sweep.Spec{
+	base := Sweep{Spec: sweep.Spec{
 		Grid:       sweep.Grid{N: 10, Delta: 3, NuValues: []float64{0.2}, CValues: []float64{1}},
 		Seed:       9,
 		Replicates: 2,
@@ -100,18 +98,18 @@ func TestCellKeysSensitivity(t *testing.T) {
 	}}
 	k0 := CellKeys(base)[0]
 
-	semantic := map[string]func(*distsweep.Sweep){
-		"n":                 func(s *distsweep.Sweep) { s.N = 11 },
-		"delta":             func(s *distsweep.Sweep) { s.Delta = 4 },
-		"rounds":            func(s *distsweep.Sweep) { s.Rounds = 501 },
-		"seed":              func(s *distsweep.Sweep) { s.Seed = 10 },
-		"t":                 func(s *distsweep.Sweep) { s.T = 5 },
-		"replicates":        func(s *distsweep.Sweep) { s.Replicates = 3 },
-		"adversary":         func(s *distsweep.Sweep) { s.Adversary = "none" },
-		"fork-depth":        func(s *distsweep.Sweep) { s.ForkDepth = 5 },
-		"checker-retention": func(s *distsweep.Sweep) { s.CheckerRetention = 8 },
-		"cell-offset":       func(s *distsweep.Sweep) { s.CellOffset = 1 },
-		"scenario":          func(s *distsweep.Sweep) { s.Scenario = &scenario.Spec{Power: &scenario.PowerSpec{Heavy: 2}} },
+	semantic := map[string]func(*Sweep){
+		"n":                 func(s *Sweep) { s.N = 11 },
+		"delta":             func(s *Sweep) { s.Delta = 4 },
+		"rounds":            func(s *Sweep) { s.Rounds = 501 },
+		"seed":              func(s *Sweep) { s.Seed = 10 },
+		"t":                 func(s *Sweep) { s.T = 5 },
+		"replicates":        func(s *Sweep) { s.Replicates = 3 },
+		"adversary":         func(s *Sweep) { s.Adversary = "none" },
+		"fork-depth":        func(s *Sweep) { s.ForkDepth = 5 },
+		"checker-retention": func(s *Sweep) { s.CheckerRetention = 8 },
+		"cell-offset":       func(s *Sweep) { s.CellOffset = 1 },
+		"scenario":          func(s *Sweep) { s.Scenario = &scenario.Spec{Power: &scenario.PowerSpec{Heavy: 2}} },
 	}
 	for name, mutate := range semantic {
 		s := base
@@ -121,11 +119,11 @@ func TestCellKeysSensitivity(t *testing.T) {
 		}
 	}
 
-	throughput := map[string]func(*distsweep.Sweep){
-		"engine-shards":      func(s *distsweep.Sweep) { s.EngineShards = 4 },
-		"fast-forward":       func(s *distsweep.Sweep) { s.FastForward = true },
-		"compact-every":      func(s *distsweep.Sweep) { s.CompactEvery = 100 },
-		"compact-min-retire": func(s *distsweep.Sweep) { s.CompactMinRetire = 64 },
+	throughput := map[string]func(*Sweep){
+		"engine-shards":      func(s *Sweep) { s.EngineShards = 4 },
+		"fast-forward":       func(s *Sweep) { s.FastForward = true },
+		"compact-every":      func(s *Sweep) { s.CompactEvery = 100 },
+		"compact-min-retire": func(s *Sweep) { s.CompactMinRetire = 64 },
 	}
 	for name, mutate := range throughput {
 		s := base

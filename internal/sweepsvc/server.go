@@ -45,8 +45,8 @@ func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
-// maxRequestBytes caps a POST /jobs body: the same 1 MiB bound the
-// distributed worker puts on one shard-spec request line.
+// maxRequestBytes caps a POST /jobs body at 1 MiB. The body's size
+// does not bound the work it asks for; Sweep.Validate caps that.
 const maxRequestBytes = 1 << 20
 
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {

@@ -50,7 +50,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"neatbound/internal/distsweep"
 	"neatbound/internal/store"
 	"neatbound/internal/sweep"
 )
@@ -97,8 +96,8 @@ type JobRequest struct {
 
 // Sweep converts the request to the sweep description the service
 // validates, keys and cuts into cache-miss rectangles.
-func (r JobRequest) Sweep() distsweep.Sweep {
-	return distsweep.Sweep{Spec: r.Spec}
+func (r JobRequest) Sweep() Sweep {
+	return Sweep{Spec: r.Spec}
 }
 
 // JobStatus is a job's observable state. CellsCached counts store hits,
@@ -172,7 +171,7 @@ type flight struct {
 // job is one submission's full state.
 type job struct {
 	id      string
-	sweep   distsweep.Sweep
+	sweep   Sweep
 	keys    []string // ν-major cell content addresses
 	cellIdx map[cellCoord]int
 	ctx     context.Context
@@ -213,7 +212,7 @@ func (j *job) Snapshot() JobStatus {
 
 // jobJournalVersion is the current job-journal record version; records
 // with a newer version refuse to load (downgrade safety, same
-// discipline as the store and checkpoint journals).
+// discipline as the store).
 const jobJournalVersion = 1
 
 // jobRecord is one line of the durable job journal. A "submit" record
@@ -388,7 +387,7 @@ func (s *Service) ComputedCells() int {
 // CellKeys derives the content address of every cell in the sweep, in
 // ν-major grid order — the keys the service stores and coalesces on.
 // Exported for tests and warm-cache tooling.
-func CellKeys(sw distsweep.Sweep) []string {
+func CellKeys(sw Sweep) []string {
 	sem := sw.Semantics
 	sem.SampleEvery = sweep.ResolveSampleEvery(sem.SampleEvery, sem.Rounds)
 	nC := len(sw.CValues)
@@ -414,6 +413,9 @@ func CellKeys(sw distsweep.Sweep) []string {
 	return keys
 }
 
+// errClosed refuses submissions once Close has begun.
+var errClosed = errors.New("sweepsvc: service is closed")
+
 // Submit validates a request, registers a job, and starts it. The
 // returned status is the job's initial snapshot; follow it via Status,
 // Watch, or the HTTP endpoints.
@@ -430,6 +432,9 @@ func (s *Service) submit(req JobRequest, resumes string) (JobStatus, error) {
 	if err := sw.Validate(); err != nil {
 		return JobStatus{}, err
 	}
+	if s.root.Err() != nil {
+		return JobStatus{}, errClosed
+	}
 	keys := CellKeys(sw)
 	cellIdx := make(map[cellCoord]int, len(keys))
 	idx := 0
@@ -443,7 +448,7 @@ func (s *Service) submit(req JobRequest, resumes string) (JobStatus, error) {
 	s.mu.Lock()
 	if s.root.Err() != nil {
 		s.mu.Unlock()
-		return JobStatus{}, errors.New("sweepsvc: service is closed")
+		return JobStatus{}, errClosed
 	}
 	s.seq++
 	id := fmt.Sprintf("job-%d", s.seq)
@@ -859,7 +864,7 @@ func decompose(idxs []int, nNu, nC int) []rect {
 // subSweep cuts one rectangle of the parent sweep into a standalone
 // sweep whose CellOffset places its cell (0, 0) — and with it every
 // derived seed — in the parent's frame.
-func subSweep(p distsweep.Sweep, r rect) distsweep.Sweep {
+func subSweep(p Sweep, r rect) Sweep {
 	sub := p
 	sub.NuValues = p.NuValues[r.nuLo:r.nuHi]
 	sub.CValues = p.CValues[r.cLo:r.cHi]

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -737,4 +738,48 @@ func TestOversizeSubmitRejected(t *testing.T) {
 	if final, _ := waitJob(t, svc, st.ID); final.State != sweepsvc.StateDone {
 		t.Errorf("job after a rejected body ended %s: %s", final.State, final.Error)
 	}
+}
+
+// TestOversizedJobRejected pins the per-job work cap: a body well under
+// the 1 MiB limit can still name a 2000 × 2000 grid or ten billion
+// replicates. Both get a 400 with a reason before the service derives
+// any cell key, and neither registers a job: the next valid submission
+// is job-1.
+func TestOversizedJobRejected(t *testing.T) {
+	svc, _ := newService(t, sweepsvc.Options{})
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+	axis := func(n int, step float64) string {
+		vals := make([]string, n)
+		for i := range vals {
+			vals[i] = strconv.FormatFloat(step*float64(i+1), 'g', -1, 64)
+		}
+		return strings.Join(vals, ",")
+	}
+	for name, body := range map[string]string{
+		"2000x2000-grid": `{"n": 10, "delta": 3, "nu_values": [` + axis(2000, 1e-4) + `], "c_values": [` + axis(2000, 1e-2) +
+			`], "rounds": 400, "replicates": 1}`,
+		"1e10-replicates": `{"n": 10, "delta": 3, "nu_values": [0.2], "c_values": [1], "rounds": 400, "replicates": 10000000000}`,
+	} {
+		resp, err := http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var apiErr struct{ Error string }
+		if err := json.NewDecoder(resp.Body).Decode(&apiErr); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(apiErr.Error, "exceeds") {
+			t.Errorf("%s: status %d, error %q — want 400 naming the cap", name, resp.StatusCode, apiErr.Error)
+		}
+	}
+	st, err := svc.Submit(testReq())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.ID != "job-1" {
+		t.Errorf("first accepted job is %s, want job-1: a rejected body registered a job", st.ID)
+	}
+	waitJob(t, svc, st.ID)
 }

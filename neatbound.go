@@ -30,15 +30,13 @@
 // Run is context-aware (cancel mid-flight and get a partial report) and
 // takes any number of Observer hooks that see every round; RunSweep is
 // the same idea for (ν × c) grids, streaming AggregateCells that
-// MarshalCells/MergeCellStreams exchange across processes, and
-// RunSweepDistributed partitions a grid across worker processes (or
-// anything a ShardExecutor can launch) over the JSONL shard protocol of
-// docs/interchange.md — with the merged grid bit-identical to RunSweep
-// for any partitioning.
+// MarshalCells/MergeCellStreams exchange across processes and hosts
+// (docs/interchange.md), and SweepClient submits the same grids to a
+// sweepd server, which serves already-computed cells from its store.
 //
 // A single execution steps its rounds serially; parallelism comes from
-// running independent executions side by side (sweep cells, replicates,
-// distributed shards). The post-run consistency scan of an execution is
+// running independent executions side by side (sweep cells and
+// replicates on RunSweep's job queue). The post-run consistency scan of an execution is
 // serial too, on the goroutine that ran it.
 package neatbound
 

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"time"
 
 	"neatbound/internal/adversary"
 	"neatbound/internal/engine"
@@ -73,7 +72,7 @@ func AdversaryNames() []string { return adversary.Names() }
 
 // NewAdversaryByName builds a strategy from its experiment/CLI name —
 // the one switch (adversary.ByName) shared by cmd/simulate, cmd/sweep,
-// cmd/report, and the distributed sweep worker's shard specs.
+// cmd/report, and sweepd job requests.
 func NewAdversaryByName(name string, opts AdversaryOpts) (Adversary, error) {
 	adv, err := adversary.ByName(name, opts.ForkDepth)
 	if err != nil {
@@ -104,16 +103,6 @@ type runOptions struct {
 	nuSchedule    func(round int) float64
 	workers       int
 	onCell        func(AggregateCell)
-
-	// distributed-sweep extras (distributed.go)
-	executor        ShardExecutor
-	targetShards    int
-	shardRetries    int
-	onSweepProgress func(SweepProgress)
-	checkpointDir   string
-	resume          bool
-	stallTimeout    time.Duration
-	respawnBackoff  time.Duration
 }
 
 // spec is the one serializable sweep the options describe over grid.
@@ -129,7 +118,6 @@ type optionScope uint8
 const (
 	scopeRun optionScope = 1 << iota
 	scopeSweep
-	scopeDist
 	// scopeSvc marks options a SweepClient submission can carry to a
 	// sweepd server (sweepclient.go) — the subset of the sweep
 	// vocabulary that travels as data.
@@ -165,14 +153,14 @@ func applyOptions(scope optionScope, entry string, opts []Option) (*runOptions, 
 // WithRounds sets the execution length (per cell, for sweeps). Required:
 // there is no default.
 func WithRounds(rounds int) Option {
-	return Option{name: "WithRounds", scope: scopeRun | scopeSweep | scopeDist | scopeSvc,
+	return Option{name: "WithRounds", scope: scopeRun | scopeSweep | scopeSvc,
 		apply: func(o *runOptions) { o.Rounds = rounds }}
 }
 
 // WithSeed sets the base random seed (0 is a valid seed and the
 // default); identical configurations replay identically.
 func WithSeed(seed uint64) Option {
-	return Option{name: "WithSeed", scope: scopeRun | scopeSweep | scopeDist | scopeSvc,
+	return Option{name: "WithSeed", scope: scopeRun | scopeSweep | scopeSvc,
 		apply: func(o *runOptions) { o.Seed = seed }}
 }
 
@@ -194,7 +182,7 @@ func WithAdversaryFactory(factory func() Adversary) Option {
 // WithAdversaryName selects the strategy by its NewAdversaryByName name;
 // it works for both Run (one instance) and RunSweep (one per cell).
 func WithAdversaryName(name string, opts AdversaryOpts) Option {
-	return Option{name: "WithAdversaryName", scope: scopeRun | scopeSweep | scopeDist | scopeSvc,
+	return Option{name: "WithAdversaryName", scope: scopeRun | scopeSweep | scopeSvc,
 		apply: func(o *runOptions) { o.Adversary, o.ForkDepth, o.advNameSet = name, opts.ForkDepth, true }}
 }
 
@@ -204,7 +192,7 @@ func WithAdversaryName(name string, opts AdversaryOpts) Option {
 //
 // Deprecated: ignored; engine delivery is serial.
 func WithShards(shards int) Option {
-	return Option{name: "WithShards", scope: scopeRun | scopeSweep | scopeDist | scopeSvc,
+	return Option{name: "WithShards", scope: scopeRun | scopeSweep | scopeSvc,
 		apply: func(o *runOptions) { o.EngineShards = shards }}
 }
 
@@ -212,7 +200,7 @@ func WithShards(shards int) Option {
 // snapshot interval (sampleEvery ≤ 0 picks rounds/50, min 1). Without
 // this option the check runs at T = 0 with the default interval.
 func WithConsistency(tee, sampleEvery int) Option {
-	return Option{name: "WithConsistency", scope: scopeRun | scopeSweep | scopeDist | scopeSvc,
+	return Option{name: "WithConsistency", scope: scopeRun | scopeSweep | scopeSvc,
 		apply: func(o *runOptions) { o.T, o.SampleEvery = tee, sampleEvery }}
 }
 
@@ -255,7 +243,7 @@ func WithNuSchedule(fn func(round int) float64) Option {
 // round's record, and the engine silently falls back to stepping
 // whenever a precondition fails (see docs/fastforward.md).
 func WithFastForward() Option {
-	return Option{name: "WithFastForward", scope: scopeRun | scopeSweep | scopeDist | scopeSvc,
+	return Option{name: "WithFastForward", scope: scopeRun | scopeSweep | scopeSvc,
 		apply: func(o *runOptions) { o.FastForward = true }}
 }
 
@@ -274,7 +262,7 @@ func WithFastForward() Option {
 // inert — combine with WithCheckerRetention to let the watermark
 // advance.
 func WithCompaction(every, minRetire int) Option {
-	return Option{name: "WithCompaction", scope: scopeRun | scopeSweep | scopeDist | scopeSvc,
+	return Option{name: "WithCompaction", scope: scopeRun | scopeSweep | scopeSvc,
 		apply: func(o *runOptions) { o.CompactEvery, o.CompactMinRetire = every, minRetire }}
 }
 
@@ -284,7 +272,7 @@ func WithCompaction(every, minRetire int) Option {
 // run. A bounded window is what lets WithCompaction reclaim memory, at
 // the cost of evaluating Definition 1 over the retained window only.
 func WithCheckerRetention(keep int) Option {
-	return Option{name: "WithCheckerRetention", scope: scopeRun | scopeSweep | scopeDist | scopeSvc,
+	return Option{name: "WithCheckerRetention", scope: scopeRun | scopeSweep | scopeSvc,
 		apply: func(o *runOptions) { o.CheckerRetention = keep }}
 }
 
@@ -316,36 +304,32 @@ func ParseScenario(arg string) (*ScenarioSpec, error) {
 // churn/power sections configure scheduled player leave epochs and
 // per-player mining weights. Scenarios disarm FastForward (the engine
 // falls back to stepping; see docs/scenarios.md) and are incompatible
-// with WithNuSchedule. Nil is the default model. Run, RunSweep,
-// RunSweepDistributed and SweepClient.Submit.
+// with WithNuSchedule. Nil is the default model. Run, RunSweep and
+// SweepClient.Submit.
 func WithScenario(spec *ScenarioSpec) Option {
-	return Option{name: "WithScenario", scope: scopeRun | scopeSweep | scopeDist | scopeSvc,
+	return Option{name: "WithScenario", scope: scopeRun | scopeSweep | scopeSvc,
 		apply: func(o *runOptions) { o.Scenario = spec }}
 }
 
 // WithReplicates runs every sweep cell r times with independent seeds
-// and aggregates (default 1). RunSweep and RunSweepDistributed.
+// and aggregates (default 1). RunSweep and SweepClient.Submit.
 func WithReplicates(r int) Option {
-	return Option{name: "WithReplicates", scope: scopeSweep | scopeDist | scopeSvc,
+	return Option{name: "WithReplicates", scope: scopeSweep | scopeSvc,
 		apply: func(o *runOptions) { o.Replicates = r }}
 }
 
-// WithWorkers sizes the sweep's parallelism: for RunSweep the
-// (cell × replicate) job-queue width, for RunSweepDistributed the
-// number of workers the executor launches (0, the default, means
-// GOMAXPROCS either way).
+// WithWorkers sizes RunSweep's (cell × replicate) job-queue width (0,
+// the default, means GOMAXPROCS).
 func WithWorkers(workers int) Option {
-	return Option{name: "WithWorkers", scope: scopeSweep | scopeDist,
+	return Option{name: "WithWorkers", scope: scopeSweep,
 		apply: func(o *runOptions) { o.workers = workers }}
 }
 
 // WithCellObserver streams every finished AggregateCell to fn exactly
 // once, as it completes, while the rest of the grid is still running —
-// in completion order, serialized. Under RunSweep fn runs on the
-// caller's goroutine; under RunSweepDistributed it runs on an internal
-// coordinator goroutine and must not block.
+// in completion order, on RunSweep's calling goroutine.
 func WithCellObserver(fn func(AggregateCell)) Option {
-	return Option{name: "WithCellObserver", scope: scopeSweep | scopeDist,
+	return Option{name: "WithCellObserver", scope: scopeSweep,
 		apply: func(o *runOptions) { o.onCell = fn }}
 }
 
@@ -430,8 +414,8 @@ type SweepGrid = sweep.Grid
 // aggregates each cell over its replicates; each replicate is one
 // sweep.RunOne, the computation Run performs. Attach WithCellObserver
 // to stream finished cells while the grid is still running; the
-// streamed lines marshal via MarshalCells into the cross-process
-// interchange that MergeCellStreams reassembles.
+// streamed lines marshal via MarshalCells into the interchange that
+// MergeCellStreams reassembles across hosts.
 //
 // Cancelling ctx stops the grid promptly: cells already aggregated are
 // returned (unfinished slots stay zero-valued) together with ctx.Err().
@@ -455,8 +439,7 @@ func RunSweep(ctx context.Context, grid SweepGrid, opts ...Option) ([]AggregateC
 }
 
 // MarshalCells writes one JSON line per cell to w — the AggregateCell
-// interchange cmd/sweep -json emits and cross-process sweep sharding
-// exchanges.
+// interchange cmd/sweep -json emits and MergeCellStreams merges.
 func MarshalCells(w io.Writer, cells []AggregateCell) error {
 	return sweep.MarshalCells(w, cells)
 }

@@ -202,9 +202,6 @@ func TestSweepRequestScope(t *testing.T) {
 	if _, err := SweepRequest(sweepClientGrid, WithWorkers(4)); err == nil {
 		t.Error("WithWorkers accepted in a submission — fleet sizing is server-side")
 	}
-	if _, err := SweepRequest(sweepClientGrid, WithTargetShards(4)); err == nil {
-		t.Error("WithTargetShards accepted in a submission — shard sizing is server-side")
-	}
 }
 
 // allKnobsSweep is a small grid with every per-cell knob set away from
@@ -266,10 +263,10 @@ func TestRunSweepSemanticKnobsReachCells(t *testing.T) {
 	}
 }
 
-// TestSweepClientDistributedParityAllKnobs holds the three sweep entry
+// TestSweepClientDistributedParityAllKnobs holds the two sweep entry
 // points to one result with every per-cell knob set away from its
-// default: RunSweep, RunSweepDistributed over three in-process shards,
-// and a sweepd job must emit byte-identical MarshalCells streams. A
+// default: RunSweep and a sweepd job must emit byte-identical
+// MarshalCells streams. A
 // knob one entry point forgot to forward shows up as a diff. A second
 // leg repeats the comparison with the stochastic-delay scenario.
 func TestSweepClientDistributedParityAllKnobs(t *testing.T) {
@@ -277,22 +274,11 @@ func TestSweepClientDistributedParityAllKnobs(t *testing.T) {
 	defer cancel()
 	grid, opts := allKnobsSweep()
 	marshal := func(cells []AggregateCell) string { return marshalCells(t, cells) }
-	distributed := func(opts []Option) string {
-		t.Helper()
-		cells, err := RunSweepDistributed(ctx, grid, append(opts, WithWorkers(2), WithTargetShards(3))...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return marshal(cells)
-	}
 	ref, err := RunSweep(ctx, grid, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := marshal(ref)
-	if got := distributed(opts); got != want {
-		t.Errorf("RunSweepDistributed differs from RunSweep\ngot:\n%s\nwant:\n%s", got, want)
-	}
 	client, _ := newSweepServer(t)
 	sweepd := func(opts []Option) string {
 		t.Helper()
@@ -323,9 +309,6 @@ func TestSweepClientDistributedParityAllKnobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	scnWant := marshal(scnRef)
-	if got := distributed(scnOpts); got != scnWant {
-		t.Errorf("scenario: RunSweepDistributed differs from RunSweep\ngot:\n%s\nwant:\n%s", got, scnWant)
-	}
 	if got := sweepd(scnOpts); got != scnWant {
 		t.Errorf("scenario: sweepd result differs from RunSweep\ngot:\n%s\nwant:\n%s", got, scnWant)
 	}
