@@ -66,7 +66,7 @@ func TestFastForwardArtifactsIdentical(t *testing.T) {
 			if stepLedger != skipLedger {
 				t.Errorf("ledger accounting differs: step %+v, skip %+v", stepLedger, skipLedger)
 			}
-			if !reflect.DeepEqual(stepRes.FinalTips, skipRes.FinalTips) {
+			if !reflect.DeepEqual(stepRes.FinalTips(), skipRes.FinalTips()) {
 				t.Error("final tips differ")
 			}
 			if stepRes.HonestBlocks != skipRes.HonestBlocks || stepRes.AdversaryBlocks != skipRes.AdversaryBlocks {
@@ -133,7 +133,7 @@ func TestFastForwardSparseEquivalence(t *testing.T) {
 				if stepLedger != skipLedger {
 					t.Errorf("ledger accounting differs: step %+v, skip %+v", stepLedger, skipLedger)
 				}
-				if !reflect.DeepEqual(stepRes.FinalTips, skipRes.FinalTips) {
+				if !reflect.DeepEqual(stepRes.FinalTips(), skipRes.FinalTips()) {
 					t.Error("final tips differ")
 				}
 				if stepRes.Tree.Len() != skipRes.Tree.Len() || stepRes.Tree.Best() != skipRes.Tree.Best() {

@@ -97,7 +97,7 @@ func traceHashVia(t *testing.T, gc goldenCase, viaObserver bool) uint64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tip := range res.FinalTips {
+	for _, tip := range res.FinalTips() {
 		mix(uint64(tip))
 	}
 	mix(uint64(res.HonestBlocks))
@@ -420,7 +420,7 @@ func TestGoldenFinalTipsAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	distinct := map[blockchain.BlockID]struct{}{}
-	for _, tip := range res.FinalTips {
+	for _, tip := range res.FinalTips() {
 		distinct[tip] = struct{}{}
 	}
 	if len(distinct) > cfg.Params.Delta+1 {

@@ -69,10 +69,7 @@ func (b Binomial) InversionEligible() bool {
 // unless InversionEligible — outside that regime Sample's draw pattern
 // differs and no such equivalence exists.
 func (b Binomial) SampleWith(u float64) int {
-	if !b.InversionEligible() {
-		panic("dist: SampleWith on a non-inversion-eligible Binomial")
-	}
-	return inversionFrom(u, b.N, b.P, b.PZero())
+	return (*Sampler)(nil).SampleWith(u, b.N, b.P) // nil: no cached mass
 }
 
 // Sample draws one binom(N, P) variate from r. The draw is exact for all
@@ -118,6 +115,17 @@ type Sampler struct {
 // Binomial{N: n, P: p}.Sample(r).
 func (s *Sampler) Sample(r *rng.Stream, n int, p float64) int {
 	return Binomial{N: n, P: p}.sample(r, s)
+}
+
+// SampleWith completes an inversion draw whose single uniform u has
+// already been consumed, returning exactly Binomial{N: n, P: p}.SampleWith(u)
+// but starting the walk from the cached (1−p)^n. It panics unless that
+// Binomial is InversionEligible.
+func (s *Sampler) SampleWith(u float64, n int, p float64) int {
+	if !(Binomial{N: n, P: p}).InversionEligible() {
+		panic("dist: SampleWith on a non-inversion-eligible Binomial")
+	}
+	return inversionFrom(u, n, p, s.zeroMass(n, p))
 }
 
 // zeroMass returns (1−p)^n — the same math.Pow expression as PZero —

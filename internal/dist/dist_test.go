@@ -192,3 +192,37 @@ func TestSamplerMatchesSample(t *testing.T) {
 		}
 	}
 }
+
+// TestSamplerSampleWithMatchesBinomial: completing an inversion draw from
+// the Sampler's cached zero mass must return exactly Binomial.SampleWith
+// for every uniform — random ones, the PZero boundary and its float
+// neighbours, and the far tail — while the (n, p) in use changes under
+// one Sampler, as the fast-forward gap sampler's honest and adversary
+// draws would see across runs.
+func TestSamplerSampleWithMatchesBinomial(t *testing.T) {
+	cases := []Binomial{
+		{N: 28, P: 0.005}, {N: 700000, P: 1e-7}, {N: 300000, P: 1e-7},
+		{N: 100000, P: 1e-6}, {N: 7, P: 0.4}, {N: 1, P: 0.5}, {N: 5000, P: 0.0019},
+	}
+	var s Sampler
+	r := rng.New(77)
+	for round := 0; round < 200; round++ {
+		b := cases[round%len(cases)]
+		pz := b.PZero()
+		us := []float64{0, pz, math.Nextafter(pz, 0), math.Nextafter(pz, 1), 1, math.Nextafter(1, 0)}
+		for i := 0; i < 200; i++ {
+			us = append(us, r.Float64())
+		}
+		for _, u := range us {
+			if got, want := s.SampleWith(u, b.N, b.P), b.SampleWith(u); got != want {
+				t.Fatalf("Binomial{%d, %g} u=%v: Sampler.SampleWith %d, Binomial.SampleWith %d", b.N, b.P, u, got, want)
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SampleWith outside the inversion regime did not panic")
+		}
+	}()
+	s.SampleWith(0.5, 1000, 0.5)
+}

@@ -42,7 +42,7 @@ func TestWeightedMiningAllOnesMatchesUnweighted(t *testing.T) {
 	if !reflect.DeepEqual(a.Records, b.Records) {
 		t.Fatalf("seed=%#x: all-ones weighted records diverge from unweighted", churnTestSeed)
 	}
-	if !reflect.DeepEqual(a.FinalTips, b.FinalTips) {
+	if !reflect.DeepEqual(a.FinalTips(), b.FinalTips()) {
 		t.Fatalf("seed=%#x: all-ones weighted final tips diverge from unweighted", churnTestSeed)
 	}
 }

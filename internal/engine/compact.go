@@ -74,6 +74,7 @@ func (e *Engine) maybeCompact() error {
 	if _, err := e.tree.CompactBelow(w); err != nil {
 		return fmt.Errorf("engine: compaction at round %d: %w", e.round, err)
 	}
+	e.stats.rebase(e.tree.Base())
 	return nil
 }
 
@@ -106,8 +107,11 @@ func (e *Engine) compactionWatermark() (blockchain.BlockID, bool) {
 	for _, id := range e.stats.tipList {
 		fold(id)
 	}
-	for _, id := range e.tips[e.honest:] {
-		fold(id)
+	if e.players > e.honest {
+		// Only a NuSchedule parks views, and it runs materialized.
+		for _, id := range e.tips[e.honest:] {
+			fold(id)
+		}
 	}
 	// Adversary-retained blocks (withheld chains).
 	e.retainBuf = e.retainBuf[:0]

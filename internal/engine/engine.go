@@ -169,15 +169,40 @@ type Result struct {
 	Records []RoundRecord
 	// Tree is the global block tree (ground truth).
 	Tree *blockchain.Tree
-	// FinalTips holds every view-maintaining player's final chain tip,
-	// indexed by player: the honest players without a NuSchedule, all N
-	// players (corrupted ones' parked views included) with one.
-	FinalTips []blockchain.BlockID
 	// HonestBlocks and AdversaryBlocks count blocks mined over the run.
 	HonestBlocks, AdversaryBlocks int
 	// Partial is set when the run was cut short by context cancellation;
 	// Records then holds only the rounds executed before the cut.
 	Partial bool
+
+	// The final views (see FinalTips): finalTips when the run ended with
+	// its views materialized; otherwise the compact form, players views
+	// on majTip except each deviants[j], which sits on devTips[j].
+	finalTips []blockchain.BlockID
+	players   int
+	majTip    blockchain.BlockID
+	deviants  []int
+	devTips   []blockchain.BlockID
+}
+
+// FinalTips returns every view-maintaining player's final chain tip,
+// indexed by player: the honest players without a NuSchedule, all N
+// players (corrupted ones' parked views included) with one. A
+// fast-forward run that ends with its views compactly tracked keeps
+// them compact in the Result, and each call expands them afresh in
+// O(players); otherwise it returns the copy finalize took.
+func (r *Result) FinalTips() []blockchain.BlockID {
+	if r.finalTips != nil || r.players == 0 {
+		return r.finalTips
+	}
+	tips := make([]blockchain.BlockID, r.players)
+	for i := range tips {
+		tips[i] = r.majTip
+	}
+	for j, d := range r.deviants {
+		tips[d] = r.devTips[j]
+	}
+	return tips
 }
 
 // Engine drives one protocol execution. Create with New, then Run.
@@ -204,11 +229,11 @@ type Engine struct {
 	// churn), drawing exactly what mining.MineCount would.
 	mineDraw, advDraw dist.Sampler
 	// tips holds one view per player; [0, honest) are honest. While the
-	// fast-forward path tracks the views compactly (ff.uniformValid), an
-	// entry is authoritative only for a listed deviant: every other
-	// player's view is the majority (ff.majTip, ff.majH) and its entry
-	// may be stale. Read views through view(i); materializeViews writes
-	// the entries back before any per-player walk needs them.
+	// views are compactly tracked (ff.uniformValid, which holds from New
+	// on) no entry is authoritative: each view is a deviant's own slot
+	// or the majority (ff.majTip, ff.majH). Read views through view(i).
+	// tips is nil until the first materializeViews, which allocates it
+	// and writes every view out before any per-player walk needs them.
 	tips []blockchain.BlockID
 	// tipHeights mirrors tips with each view's chain height, so the hot
 	// path never needs a tree lookup to compare chains.
@@ -281,25 +306,25 @@ func New(cfg Config) (*Engine, error) {
 	}
 	root := rng.New(cfg.Seed)
 	e := &Engine{
-		cfg:        cfg,
-		pr:         cfg.Params,
-		tree:       blockchain.NewTree(),
-		net:        net,
-		alloc:      mining.NewIDAllocator(),
-		players:    players,
-		honest:     honest,
-		halfLo:     honest / 2,
-		adv:        adv,
-		obs:        cfg.Observer,
-		advRng:     root.Split(1),
-		mineRg:     root.Split(2),
-		tips:       make([]blockchain.BlockID, players),
-		tipHeights: make([]int, players),
+		cfg:     cfg,
+		pr:      cfg.Params,
+		tree:    blockchain.NewTree(),
+		net:     net,
+		alloc:   mining.NewIDAllocator(),
+		players: players,
+		honest:  honest,
+		halfLo:  honest / 2,
+		adv:     adv,
+		obs:     cfg.Observer,
+		advRng:  root.Split(1),
+		mineRg:  root.Split(2),
 	}
-	// Every view starts at genesis: height 0 and GenesisID (= 0) are the
-	// zero values make already wrote. Count the honest views in bulk —
-	// what honest calls of add at (GenesisID, 0) leave behind; height 0
-	// never enters the per-half argmax.
+	// Every view starts at genesis, so the compact tracking holds from
+	// the start with no deviants on the zero-valued majority (GenesisID,
+	// height 0), and no per-player array exists yet. Count the honest
+	// views in bulk — what honest calls of add at (GenesisID, 0) leave
+	// behind; height 0 never enters the per-half argmax.
+	e.ff.uniformValid = true
 	e.stats.resetBest()
 	e.stats.heightCount = append(e.stats.heightCount, honest)
 	e.stats.tracked = honest
@@ -311,11 +336,17 @@ func New(cfg Config) (*Engine, error) {
 }
 
 // setTip moves player i's view to tip id at height h, keeping the
-// incremental statistics in sync when i is currently honest.
+// incremental statistics in sync when i is currently honest. While the
+// views are compactly tracked the move can only be i mining on its own
+// view, so i becomes (or stays) a deviant (see setDeviant).
 func (e *Engine) setTip(i int, id blockchain.BlockID, h int) {
 	if i < e.honest {
 		e.stats.remove(e.view(i))
 		e.stats.add(i, id, h, e.halfLo)
+	}
+	if e.ff.uniformValid {
+		e.setDeviant(i, id, h)
+		return
 	}
 	e.tips[i] = id
 	e.tipHeights[i] = h
@@ -434,7 +465,11 @@ func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
 		Tree:    e.tree,
 		Records: make([]RoundRecord, 0, e.cfg.Rounds),
 	}
-	e.armFastForward()
+	if !e.armFastForward() {
+		// Every stepping path reads or writes per-player views in bulk:
+		// write them out once, up front.
+		e.materializeViews()
+	}
 	e.nextCompact = e.cfg.CompactEvery
 	done := ctx.Done()
 	for e.round < e.cfg.Rounds {
@@ -486,10 +521,17 @@ func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
 	return res, nil
 }
 
-// finalize copies the run-level outcome into res.
+// finalize copies the run-level outcome into res. Views still compactly
+// tracked stay compact: res keeps the majority and a copy of the
+// deviants, which Result.FinalTips expands on demand.
 func (e *Engine) finalize(res *Result) {
-	e.materializeViews()
-	res.FinalTips = append([]blockchain.BlockID(nil), e.tips...)
+	if e.ff.uniformValid {
+		res.players, res.majTip = e.players, e.ff.majTip
+		res.deviants = append([]int(nil), e.ff.deviants...)
+		res.devTips = append([]blockchain.BlockID(nil), e.ff.devTip...)
+	} else {
+		res.finalTips = append([]blockchain.BlockID(nil), e.tips...)
+	}
 	res.HonestBlocks = e.honestBlocks
 	res.AdversaryBlocks = e.adversaryBlocks
 }
@@ -587,7 +629,6 @@ func (e *Engine) step() (RoundRecord, error) {
 			return RoundRecord{}, fmt.Errorf("engine: round %d honest add: %w", t, err)
 		}
 		e.setTip(i, b.ID, b.Height)
-		e.noteDeviant(i)
 		e.honestBlocks++
 		if err := e.net.Broadcast(network.Message{Block: network.AnnounceBlock(b), From: int32(i), SentRound: int32(t)}, t, policy); err != nil {
 			return RoundRecord{}, fmt.Errorf("engine: round %d broadcast: %w", t, err)

@@ -56,8 +56,8 @@ func TestRunProducesRecords(t *testing.T) {
 			t.Fatalf("no tips: %+v", rec)
 		}
 	}
-	if len(res.FinalTips) != e.HonestCount() {
-		t.Fatalf("final tips %d, honest %d", len(res.FinalTips), e.HonestCount())
+	if len(res.FinalTips()) != e.HonestCount() {
+		t.Fatalf("final tips %d, honest %d", len(res.FinalTips()), e.HonestCount())
 	}
 }
 
@@ -82,8 +82,8 @@ func TestDeterministicReplay(t *testing.T) {
 			t.Fatalf("replay diverged at round %d: %+v vs %+v", i+1, a.Records[i], b.Records[i])
 		}
 	}
-	for i := range a.FinalTips {
-		if a.FinalTips[i] != b.FinalTips[i] {
+	for i := range a.FinalTips() {
+		if a.FinalTips()[i] != b.FinalTips()[i] {
 			t.Fatalf("replay diverged in tip %d", i)
 		}
 	}

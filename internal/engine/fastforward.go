@@ -16,8 +16,9 @@ package engine
 //     That is draw-for-draw the sequence the step engine consumes for a
 //     zero-mining round, so the streams stay bit-identical and the flag
 //     can never change results. The uniform that ends the gap is
-//     completed into the event round's count via Binomial.SampleWith and
-//     handed to step() as a pre-drawn count.
+//     completed into the event round's count via Sampler.SampleWith (from
+//     the engine's cached (1−p)^n) and handed to step() as a pre-drawn
+//     count.
 //
 //   - Every skipped round still emits its RoundRecord (state is
 //     unchanged, so the record fields are constants of the span) and
@@ -32,10 +33,11 @@ package engine
 //     per view class plus an O(height span + deviants) statistics rebuild —
 //     bit-identical to the walk because the longest-chain fold from a
 //     given start height has a unique outcome (see flashDeliver). The
-//     views stay lazy while tracked: only the deviants' per-player
-//     entries are kept current, and materializeViews writes the
-//     majority back into the rest only when a per-player walk or the
-//     final result needs them.
+//     views stay lazy while tracked, which they are from New on: a
+//     deviant's view lives in its own slot, and materializeViews
+//     allocates and writes the per-player arrays only when a per-player
+//     walk needs them. A run that never needs them never allocates them,
+//     and its Result keeps the final views in the same compact form.
 //
 // docs/fastforward.md states the eligibility predicate and the RNG
 // draw-order contract; TestGoldenTracesFastForward pins the equivalence
@@ -76,26 +78,25 @@ const (
 
 // ffState is the engine's fast-forward state. armed is decided once per
 // run (armFastForward); the uniform-view fields track the honest views
-// compactly between flash deliveries; preH/preA carry a pre-drawn
-// mining count into step() for the event round (-1 = not pre-drawn).
+// compactly from New until a per-player walk needs them, and again
+// whenever they reconverge; preH/preA carry a pre-drawn mining count
+// into step() for the event round (-1 = not pre-drawn).
 type ffState struct {
 	armed bool
 	quiet SpanQuiescent
-	// honestBin/advBin are the two per-round mining draws; hFail/aFail
-	// are their zero-outcome tests (Q = PZero), shared bit-for-bit with
-	// the inversion sampler. nAdv is the corrupted player count; the
-	// adversary stream is only drawn when it is positive, matching
-	// MineCount's no-draw contract for n ≤ 0.
-	honestBin, advBin dist.Binomial
-	hFail, aFail      dist.Geometric
-	nAdv              int
-	// Compact view tracking: when uniformValid, every honest view not
-	// listed in deviants sits exactly on (majTip, majH), and deviant d
-	// sits on its own self-mined tip with height ≥ majH (deviant
-	// heights never drop below the majority's — see flashDeliver).
-	// The views are then lazy: e.tips/e.tipHeights are authoritative
-	// only at the deviants' indices (see Engine.view). devTip/devH are
-	// materializeViews scratch parallel to deviants.
+	// hFail/aFail are the zero-outcome tests (Q = PZero) of the two
+	// per-round mining draws, shared bit-for-bit with the inversion
+	// sampler. nAdv is the corrupted player count; the adversary stream
+	// is only drawn when it is positive, matching MineCount's no-draw
+	// contract for n ≤ 0.
+	hFail, aFail dist.Geometric
+	nAdv         int
+	// Compact view tracking: when uniformValid, every view not listed in
+	// deviants sits exactly on (majTip, majH), and deviants[j] sits on
+	// its own self-mined tip (devTip[j], devH[j]) with devH[j] ≥ majH
+	// (deviant heights never drop below the majority's — see
+	// flashDeliver). The views are then lazy: no e.tips entry is read
+	// (see Engine.view).
 	uniformValid bool
 	majTip       blockchain.BlockID
 	majH         int
@@ -113,40 +114,36 @@ type ffState struct {
 // per-query rather than per-round, a non-SkipSafe adversary may act on
 // quiet rounds, and outside the inversion regime the binomial sampler
 // consumes a different draw sequence (BTRS) than the one-uniform-per-
-// round pattern the gap sampler replays.
-func (e *Engine) armFastForward() {
+// round pattern the gap sampler replays. It reports e.ff.armed; the
+// view tracking is left as it stands.
+func (e *Engine) armFastForward() bool {
 	e.ff.armed = false
 	if !e.cfg.FastForward || e.cfg.NuSchedule != nil || e.oracle != nil {
-		return
+		return false
 	}
 	if e.scenarioMining() {
 		// Churn/weights break the one-uniform-per-round gap-sampling
 		// pattern (the honest binomial's N varies per epoch and winner
 		// identities draw over units, not players): fall back to stepping
 		// rather than silently diverge.
-		return
+		return false
 	}
 	q, ok := e.adv.(SpanQuiescent)
 	if !ok || !q.SkipSafe() {
-		return
+		return false
 	}
 	hb := dist.Binomial{N: e.honest, P: e.pr.P}
 	nAdv := e.pr.N - e.honest
 	ab := dist.Binomial{N: nAdv, P: e.pr.P}
 	if !hb.InversionEligible() || (nAdv > 0 && !ab.InversionEligible()) {
-		return
+		return false
 	}
 	e.ff.armed = true
 	e.ff.quiet = q
-	e.ff.honestBin, e.ff.advBin = hb, ab
 	e.ff.hFail = dist.Geometric{Q: hb.PZero()}
 	e.ff.aFail = dist.Geometric{Q: ab.PZero()}
 	e.ff.nAdv = nAdv
-	// All views start at genesis: the compact tracking begins valid.
-	e.ff.uniformValid = true
-	e.ff.majTip = blockchain.GenesisID
-	e.ff.majH = 0
-	e.ff.deviants = e.ff.deviants[:0]
+	return true
 }
 
 // ffAdvance crosses the quiet span in front of the engine — every round
@@ -178,14 +175,14 @@ func (e *Engine) ffAdvance(res *Result) error {
 	for quiet < maxQuiet {
 		uH := e.mineRg.Float64()
 		if !e.ff.hFail.Fails(uH) {
-			e.ff.preH = e.ff.honestBin.SampleWith(uH)
+			e.ff.preH = e.mineDraw.SampleWith(uH, e.honest, e.pr.P)
 			break
 		}
 		if e.ff.nAdv > 0 {
 			uA := e.advRng.Float64()
 			if !e.ff.aFail.Fails(uA) {
 				e.ff.preH = 0
-				e.ff.preA = e.ff.advBin.SampleWith(uA)
+				e.ff.preA = e.advDraw.SampleWith(uA, e.ff.nAdv, e.pr.P)
 				break
 			}
 		}
@@ -231,47 +228,55 @@ func (e *Engine) ffAdvance(res *Result) error {
 	return nil
 }
 
-// view returns player i's current chain tip and height: the majority
-// view for a non-deviant while the views are compactly tracked, its
+// view returns player i's current chain tip and height: its deviant
+// slot or the majority view while the views are compactly tracked, its
 // per-player entry otherwise. O(deviants) while tracked, O(1) after.
 func (e *Engine) view(i int) (blockchain.BlockID, int) {
-	if e.ff.uniformValid && !e.isDeviant(i) {
-		return e.ff.majTip, e.ff.majH
+	if !e.ff.uniformValid {
+		return e.tips[i], e.tipHeights[i]
 	}
-	return e.tips[i], e.tipHeights[i]
+	if j := e.deviantSlot(i); j >= 0 {
+		return e.ff.devTip[j], e.ff.devH[j]
+	}
+	return e.ff.majTip, e.ff.majH
 }
 
-// isDeviant reports whether player i is on the tracked deviant list.
-func (e *Engine) isDeviant(i int) bool {
-	for _, d := range e.ff.deviants {
+// deviantSlot returns player i's index in the tracked deviant list, or
+// -1 when i is not listed.
+func (e *Engine) deviantSlot(i int) int {
+	for j, d := range e.ff.deviants {
 		if d == i {
-			return true
+			return j
 		}
 	}
-	return false
+	return -1
 }
 
-// materializeViews ends the compact view tracking, writing the majority
-// view into every non-deviant entry of e.tips/e.tipHeights so each entry
-// is authoritative again. It is the only O(players) step of the
-// fast-forward path and runs only where per-player views are read in
-// bulk: before the delivery walk, when the deviant list overflows, and at
-// finalize. A no-op when the views are not tracked.
+// materializeViews ends the compact view tracking, writing every view
+// into e.tips/e.tipHeights — allocated here on first use — so each entry
+// is authoritative again. It is the only O(players) step of the view
+// tracking and runs only where per-player views are read in bulk: once
+// when Run starts on any path other than fast-forward, before a
+// fast-forward delivery walk, and when the deviant list overflows. A
+// no-op when the views are not tracked.
 func (e *Engine) materializeViews() {
 	if !e.ff.uniformValid {
 		return
 	}
 	e.ff.uniformValid = false
-	e.ff.devTip, e.ff.devH = e.ff.devTip[:0], e.ff.devH[:0]
-	for _, d := range e.ff.deviants {
-		e.ff.devTip = append(e.ff.devTip, e.tips[d])
-		e.ff.devH = append(e.ff.devH, e.tipHeights[d])
+	fresh := e.tips == nil
+	if fresh {
+		e.tips = make([]blockchain.BlockID, e.players)
+		e.tipHeights = make([]int, e.players)
 	}
-	for i := range e.tips {
-		e.tips[i] = e.ff.majTip
-	}
-	for i := range e.tipHeights {
-		e.tipHeights[i] = e.ff.majH
+	if !fresh || e.ff.majTip != blockchain.GenesisID || e.ff.majH != 0 {
+		// Fresh arrays already hold the genesis view.
+		for i := range e.tips {
+			e.tips[i] = e.ff.majTip
+		}
+		for i := range e.tipHeights {
+			e.tipHeights[i] = e.ff.majH
+		}
 	}
 	for j, d := range e.ff.deviants {
 		e.tips[d] = e.ff.devTip[j]
@@ -294,20 +299,22 @@ func (e *Engine) ensureUniformViews() bool {
 	e.ff.uniformValid = true
 	e.ff.majTip = e.tips[0]
 	e.ff.majH = e.tipHeights[0]
-	e.ff.deviants = e.ff.deviants[:0]
+	e.ff.deviants, e.ff.devTip, e.ff.devH = e.ff.deviants[:0], e.ff.devTip[:0], e.ff.devH[:0]
 	return true
 }
 
-// noteDeviant records that honest player i's view left the majority tip
-// (it just mined; setTip already wrote its entry). Re-noting an
-// existing deviant is a no-op — its entry already marks "on a
-// self-mined tip"; past the tracking cap the views are materialized
-// and flash delivery falls back to the walk.
-func (e *Engine) noteDeviant(i int) {
-	if !e.ff.uniformValid || e.isDeviant(i) {
+// setDeviant moves tracked player i's view to its self-mined tip (id, h):
+// it updates i's deviant slot, or lists i with one. Past the tracking
+// cap the views are materialized and flash delivery falls back to the
+// walk.
+func (e *Engine) setDeviant(i int, id blockchain.BlockID, h int) {
+	if j := e.deviantSlot(i); j >= 0 {
+		e.ff.devTip[j], e.ff.devH[j] = id, h
 		return
 	}
 	e.ff.deviants = append(e.ff.deviants, i)
+	e.ff.devTip = append(e.ff.devTip, id)
+	e.ff.devH = append(e.ff.devH, h)
 	if len(e.ff.deviants) > ffMaxDeviants {
 		e.materializeViews()
 	}
@@ -355,17 +362,18 @@ func (e *Engine) flashDeliver(due []network.Entry) {
 	// Prune deviants that join the winning tip — by adopting it, or by
 	// already sitting on it (the winner may be a deviant's own earlier
 	// broadcast). Adoption is then just the majority moving: the lazy
-	// views write no per-player entry, and a pruned deviant's stale
-	// entry is never read again.
-	keep := e.ff.deviants[:0]
-	for _, d := range e.ff.deviants {
-		if newH > e.tipHeights[d] || e.tips[d] == newTip {
+	// views write no per-player entry.
+	ff := &e.ff
+	keep := 0
+	for j, d := range ff.deviants {
+		if newH > ff.devH[j] || ff.devTip[j] == newTip {
 			continue
 		}
-		keep = append(keep, d)
+		ff.deviants[keep], ff.devTip[keep], ff.devH[keep] = d, ff.devTip[j], ff.devH[j]
+		keep++
 	}
-	e.ff.deviants = keep
-	e.ff.majTip, e.ff.majH = newTip, newH
+	ff.deviants, ff.devTip, ff.devH = ff.deviants[:keep], ff.devTip[:keep], ff.devH[:keep]
+	ff.majTip, ff.majH = newTip, newH
 
 	// Rebuild the statistics from the two view classes in O(height span
 	// + deviants), instead of per-player remove/add pairs.
@@ -374,7 +382,7 @@ func (e *Engine) flashDeliver(due []network.Entry) {
 
 // rebuildUniform rewrites the view statistics for the post-flash views:
 // every player on the new majority (ff.majTip, ff.majH) except the
-// tracked deviants, whose entries hold their own views. All resulting
+// tracked deviants, whose slots hold their own views. All resulting
 // fields are exact functions of the current views — the same values the
 // per-player remove/add pairs would have produced — so walked and flash
 // runs stay on one trace.
@@ -387,11 +395,7 @@ func (e *Engine) rebuildUniform() {
 	for h := s.minH; h <= s.maxH; h++ {
 		s.heightCount[h] = 0
 	}
-	for _, id := range s.tipList {
-		s.tipRefs[id] = 0
-		s.tipPos[id] = 0
-	}
-	s.tipList = s.tipList[:0]
+	s.dropTipRefs()
 
 	// Majority baseline, then per-deviant corrections.
 	for len(s.heightCount) <= newH {
@@ -417,8 +421,8 @@ func (e *Engine) rebuildUniform() {
 		}
 	}
 	majCount := size
-	for _, d := range e.ff.deviants {
-		dTip, dH := e.tips[d], e.tipHeights[d]
+	for j, d := range e.ff.deviants {
+		dTip, dH := e.ff.devTip[j], e.ff.devH[j]
 		majCount--
 		if dH != newH {
 			// Deviant heights are ≥ newH, so corrections only extend

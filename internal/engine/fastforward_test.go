@@ -1,9 +1,12 @@
 package engine
 
 import (
+	"context"
 	"encoding/binary"
+	"errors"
 	"hash/fnv"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"neatbound/internal/blockchain"
@@ -57,7 +60,7 @@ type lazyViewRun struct {
 	// re-established trackings after either.
 	flashes, overflows, walks, rearms int
 	// lazyAtEnd reports that the last round ended with the views still
-	// compactly tracked, so finalize had to materialize them.
+	// compactly tracked, so the Result kept them in compact form.
 	lazyAtEnd bool
 }
 
@@ -116,7 +119,7 @@ func runLazyViews(t *testing.T, pr params.Params, rounds int, seed uint64, fastF
 	if err != nil {
 		t.Fatal(err)
 	}
-	out.finalTips = res.FinalTips
+	out.finalTips = res.FinalTips()
 	return out
 }
 
@@ -146,6 +149,149 @@ func TestFastForwardLazyViewsExact(t *testing.T) {
 		}
 		if !reflect.DeepEqual(step.finalTips, ff.finalTips) {
 			t.Fatalf("shards=%d: FinalTips differ from the step engine", shards)
+		}
+	}
+}
+
+// TestFastForwardAllFlashRunAllocatesNoViews pins that the honest views
+// are lazy from New to the Result: an n = 10⁶ fast-forward run whose
+// every delivery is a flash delivery (the passive strategy's SendToAll
+// blocks and MinDelay honest broadcasts are all nil-list entries) never
+// allocates the per-player view arrays, and its whole execution
+// allocates a small constant instead of 16 B per player.
+func TestFastForwardAllFlashRunAllocatesNoViews(t *testing.T) {
+	pr := params.Params{N: 1_000_000, P: 1e-7, Delta: 10, Nu: 0.3}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	e, err := New(Config{Params: pr, Rounds: 10_000, Seed: 3, FastForward: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if e.tips != nil || e.tipHeights != nil {
+		t.Fatalf("the view arrays were allocated (%d entries)", len(e.tips))
+	}
+	if res.finalTips != nil {
+		t.Fatal("the Result holds materialized final tips")
+	}
+	if res.HonestBlocks == 0 || res.AdversaryBlocks == 0 {
+		t.Fatalf("no mining on one side (%d honest, %d adversary blocks): the run exercises no flash delivery",
+			res.HonestBlocks, res.AdversaryBlocks)
+	}
+	t.Logf("allocated %d B", after.TotalAlloc-before.TotalAlloc)
+	const limit = 4 << 20
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > limit {
+		t.Fatalf("the run allocated %d B, want ≤ %d", alloc, limit)
+	}
+	tips := res.FinalTips()
+	if len(tips) != e.HonestCount() {
+		t.Fatalf("FinalTips has %d entries, want %d", len(tips), e.HonestCount())
+	}
+	for _, i := range []int{0, 1, e.HonestCount() / 2, e.HonestCount() - 1} {
+		if got, _ := e.PlayerTip(i); got != tips[i] {
+			t.Fatalf("player %d: FinalTips %d, PlayerTip %d", i, tips[i], got)
+		}
+	}
+}
+
+// TestFastForwardTrackedViewsMatchStepEngine pins the compact views at
+// both ends of a run: PlayerTip before Run (no per-player array exists
+// yet), and FinalTips of a cancelled run whose views are still
+// compactly tracked, against a step engine cancelled after the same
+// number of rounds.
+func TestFastForwardTrackedViewsMatchStepEngine(t *testing.T) {
+	pr := params.Params{N: 400, P: 0.005, Delta: 30, Nu: 0.05}
+	cancelled := func(fastForward bool, stopAt int) (*Engine, *Result) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		e, err := New(Config{
+			Params: pr, Rounds: 2500, Seed: 0x1a2f, FastForward: fastForward,
+			Adversary: maxDelayPassive{delta: pr.Delta},
+			Observer: ObserverFunc(func(_ *Engine, rec RoundRecord) {
+				if rec.Round == stopAt {
+					cancel()
+				}
+			}),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < e.HonestCount(); i++ {
+			if tip, err := e.PlayerTip(i); err != nil || tip != blockchain.GenesisID {
+				t.Fatalf("fastForward=%v: PlayerTip(%d) before Run = %d, %v; want genesis", fastForward, i, tip, err)
+			}
+		}
+		if e.tips != nil {
+			t.Fatalf("fastForward=%v: New allocated the view arrays", fastForward)
+		}
+		res, err := e.RunContext(ctx)
+		if !errors.Is(err, context.Canceled) || !res.Partial {
+			t.Fatalf("fastForward=%v stop %d: err %v, partial %v", fastForward, stopAt, err, res.Partial)
+		}
+		return e, res
+	}
+	trackedWithDeviants := 0
+	for stopAt := 100; stopAt <= 2400; stopAt += 100 {
+		ff, ffRes := cancelled(true, stopAt)
+		// A quiet span runs to its end before the cancellation is seen, so
+		// the step engine stops at the round the fast path reached.
+		_, stepRes := cancelled(false, len(ffRes.Records))
+		if !reflect.DeepEqual(ffRes.Records, stepRes.Records) {
+			t.Fatalf("stop %d: records differ from the step engine", stopAt)
+		}
+		if got, want := ffRes.FinalTips(), stepRes.FinalTips(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("stop %d (round %d): FinalTips differ from the step engine", stopAt, len(ffRes.Records))
+		}
+		if ffRes.finalTips == nil && len(ffRes.deviants) > 0 {
+			trackedWithDeviants++
+			if ff.ff.deviants[0] != ffRes.deviants[0] {
+				t.Fatalf("stop %d: the Result's deviants are not the engine's", stopAt)
+			}
+		}
+	}
+	if trackedWithDeviants == 0 {
+		t.Fatal("no cut landed on compactly tracked views with deviants")
+	}
+}
+
+// TestFastForwardCompactedTipRefsBounded pins the tip refcount arena
+// behind the compaction floor: in a compacted fast-forward run it spans
+// at most twice the live ID range on every round, at 10⁴ and at 10⁵
+// rounds, instead of every ID ever mined.
+func TestFastForwardCompactedTipRefsBounded(t *testing.T) {
+	pr := params.Params{N: 1000, P: 5e-5, Delta: 4, Nu: 0.05}
+	for _, rounds := range []int{10_000, 100_000} {
+		maxLen := 0
+		e, err := New(Config{
+			Params: pr, Rounds: rounds, Seed: 9, FastForward: true,
+			CompactEvery: 200, CompactMinRetire: 16,
+			Observer: ObserverFunc(func(e *Engine, rec RoundRecord) {
+				n, live := len(e.stats.tipRefs), e.tree.Len()-int(e.tree.Base())
+				if n > 2*live {
+					t.Fatalf("rounds=%d round %d: refcount arena %d slots, live ID span %d", rounds, rec.Round, n, live)
+				}
+				if n > maxLen {
+					maxLen = n
+				}
+			}),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rounds=%d: %d blocks, floor %d, arena base %d, peak arena %d slots",
+			rounds, res.Tree.Len(), res.Tree.Base(), e.stats.base, maxLen)
+		if e.stats.base == 0 || maxLen >= res.Tree.Len()/2 {
+			t.Fatalf("rounds=%d: the arena was never rebased (base %d, peak %d slots, %d blocks)",
+				rounds, e.stats.base, maxLen, res.Tree.Len())
 		}
 	}
 }

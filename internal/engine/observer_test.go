@@ -152,7 +152,7 @@ func TestRunContextCancellation(t *testing.T) {
 	if len(res.Records) != stopAt {
 		t.Errorf("executed %d rounds after cancelling at %d", len(res.Records), stopAt)
 	}
-	if res.FinalTips == nil {
+	if res.FinalTips() == nil {
 		t.Error("partial result missing final tips")
 	}
 }

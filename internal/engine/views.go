@@ -28,14 +28,16 @@ type viewStats struct {
 	heightCount []int
 	minH, maxH  int
 	tracked     int
-	// tipRefs[id] counts honest views sitting on tip id. tipList
+	// tipRefs[id-base] counts honest views sitting on tip id. tipList
 	// enumerates the ids with non-zero refcount (unordered, hence
-	// distinct) and tipPos[id] is that id's tipList index plus one
+	// distinct) and tipPos[id-base] is that id's tipList index plus one
 	// (0 = absent), so distinct-tip queries never scan the refcount
-	// arena.
+	// arena. base follows the tree's compaction floor (see rebase), so
+	// the arena spans live IDs only.
 	tipRefs []int32
 	tipPos  []int32
 	tipList []blockchain.BlockID
+	base    blockchain.BlockID
 	// Per-half argmax for the adversary's BranchBest query: for half
 	// ∈ {0, 1} (split at the engine's halfLo boundary), the maximal
 	// honest chain height in that half, the minimal player index
@@ -91,15 +93,45 @@ func (s *viewStats) add(i int, id blockchain.BlockID, h, halfLo int) {
 // addTipRef counts count views on tip id, growing the refcount arena
 // and registering the tip in tipList on first reference.
 func (s *viewStats) addTipRef(id blockchain.BlockID, count int32) {
-	for uint64(len(s.tipRefs)) <= uint64(id) {
+	k := id - s.base
+	for uint64(len(s.tipRefs)) <= uint64(k) {
 		s.tipRefs = append(s.tipRefs, 0)
 		s.tipPos = append(s.tipPos, 0)
 	}
-	s.tipRefs[id] += count
-	if s.tipRefs[id] == count {
+	s.tipRefs[k] += count
+	if s.tipRefs[k] == count {
 		s.tipList = append(s.tipList, id)
-		s.tipPos[id] = int32(len(s.tipList))
+		s.tipPos[k] = int32(len(s.tipList))
 	}
+}
+
+// dropTipRefs zeroes every listed tip's refcount slot and empties the
+// tip list.
+func (s *viewStats) dropTipRefs() {
+	for _, id := range s.tipList {
+		s.tipRefs[id-s.base] = 0
+		s.tipPos[id-s.base] = 0
+	}
+	s.tipList = s.tipList[:0]
+}
+
+// rebase moves the refcount arena's base up to floor, the tree's new
+// compaction floor. Every view sits at or above the floor, so the slots
+// below it are all zero and drop out. The copy-down runs only once the
+// floor has passed half the arena, so its cost is amortized O(1) per
+// slot and the arena stays within twice the live ID span.
+func (s *viewStats) rebase(floor blockchain.BlockID) {
+	shift := uint64(floor - s.base)
+	if 2*shift <= uint64(len(s.tipRefs)) {
+		return
+	}
+	keep := 0
+	if shift < uint64(len(s.tipRefs)) {
+		keep = copy(s.tipRefs, s.tipRefs[shift:])
+		copy(s.tipPos, s.tipPos[shift:])
+	}
+	s.tipRefs, s.tipPos = s.tipRefs[:keep], s.tipPos[:keep]
+	s.base = floor
 }
 
 // remove uncounts an honest view at tip id, height h. The per-half
@@ -124,14 +156,15 @@ func (s *viewStats) remove(id blockchain.BlockID, h int) {
 			}
 		}
 	}
-	s.tipRefs[id]--
-	if s.tipRefs[id] == 0 {
-		p := s.tipPos[id] - 1
+	k := id - s.base
+	s.tipRefs[k]--
+	if s.tipRefs[k] == 0 {
+		p := s.tipPos[k] - 1
 		last := s.tipList[len(s.tipList)-1]
 		s.tipList[p] = last
-		s.tipPos[last] = p + 1
+		s.tipPos[last-s.base] = p + 1
 		s.tipList = s.tipList[:len(s.tipList)-1]
-		s.tipPos[id] = 0
+		s.tipPos[k] = 0
 	}
 }
 

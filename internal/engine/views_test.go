@@ -133,9 +133,9 @@ func TestShardedParityLargeN(t *testing.T) {
 			t.Fatalf("round %d diverged:\nserial  %+v\nsharded %+v", i+1, serial.Records[i], sharded.Records[i])
 		}
 	}
-	for i := range serial.FinalTips {
-		if serial.FinalTips[i] != sharded.FinalTips[i] {
-			t.Fatalf("final tip of player %d: %d vs %d", i, serial.FinalTips[i], sharded.FinalTips[i])
+	for i := range serial.FinalTips() {
+		if serial.FinalTips()[i] != sharded.FinalTips()[i] {
+			t.Fatalf("final tip of player %d: %d vs %d", i, serial.FinalTips()[i], sharded.FinalTips()[i])
 		}
 	}
 	if serial.Tree.Len() != sharded.Tree.Len() || serial.Tree.Best() != sharded.Tree.Best() {
