@@ -66,10 +66,13 @@ test-parallel:
 ## round-skipping path — the Geometric sampler's draw-for-draw contract,
 ## the network's nil-list entries and the delivery-schedule fuzz seeds,
 ## the step-vs-fast-forward equivalence tests (golden traces, artifact
-## byte-identity, sparse regimes, adversary state replay), and the
-## unknown-block error on the flash-delivery path.
+## byte-identity, sparse regimes, adversary state replay), the quiet-span
+## folds (the O(1) convergence counter against the window reference,
+## span observers and RunOne against per-round dispatch, flat
+## allocation per round), and the unknown-block error on the
+## flash-delivery path.
 test-skip:
-	$(GO) test -race -short -run 'Geometric|Uniform|SendAll|DeliverySchedule|FastForward|UnknownBlock' ./internal/dist/ ./internal/network/ ./internal/engine/ .
+	$(GO) test -race -short -run 'Geometric|Uniform|SendAll|DeliverySchedule|FastForward|UnknownBlock' ./internal/dist/ ./internal/network/ ./internal/engine/ ./internal/consistency/ .
 
 ## test-mem: ~20 s short-mode race pass over the memory path — the SoA
 ## arena's compaction query-parity, sparse-ID, and payload-side-table

@@ -3,14 +3,20 @@ package neatbound
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"neatbound/internal/adversary"
 	"neatbound/internal/consistency"
 	"neatbound/internal/engine"
+	"neatbound/internal/metrics"
 	"neatbound/internal/params"
+	"neatbound/internal/sweep"
 )
 
 // These tests pin the fast-forward equivalence contract beyond the
@@ -243,6 +249,246 @@ func TestFastForwardAdversaryStateIdentical(t *testing.T) {
 		run(skip, true)
 		if step.Activations != skip.Activations {
 			t.Errorf("switcher activations differ: step %d, skip %d", step.Activations, skip.Activations)
+		}
+	})
+}
+
+// spanProbe is a SpanObserver that counts the rounds it is told about
+// and the quiet spans among them, so a test can see which dispatch path
+// the engine took.
+type spanProbe struct{ rounds, spans int }
+
+func (p *spanProbe) OnRound(*engine.Engine, engine.RoundRecord) { p.rounds++ }
+
+func (p *spanProbe) OnQuietSpan(_ *engine.Engine, _ engine.RoundRecord, first, last int) {
+	p.spans++
+	p.rounds += last - first + 1
+}
+
+// spanStackResult is what a span-folding observer stack leaves behind.
+type spanStackResult struct {
+	dense, sparse []consistency.Snapshot
+	ledger        consistency.Accounting
+	growth        float64
+	probe         spanProbe
+}
+
+// runSpanStack runs gc with fast-forward under two checkers (every
+// round; every 7th round with a 3-sample window), a ledger, a growth
+// recorder and a span probe — all span observers. perRound adds an
+// ObserverFunc, which has no span hook, so every member falls back to
+// per-round calls.
+func runSpanStack(t *testing.T, gc goldenCase, perRound bool) spanStackResult {
+	t.Helper()
+	cfg := gc.cfg
+	cfg.FastForward = true
+	dense, err := consistency.NewChecker(3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sparse, err := consistency.NewChecker(3, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sparse.SetRetention(3)
+	ledger, err := consistency.NewLedgerRecorder(cfg.Params.Delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out spanStackResult
+	growth := &metrics.GrowthRecorder{}
+	stack := []engine.Observer{dense, sparse, ledger, growth, &out.probe}
+	if perRound {
+		stack = append(stack, engine.ObserverFunc(func(*engine.Engine, engine.RoundRecord) {}))
+	}
+	cfg.Observer = engine.Observers(stack...)
+	e, err := engine.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gc.oracle {
+		if err := e.WithOracleMining(gc.oracleKey); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := e.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.probe.rounds != cfg.Rounds || res.Rounds != cfg.Rounds || len(res.Records) != cfg.Rounds {
+		t.Fatalf("probe saw %d rounds, result counts %d with %d records, want %d",
+			out.probe.rounds, res.Rounds, len(res.Records), cfg.Rounds)
+	}
+	if got := metrics.ChainGrowthRate(res.Records); growth.Rate() != got {
+		t.Errorf("growth recorder rate %v, records give %v", growth.Rate(), got)
+	}
+	out.dense, out.sparse = dense.Snapshots(), sparse.Snapshots()
+	out.ledger, out.growth = ledger.Accounting(), growth.Rate()
+	return out
+}
+
+// TestFastForwardSpanObserversIdentical: a stack of span observers —
+// checkers, the Lemma-1 ledger, the growth recorder — must end exactly
+// as the same stack fed round by round (forced by one per-round
+// ObserverFunc), on every golden and sparse configuration. On the
+// sparse ones the folding stack must really have received spans.
+func TestFastForwardSpanObserversIdentical(t *testing.T) {
+	cases := map[string]func() goldenCase{}
+	for name := range goldenCases(t) {
+		cases["golden/"+name] = func() goldenCase { return goldenCases(t)[name] }
+	}
+	for name := range sparseCases(t) {
+		cases["sparse/"+name] = func() goldenCase { return sparseCases(t)[name] }
+	}
+	for name, mk := range cases {
+		t.Run(name, func(t *testing.T) {
+			// Fresh case per run: strategies are stateful.
+			fold := runSpanStack(t, mk(), false)
+			step := runSpanStack(t, mk(), true)
+			if step.probe.spans != 0 {
+				t.Fatalf("a stack with a per-round observer received %d spans", step.probe.spans)
+			}
+			if strings.HasPrefix(name, "sparse/") && fold.probe.spans == 0 {
+				t.Fatal("the span-folding stack received no spans")
+			}
+			if !reflect.DeepEqual(fold.dense, step.dense) {
+				t.Error("every-round checker snapshots differ")
+			}
+			if !reflect.DeepEqual(fold.sparse, step.sparse) {
+				t.Error("windowed checker snapshots differ")
+			}
+			if fold.ledger != step.ledger {
+				t.Errorf("ledger differs: folded %+v, per round %+v", fold.ledger, step.ledger)
+			}
+			if fold.growth != step.growth {
+				t.Errorf("growth rate differs: folded %v, per round %v", fold.growth, step.growth)
+			}
+		})
+	}
+}
+
+// TestFastForwardRunOneSpanIdentical: RunOne's report is the same
+// whether its own observers fold quiet spans or a per-round observer
+// attached by the caller makes every member take per-round calls; and
+// with the span path, the result carries no Records but counts every
+// round.
+func TestFastForwardRunOneSpanIdentical(t *testing.T) {
+	cases := map[string]func() goldenCase{}
+	for name := range goldenCases(t) {
+		cases["golden/"+name] = func() goldenCase { return goldenCases(t)[name] }
+	}
+	for name := range sparseCases(t) {
+		cases["sparse/"+name] = func() goldenCase { return sparseCases(t)[name] }
+	}
+	for name, mk := range cases {
+		t.Run(name, func(t *testing.T) {
+			run := func(obs engine.Observer) (sweep.Report, *engine.Result) {
+				cfg := mk().cfg
+				cfg.FastForward = true
+				cfg.Observer = obs
+				rep, res, err := sweep.RunOne(context.Background(), cfg,
+					sweep.Semantics{Rounds: cfg.Rounds, T: 3, CheckerRetention: 5})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return rep, res
+			}
+			fold, foldRes := run(nil)
+			var perRound int
+			step, _ := run(engine.ObserverFunc(func(*engine.Engine, engine.RoundRecord) { perRound++ }))
+			rounds := mk().cfg.Rounds
+			if perRound != rounds || foldRes.Rounds != rounds || len(foldRes.Records) != 0 {
+				t.Fatalf("per-round observer saw %d rounds; folded result counts %d with %d records; want %d and none",
+					perRound, foldRes.Rounds, len(foldRes.Records), rounds)
+			}
+			if !reflect.DeepEqual(fold, step) {
+				t.Errorf("reports differ:\nfolded   %+v\nper round %+v", fold, step)
+			}
+		})
+	}
+}
+
+// runSparseBytesPerRound is the heap allocated per round by one façade
+// Run of perfbench's run-sparse configuration at the given length.
+func runSparseBytesPerRound(t *testing.T, rounds int) float64 {
+	t.Helper()
+	pr := Params{N: 1_000_000, P: 1e-7, Delta: 10, Nu: 0.3}
+	opts := []Option{
+		WithRounds(rounds),
+		WithSeed(1),
+		WithConsistency(6, 0),
+		WithAdversaryName("private", AdversaryOpts{ForkDepth: 4}),
+		WithFastForward(),
+		WithCompaction(2000, 128),
+		WithCheckerRetention(4),
+	}
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rep, err := Run(context.Background(), pr, opts...)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.RoundsExecuted != rounds {
+		t.Fatalf("executed %d rounds, want %d", rep.RoundsExecuted, rounds)
+	}
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(rounds)
+}
+
+// TestFastForwardAllocFlat pins run-length-independent memory on the
+// sparse path: a façade Run allocates no per-round record and makes no
+// per-round observer call, so its allocation per round stays small at
+// 10⁴ and 10⁵ rounds alike (a Records slice alone is 56 B/round, more
+// with append growth).
+func TestFastForwardAllocFlat(t *testing.T) {
+	const limit = 16 // B/round, with headroom for -race
+	for _, rounds := range []int{10_000, 100_000} {
+		if b := runSparseBytesPerRound(t, rounds); b > limit {
+			t.Errorf("%d rounds: %.1f B/round allocated, want ≤ %d", rounds, b, limit)
+		} else {
+			t.Logf("%d rounds: %.1f B/round", rounds, b)
+		}
+	}
+}
+
+// TestHugeRoundsReturnPartial: a run asked for 2⁴⁰ rounds must start
+// at once and stop at its deadline with a partial result — nothing is
+// sized by the requested length up front — both through RunOne and
+// through a plain engine.Config that keeps Records.
+func TestHugeRoundsReturnPartial(t *testing.T) {
+	pr := params.Params{N: 40, P: 0.005, Delta: 4, Nu: 0.3}
+	const huge = 1 << 40
+	deadline := func() (context.Context, context.CancelFunc) {
+		return context.WithTimeout(context.Background(), 50*time.Millisecond)
+	}
+	t.Run("RunOne", func(t *testing.T) {
+		ctx, cancel := deadline()
+		defer cancel()
+		rep, res, err := sweep.RunOne(ctx, engine.Config{Params: pr, Seed: 1}, sweep.Semantics{Rounds: huge, T: 3})
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("err = %v, want the deadline", err)
+		}
+		if res == nil || !res.Partial || res.Rounds == 0 || res.Rounds >= huge {
+			t.Fatalf("result %+v, want a partial run", res)
+		}
+		if rep.Ledger.Rounds != res.Rounds || len(res.Records) != 0 {
+			t.Errorf("ledger covers %d rounds, result %d with %d records", rep.Ledger.Rounds, res.Rounds, len(res.Records))
+		}
+	})
+	t.Run("engine", func(t *testing.T) {
+		ctx, cancel := deadline()
+		defer cancel()
+		e, err := engine.New(engine.Config{Params: pr, Rounds: huge, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.RunContext(ctx)
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("err = %v, want the deadline", err)
+		}
+		if !res.Partial || res.Rounds == 0 || len(res.Records) != res.Rounds {
+			t.Fatalf("partial %t, %d rounds with %d records", res.Partial, res.Rounds, len(res.Records))
 		}
 	})
 }

@@ -139,22 +139,17 @@ func (a *PrivateMining) restartFork(ctx *engine.Context) {
 }
 
 // publishChain sends every withheld block of the private chain to all
-// honest players for next-round delivery.
+// honest players for next-round delivery, tip first, as it walks the
+// withheld (adversarial) suffix down to the fork point.
 func (a *PrivateMining) publishChain(ctx *engine.Context, tip blockchain.BlockID) {
 	tree := ctx.Tree()
-	// Collect the withheld (adversarial) suffix.
-	var suffix []blockchain.Block
-	id := tip
-	for {
+	for id := tip; ; {
 		b, ok := tree.Get(id)
 		if !ok || b.Honest || b.ID == blockchain.GenesisID {
-			break
+			return
 		}
-		suffix = append(suffix, b)
-		id = b.Parent
-	}
-	for _, b := range suffix {
 		_ = ctx.SendToAll(b, ctx.Round()+1)
+		id = b.Parent
 	}
 }
 

@@ -261,18 +261,27 @@ func (t *Tree) grow(i int) {
 	if len(t.parent) >= n {
 		return
 	}
-	short := n - len(t.parent)
-	t.parent = append(t.parent, make([]BlockID, short)...)
-	t.jump = append(t.jump, make([]BlockID, short)...)
-	t.height = append(t.height, make([]int32, short)...)
-	t.round = append(t.round, make([]int32, short)...)
-	t.miner = append(t.miner, make([]int32, short)...)
-	t.childCount = append(t.childCount, make([]int32, short)...)
+	t.parent = extend(t.parent, n)
+	t.jump = extend(t.jump, n)
+	t.height = extend(t.height, n)
+	t.round = extend(t.round, n)
+	t.miner = extend(t.miner, n)
+	t.childCount = extend(t.childCount, n)
 	words := (n + 63) >> 6
-	for len(t.present) < words {
-		t.present = append(t.present, 0)
-		t.honest = append(t.honest, 0)
+	t.present = extend(t.present, words)
+	t.honest = extend(t.honest, words)
+}
+
+// extend appends zeros to s up to length n. Element by element, so no
+// temporary slice is allocated even where the compiler does not fuse
+// append(s, make(...)...) (race builds): the arena usually grows by
+// one slot per block.
+func extend[T any](s []T, n int) []T {
+	var zero T
+	for len(s) < n {
+		s = append(s, zero)
 	}
+	return s
 }
 
 // Add inserts a block. The parent must exist, the ID must be new and

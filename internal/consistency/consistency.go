@@ -36,14 +36,19 @@ import (
 )
 
 // ConvergenceCounter incrementally detects convergence opportunities from
-// the per-round honest block counts. Feed every round's count to Observe;
-// it returns true on rounds that complete the HN^{≥Δ}‖H₁N^Δ pattern.
+// the per-round honest block counts. Feed every round's count to Observe
+// (or a run of block-free rounds to ObserveQuiet); Observe returns true
+// on rounds that complete the HN^{≥Δ}‖H₁N^Δ pattern. Its state is O(1):
+// an opportunity completes exactly when the trailing N-run reaches Δ
+// after an H₁ that itself followed an H and ≥ Δ N's.
 type ConvergenceCounter struct {
-	delta   int
+	delta int
+	// tracker follows the H/N stream up to the current round: its
+	// trailing N-run, and whether any H has been seen.
 	tracker *markov.SuffixTracker
-	// window holds the detailed states of the most recent Δ+1 rounds,
-	// oldest first (window[0] = S_{t−Δ}).
-	window []int
+	// armed records that the last H round was an H₁ preceded by
+	// HN^{≥Δ}: the Δ-th N after it completes an opportunity.
+	armed  bool
 	count  int
 	rounds int
 }
@@ -57,47 +62,39 @@ func NewConvergenceCounter(delta int) (*ConvergenceCounter, error) {
 	return &ConvergenceCounter{delta: delta, tracker: tr}, nil
 }
 
-// classify maps an honest block count to the Detailed-State-Set class.
-func classify(honestMined int) int {
-	switch {
-	case honestMined <= 0:
-		return markov.DetailedN
-	case honestMined == 1:
-		return markov.DetailedH1
-	default:
-		return markov.DetailedHM
-	}
-}
-
 // Observe consumes the number of honest blocks mined in the next round and
 // reports whether this round completes a convergence opportunity.
 func (c *ConvergenceCounter) Observe(honestMined int) bool {
 	c.rounds++
-	state := classify(honestMined)
-	if len(c.window) < c.delta+1 {
-		c.window = append(c.window, state)
-	} else {
-		// Evict the oldest window entry into the suffix tracker: the
-		// tracker always represents F_{t−Δ−1}.
-		oldest := c.window[0]
-		copy(c.window, c.window[1:])
-		c.window[c.delta] = state
-		c.tracker.Observe(oldest != markov.DetailedN)
-	}
-	if len(c.window) < c.delta+1 || !c.tracker.InLongN() {
+	if honestMined > 0 {
+		// An H: it arms the counter when it is an H₁ closing HN^{≥Δ}.
+		c.armed = honestMined == 1 && c.tracker.InLongN()
+		c.tracker.Observe(true)
 		return false
 	}
-	// Window must read H₁ N^Δ.
-	if c.window[0] != markov.DetailedH1 {
-		return false
+	c.tracker.Observe(false)
+	if c.armed && c.tracker.NRun() == c.delta {
+		c.count++
+		return true
 	}
-	for _, s := range c.window[1:] {
-		if s != markov.DetailedN {
-			return false
-		}
+	return false
+}
+
+// ObserveQuiet consumes k ≥ 0 block-free rounds in O(1), exactly as k
+// calls Observe(0) would, and returns how many opportunities they
+// complete (0 or 1).
+func (c *ConvergenceCounter) ObserveQuiet(k int) int {
+	if k <= 0 {
+		return 0
 	}
-	c.count++
-	return true
+	c.rounds += k
+	before := c.tracker.NRun()
+	c.tracker.ObserveN(k)
+	if c.armed && before < c.delta && c.delta <= before+k {
+		c.count++
+		return 1
+	}
+	return 0
 }
 
 // Count returns the number of convergence opportunities seen so far.
@@ -157,6 +154,12 @@ func NewLedgerRecorder(delta int) (*LedgerRecorder, error) {
 func (l *LedgerRecorder) OnRound(_ *engine.Engine, rec engine.RoundRecord) {
 	l.counter.Observe(rec.HonestMined)
 	l.adv += rec.AdversaryMined
+}
+
+// OnQuietSpan implements engine.SpanObserver: a quiet span's rounds
+// mine nothing, so they fold into the counter in O(1).
+func (l *LedgerRecorder) OnQuietSpan(_ *engine.Engine, _ engine.RoundRecord, first, last int) {
+	l.counter.ObserveQuiet(last - first + 1)
 }
 
 // Accounting returns the ledger over the rounds observed so far.
@@ -225,9 +228,13 @@ type Checker struct {
 	anchors []anchor
 }
 
-// Compile-time check: the checker participates in the engine's
-// compaction watermark.
-var _ engine.Retainer = (*Checker)(nil)
+// Compile-time checks: the checker participates in the engine's
+// compaction watermark, and the checker and the ledger fold quiet spans.
+var (
+	_ engine.Retainer     = (*Checker)(nil)
+	_ engine.SpanObserver = (*Checker)(nil)
+	_ engine.SpanObserver = (*LedgerRecorder)(nil)
+)
 
 // NewChecker returns a checker with chop parameter tee, sampling every
 // `every` rounds.
@@ -351,11 +358,24 @@ func (c *Checker) refoldPin(tree *blockchain.Tree) {
 // checker's arena, so a snapshot costs zero allocations in steady state
 // (DistinctTips built a fresh sorted slice per sample).
 func (c *Checker) OnRound(e *engine.Engine, rec engine.RoundRecord) {
-	if rec.Round%c.Every != 0 {
-		return
+	if rec.Round%c.Every == 0 {
+		c.sample(e, rec.Round)
 	}
+}
+
+// OnQuietSpan implements engine.SpanObserver: the views are unchanged
+// across the span, so it takes OnRound's snapshot at every multiple of
+// Every in [first, last] without visiting the other rounds.
+func (c *Checker) OnQuietSpan(e *engine.Engine, _ engine.RoundRecord, first, last int) {
+	for r := (first + c.Every - 1) / c.Every * c.Every; r <= last; r += c.Every {
+		c.sample(e, r)
+	}
+}
+
+// sample snapshots the engine's distinct honest tips as round's.
+func (c *Checker) sample(e *engine.Engine, round int) {
 	c.scratch = e.AppendDistinctTips(c.scratch[:0])
-	c.snaps = append(c.snaps, Snapshot{Round: rec.Round, Tips: c.arenaCopy(c.scratch)})
+	c.snaps = append(c.snaps, Snapshot{Round: round, Tips: c.arenaCopy(c.scratch)})
 	c.foldPin(e.Tree(), c.snaps[len(c.snaps)-1].Tips)
 	if c.retain > 0 && len(c.snaps) > c.retain {
 		// Release the oldest samples. The slab memory behind them stays

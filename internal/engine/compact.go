@@ -75,6 +75,9 @@ func (e *Engine) maybeCompact() error {
 		return fmt.Errorf("engine: compaction at round %d: %w", e.round, err)
 	}
 	e.stats.rebase(e.tree.Base())
+	if e.cfg.NuSchedule == nil {
+		e.stats.rebaseHeights()
+	}
 	return nil
 }
 

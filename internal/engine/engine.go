@@ -94,8 +94,9 @@ type Config struct {
 	// never affects results: the fast path consumes RNG draws in the
 	// exact order of the step-by-step engine (see docs/fastforward.md
 	// for the eligibility predicate and the draw-order contract), every
-	// skipped round still produces its RoundRecord for observers (the
-	// record stream has no gaps), and the engine silently falls back to
+	// skipped round still reaches the observers (as its own OnRound
+	// call, or folded into one OnQuietSpan call when every observer is a
+	// SpanObserver) and Records, and the engine silently falls back to
 	// stepping whenever a precondition fails — NuSchedule set, oracle
 	// mining, an adversary without SkipSafe, or a parameterization
 	// outside the binomial inversion regime. TestGoldenTracesFastForward
@@ -131,6 +132,13 @@ type Config struct {
 	// bit-identical to nil. Incompatible with NuSchedule and with oracle
 	// mining; disarms FastForward.
 	MiningWeights []int
+	// SkipRecords leaves Result.Records empty; every other result field
+	// and the observers' record stream are unchanged, so it is
+	// result-neutral. Callers that fold the stream online (sweep.RunOne)
+	// set it, so a run's memory does not grow with its length. It is
+	// deleted together with Records once the benchmark stops reading
+	// them (ROADMAP item 2).
+	SkipRecords bool
 }
 
 // AutoShards was the Config.Shards value that picked the
@@ -165,14 +173,19 @@ type RoundRecord struct {
 
 // Result is the outcome of a full run.
 type Result struct {
-	// Records holds one entry per executed round.
+	// Records holds one entry per executed round, 56 bytes each, unless
+	// Config.SkipRecords is set; then it stays empty. Observers see the
+	// same stream as it runs, so long runs fold it online instead.
 	Records []RoundRecord
+	// Rounds is the number of rounds executed.
+	Rounds int
 	// Tree is the global block tree (ground truth).
 	Tree *blockchain.Tree
 	// HonestBlocks and AdversaryBlocks count blocks mined over the run.
 	HonestBlocks, AdversaryBlocks int
-	// Partial is set when the run was cut short by context cancellation;
-	// Records then holds only the rounds executed before the cut.
+	// Partial is set when the run was cut short by context cancellation
+	// or an engine error; Rounds (and Records) then cover only the rounds
+	// executed before the cut.
 	Partial bool
 
 	// The final views (see FinalTips): finalTips when the run ended with
@@ -219,10 +232,13 @@ type Engine struct {
 	players int
 	honest  int
 	adv     Adversary
-	// obs is Config.Observer; nil when unset.
-	obs    Observer
-	advRng *rng.Stream
-	mineRg *rng.Stream
+	// obs is Config.Observer; nil when unset. spanObs is obs as a
+	// SpanObserver when every member has the hook, else nil; decided
+	// when Run starts.
+	obs     Observer
+	spanObs SpanObserver
+	advRng  *rng.Stream
+	mineRg  *rng.Stream
 	// mineDraw and advDraw are the honest and adversary mining-count
 	// draws on mineRg and advRng: each keeps (1−p)^n between rounds and
 	// recomputes it only when its miner count changes (NuSchedule,
@@ -455,16 +471,16 @@ func (e *Engine) Run() (*Result, error) { return e.RunContext(context.Background
 
 // RunContext executes cfg.Rounds rounds, checking ctx between rounds.
 // When ctx is cancelled the run stops before the next round and returns
-// the partial result — Partial set, Records holding the rounds executed
+// the partial result — Partial set, Rounds counting the rounds executed
 // so far — together with ctx.Err(); a mid-round engine error likewise
 // returns the partial result with that error. Observers' OnFinish hooks
 // run in every case — complete, cancelled, or failed — so writers
 // flush; their error is joined onto the run's.
 func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
-	res := &Result{
-		Tree:    e.tree,
-		Records: make([]RoundRecord, 0, e.cfg.Rounds),
-	}
+	// Records grows by append: preallocating cfg.Rounds entries would
+	// let one huge Rounds value exhaust memory before round 1.
+	res := &Result{Tree: e.tree}
+	e.spanObs = spanStack(e.obs)
 	if !e.armFastForward() {
 		// Every stepping path reads or writes per-player views in bulk:
 		// write them out once, up front.
@@ -485,18 +501,15 @@ func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
 		var err error
 		if e.ff.armed {
 			// Event-driven advance: skip to the next mining event or
-			// delivery-due round (emitting every skipped round's record),
-			// then execute that round. Bounded, so cancellation is still
+			// delivery-due round (reporting every skipped round to the
+			// observers), then execute that round. Bounded, so cancellation is still
 			// checked with low latency.
 			err = e.ffAdvance(res)
 		} else {
 			var rec RoundRecord
 			rec, err = e.step()
 			if err == nil {
-				res.Records = append(res.Records, rec)
-				if e.obs != nil {
-					e.obs.OnRound(e, rec)
-				}
+				e.emit(res, rec)
 			}
 		}
 		if err == nil && e.cfg.CompactEvery > 0 && e.round >= e.nextCompact {
@@ -519,6 +532,17 @@ func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
 		return res, err
 	}
 	return res, nil
+}
+
+// emit hands a stepped round's record to res and the observers.
+func (e *Engine) emit(res *Result, rec RoundRecord) {
+	res.Rounds++
+	if !e.cfg.SkipRecords {
+		res.Records = append(res.Records, rec)
+	}
+	if e.obs != nil {
+		e.obs.OnRound(e, rec)
+	}
 }
 
 // finalize copies the run-level outcome into res. Views still compactly

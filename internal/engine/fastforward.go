@@ -4,8 +4,10 @@ package engine
 // in sparse-mining regimes (np ≪ 1 per side) almost every round is a
 // provable no-op — nothing due on the network, zero mining on both
 // sides, adversary quiescent — and the step engine spends its time
-// confirming that nothing happened. The fast path crosses such spans in
-// O(1) per round of bookkeeping and O(1) per *event* of real work:
+// confirming that nothing happened. The fast path crosses such spans
+// with one gap-sampler draw per round, O(1) observer and record work per
+// span (when every observer folds spans), and O(1) per *event* of real
+// work:
 //
 //   - Quiet-span detection samples the gap to the next mining event with
 //     the geometric/binomial split of internal/dist. Per candidate round
@@ -20,9 +22,12 @@ package engine
 //     the engine's cached (1−p)^n) and handed to step() as a pre-drawn
 //     count.
 //
-//   - Every skipped round still emits its RoundRecord (state is
-//     unchanged, so the record fields are constants of the span) and
-//     dispatches observers, so the record stream has no gaps; the
+//   - Skipped rounds are not silent. State is unchanged across a span,
+//     so the record fields are constants of the span. When every
+//     observer implements SpanObserver (decided once per run), the span
+//     costs one OnQuietSpan call per observer; otherwise each observer
+//     gets every skipped round's OnRound call, in order. Records, unless
+//     Config.SkipRecords is set, gets every skipped round's entry. The
 //     adversary's per-round quiet-state updates are replayed in bulk
 //     through SpanQuiescent.ObserveQuiet.
 //
@@ -149,8 +154,9 @@ func (e *Engine) armFastForward() bool {
 // ffAdvance crosses the quiet span in front of the engine — every round
 // with no due deliveries and zero mining on both sides — then executes
 // the round that ends it (the mining event, a delivery-due round, or
-// the cancellation-latency cap boundary). Each skipped round emits its
-// RoundRecord; RNG draws are consumed in exactly the step engine's
+// the cancellation-latency cap boundary). The span reaches a
+// span-aware observer stack in one OnQuietSpan call and any other stack
+// round by round; RNG draws are consumed in exactly the step engine's
 // order, so the trace is bit-identical to stepping.
 func (e *Engine) ffAdvance(res *Result) error {
 	// Rounds that could possibly be quiet: up to the end of the run,
@@ -190,7 +196,7 @@ func (e *Engine) ffAdvance(res *Result) error {
 	}
 
 	if quiet > 0 {
-		first := e.round + 1
+		first, last := e.round+1, e.round+quiet
 		// State is untouched across the span, so every skipped round's
 		// record repeats the same view statistics.
 		rec := RoundRecord{
@@ -199,16 +205,28 @@ func (e *Engine) ffAdvance(res *Result) error {
 			MinHonestHeight: e.minHonestHeight(),
 			DistinctTips:    e.DistinctTipCount(),
 		}
-		for k := 0; k < quiet; k++ {
-			e.round++
-			rec.Round = e.round
-			res.Records = append(res.Records, rec)
-			if e.obs != nil {
-				e.obs.OnRound(e, rec)
+		if !e.cfg.SkipRecords {
+			for r := first; r <= last; r++ {
+				rec.Round = r
+				res.Records = append(res.Records, rec)
 			}
 		}
+		switch {
+		case e.spanObs != nil:
+			e.round, rec.Round = last, last
+			e.spanObs.OnQuietSpan(e, rec, first, last)
+		case e.obs != nil:
+			for e.round < last {
+				e.round++
+				rec.Round = e.round
+				e.obs.OnRound(e, rec)
+			}
+		default:
+			e.round = last
+		}
+		res.Rounds += quiet
 		// Replay the adversary's quiet-round bookkeeping in bulk.
-		e.ff.quiet.ObserveQuiet(&e.ctx, first, e.round)
+		e.ff.quiet.ObserveQuiet(&e.ctx, first, last)
 	}
 	if e.round >= e.cfg.Rounds {
 		return nil
@@ -221,10 +239,7 @@ func (e *Engine) ffAdvance(res *Result) error {
 	if err != nil {
 		return err
 	}
-	res.Records = append(res.Records, rec)
-	if e.obs != nil {
-		e.obs.OnRound(e, rec)
-	}
+	e.emit(res, rec)
 	return nil
 }
 
@@ -393,15 +408,12 @@ func (e *Engine) rebuildUniform() {
 	// Drop the old state: the height support is exactly [minH, maxH],
 	// and tipList enumerates every tip with a live refcount.
 	for h := s.minH; h <= s.maxH; h++ {
-		s.heightCount[h] = 0
+		s.heightCount[h-s.hBase] = 0
 	}
 	s.dropTipRefs()
 
 	// Majority baseline, then per-deviant corrections.
-	for len(s.heightCount) <= newH {
-		s.heightCount = append(s.heightCount, 0)
-	}
-	s.heightCount[newH] = size
+	*s.heights(newH) = size
 	s.minH, s.maxH = newH, newH
 	s.tracked = size
 	s.resetBest()
@@ -427,11 +439,8 @@ func (e *Engine) rebuildUniform() {
 		if dH != newH {
 			// Deviant heights are ≥ newH, so corrections only extend
 			// the bracket upward.
-			s.heightCount[newH]--
-			for len(s.heightCount) <= dH {
-				s.heightCount = append(s.heightCount, 0)
-			}
-			s.heightCount[dH]++
+			s.heightCount[newH-s.hBase]--
+			*s.heights(dH)++
 			if dH > s.maxH {
 				s.maxH = dH
 			}
@@ -451,7 +460,7 @@ func (e *Engine) rebuildUniform() {
 	}
 	// Every player may be a taller deviant, leaving zero views at newH:
 	// advance the bracket onto the real support.
-	for s.minH < s.maxH && s.heightCount[s.minH] == 0 {
+	for s.minH < s.maxH && s.heightCount[s.minH-s.hBase] == 0 {
 		s.minH++
 	}
 }

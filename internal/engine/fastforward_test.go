@@ -295,3 +295,34 @@ func TestFastForwardCompactedTipRefsBounded(t *testing.T) {
 		}
 	}
 }
+
+// TestFastForwardCompactedHeightsBounded pins the height histogram
+// behind the compaction epochs: in a compacted run without a
+// NuSchedule its array spans the live height range, so its peak length
+// is the same at 10⁴ and at 10⁵ rounds instead of growing with the
+// chain.
+func TestFastForwardCompactedHeightsBounded(t *testing.T) {
+	pr := params.Params{N: 1000, P: 5e-5, Delta: 4, Nu: 0.05}
+	const limit = 64
+	for _, rounds := range []int{10_000, 100_000} {
+		maxLen := 0
+		e, err := New(Config{
+			Params: pr, Rounds: rounds, Seed: 9, FastForward: true,
+			CompactEvery: 200, CompactMinRetire: 16,
+			Observer: ObserverFunc(func(e *Engine, rec RoundRecord) {
+				maxLen = max(maxLen, len(e.stats.heightCount))
+			}),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rounds=%d: height %d, base %d, peak array %d", rounds, e.stats.maxH, e.stats.hBase, maxLen)
+		if e.stats.hBase == 0 || maxLen > limit {
+			t.Fatalf("rounds=%d: height array peaked at %d counters (limit %d), base %d at height %d",
+				rounds, maxLen, limit, e.stats.hBase, e.stats.maxH)
+		}
+	}
+}

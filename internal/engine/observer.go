@@ -10,10 +10,31 @@ import (
 // round's record is final; they may inspect honest views through the
 // engine but must not mutate the execution. Several observers compose
 // through Observers — the consistency checker, metric recorders, trace
-// writers, and user hooks all run side by side in one pass.
+// writers, and user hooks all run side by side in one pass. On the
+// fast-forward path a stack whose every member is a SpanObserver gets
+// one call per quiet span instead (see SpanObserver); any other stack
+// gets one OnRound call per round, skipped rounds included.
 type Observer interface {
 	// OnRound is called once per executed round.
 	OnRound(e *Engine, rec RoundRecord)
+}
+
+// SpanObserver is the optional quiet-span extension of Observer. A
+// quiet span is a run of rounds first..last that the fast-forward path
+// crosses without stepping: nothing is delivered or mined, so every
+// record field but Round is the same in each of them. When Run starts
+// it decides once whether every flattened member of the observer stack
+// implements SpanObserver. If so, each quiet span costs one
+// OnQuietSpan call per member; if not, every member keeps its per-round
+// OnRound calls, in order, exactly as without the hook.
+type SpanObserver interface {
+	Observer
+	// OnQuietSpan must leave the observer exactly as the calls
+	// OnRound(e, r) for r = first..last would, where each r is rec with
+	// Round set to that round. rec carries the span's constant fields
+	// (HonestMined and AdversaryMined are 0) with Round = last, the
+	// round the engine stands at during the call.
+	OnQuietSpan(e *Engine, rec RoundRecord, first, last int)
 }
 
 // FinishObserver is the optional finalization extension of Observer:
@@ -58,6 +79,44 @@ func (m MultiObserver) OnFinish(res *Result) error {
 		}
 	}
 	return first
+}
+
+// spanStack returns o as one SpanObserver when every flattened member
+// of o implements the hook, and nil otherwise (or when o is nil).
+func spanStack(o Observer) SpanObserver {
+	switch v := o.(type) {
+	case MultiObserver:
+		fan := make(spanFanout, 0, len(v))
+		for _, m := range v {
+			s := spanStack(m)
+			if s == nil {
+				return nil
+			}
+			fan = append(fan, s)
+		}
+		return fan
+	case SpanObserver:
+		return v
+	}
+	return nil
+}
+
+// spanFanout is a MultiObserver whose members all implement
+// SpanObserver.
+type spanFanout []SpanObserver
+
+// OnRound implements Observer by forwarding to every member.
+func (f spanFanout) OnRound(e *Engine, rec RoundRecord) {
+	for _, o := range f {
+		o.OnRound(e, rec)
+	}
+}
+
+// OnQuietSpan implements SpanObserver by forwarding to every member.
+func (f spanFanout) OnQuietSpan(e *Engine, rec RoundRecord, first, last int) {
+	for _, o := range f {
+		o.OnQuietSpan(e, rec, first, last)
+	}
 }
 
 // Observers composes observers into one: nils are dropped, nested

@@ -8,6 +8,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"neatbound/internal/params"
 )
 
 // recordingObserver tags every OnRound/OnFinish call with its label so
@@ -189,5 +191,54 @@ func TestAutoShardsConfigResolves(t *testing.T) {
 	}
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// spanCounter is a SpanObserver counting the rounds it is told about,
+// and how many arrived folded into quiet spans.
+type spanCounter struct{ rounds, spans, spanRounds int }
+
+func (s *spanCounter) OnRound(*Engine, RoundRecord) { s.rounds++ }
+
+func (s *spanCounter) OnQuietSpan(_ *Engine, rec RoundRecord, first, last int) {
+	if rec.Round != last || rec.HonestMined != 0 || rec.AdversaryMined != 0 {
+		panic("quiet span record out of contract")
+	}
+	s.spans++
+	s.rounds += last - first + 1
+	s.spanRounds += last - first + 1
+}
+
+// TestFastForwardSpanDispatchAllOrNothing: quiet spans reach a stack
+// folded only when every flattened member — nested MultiObservers
+// included — has the hook; one member without it puts every member
+// back on per-round calls. Either way each member hears of every round.
+func TestFastForwardSpanDispatchAllOrNothing(t *testing.T) {
+	pr := params.Params{N: 40, P: 0.005, Delta: 4, Nu: 0.3}
+	const rounds = 2000
+	run := func(obs Observer) {
+		e, err := New(Config{Params: pr, Rounds: rounds, Seed: 3, FastForward: true, Observer: obs, SkipRecords: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Rounds != rounds || len(res.Records) != 0 {
+			t.Fatalf("result counts %d rounds with %d records, want %d and none", res.Rounds, len(res.Records), rounds)
+		}
+	}
+	a, b := &spanCounter{}, &spanCounter{}
+	run(MultiObserver{a, MultiObserver{b}})
+	if a.spans == 0 || *a != *b || a.rounds != rounds {
+		t.Fatalf("span-capable stack: %+v and %+v, want spans covering %d rounds", *a, *b, rounds)
+	}
+	c, d := &spanCounter{}, &spanCounter{}
+	perRound := 0
+	run(Observers(c, MultiObserver{d, ObserverFunc(func(*Engine, RoundRecord) { perRound++ })}))
+	if c.spans != 0 || d.spans != 0 || c.rounds != rounds || d.rounds != rounds || perRound != rounds {
+		t.Fatalf("mixed stack: %+v, %+v, %d per-round calls; want %d per-round calls each and no spans",
+			*c, *d, perRound, rounds)
 	}
 }

@@ -21,11 +21,14 @@ const maxIdx = int(^uint(0) >> 1)
 // longest-chain rule, so the brackets, refcounts and per-half argmax
 // report bit for bit what a scan over all players would.
 type viewStats struct {
-	// heightCount[h] counts honest views at chain height h; minH and
-	// maxH bracket its support (heights only grow, so the brackets
+	// heightCount[h-hBase] counts honest views at chain height h; minH
+	// and maxH bracket its support (heights only grow, so the brackets
 	// advance amortized O(1)); tracked is the number of honest views
-	// currently counted.
+	// currently counted. hBase follows minH at compaction time (see
+	// rebaseHeights), so the array spans the live height range, not the
+	// whole chain.
 	heightCount []int
+	hBase       int
 	minH, maxH  int
 	tracked     int
 	// tipRefs[id-base] counts honest views sitting on tip id. tipList
@@ -60,9 +63,6 @@ func (s *viewStats) resetBest() {
 // add counts honest player i at tip id, height h. halfLo is the engine's
 // current half boundary (honest/2).
 func (s *viewStats) add(i int, id blockchain.BlockID, h, halfLo int) {
-	for len(s.heightCount) <= h {
-		s.heightCount = append(s.heightCount, 0)
-	}
 	if s.tracked == 0 {
 		s.minH, s.maxH = h, h
 	} else {
@@ -74,7 +74,7 @@ func (s *viewStats) add(i int, id blockchain.BlockID, h, halfLo int) {
 		}
 	}
 	s.tracked++
-	s.heightCount[h]++
+	*s.heights(h)++
 	s.addTipRef(id, 1)
 	half := 0
 	if i >= halfLo {
@@ -88,6 +88,31 @@ func (s *viewStats) add(i int, id blockchain.BlockID, h, halfLo int) {
 			s.bestH[half], s.bestIdx[half], s.bestTip[half] = h, i, id
 		}
 	}
+}
+
+// heights returns the counter of views at height h ≥ hBase, growing the
+// array to hold it.
+func (s *viewStats) heights(h int) *int {
+	k := h - s.hBase
+	for len(s.heightCount) <= k {
+		s.heightCount = append(s.heightCount, 0)
+	}
+	return &s.heightCount[k]
+}
+
+// rebaseHeights moves hBase up to minH, dropping the counters below it,
+// once minH has passed half the array; the copy-down is then amortized
+// O(1) per height. Every counter below minH is zero. The engine calls it
+// only without a NuSchedule: then no honest view ever moves below minH
+// (heights only grow), while a corrupted player's parked view may
+// re-enter the honest set below it.
+func (s *viewStats) rebaseHeights() {
+	shift := s.minH - s.hBase
+	if 2*shift <= len(s.heightCount) {
+		return
+	}
+	s.heightCount = s.heightCount[:copy(s.heightCount, s.heightCount[shift:])]
+	s.hBase = s.minH
 }
 
 // addTipRef counts count views on tip id, growing the refcount arena
@@ -141,17 +166,18 @@ func (s *viewStats) rebase(floor blockchain.BlockID) {
 // trigger recomputeBest.
 func (s *viewStats) remove(id blockchain.BlockID, h int) {
 	s.tracked--
-	s.heightCount[h]--
-	if s.heightCount[h] == 0 && s.tracked > 0 {
+	hk := h - s.hBase
+	s.heightCount[hk]--
+	if s.heightCount[hk] == 0 && s.tracked > 0 {
 		// The support brackets only shrink inward; each loop step is paid
 		// for by an earlier height increase, so the amortized cost is O(1).
 		if h == s.maxH {
-			for s.maxH > s.minH && s.heightCount[s.maxH] == 0 {
+			for s.maxH > s.minH && s.heightCount[s.maxH-s.hBase] == 0 {
 				s.maxH--
 			}
 		}
 		if h == s.minH {
-			for s.minH < s.maxH && s.heightCount[s.minH] == 0 {
+			for s.minH < s.maxH && s.heightCount[s.minH-s.hBase] == 0 {
 				s.minH++
 			}
 		}

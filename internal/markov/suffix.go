@@ -205,6 +205,14 @@ func (t *SuffixTracker) Observe(h bool) {
 	t.nRun++
 }
 
+// ObserveN consumes k ≥ 0 consecutive N states in O(1): the state
+// Observe(false) called k times leaves.
+func (t *SuffixTracker) ObserveN(k int) {
+	if k > 0 {
+		t.nRun += k
+	}
+}
+
 // Valid reports whether at least two H states have been observed, which is
 // when the suffix state is well defined.
 func (t *SuffixTracker) Valid() bool { return t.hSeen >= 2 }

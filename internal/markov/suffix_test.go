@@ -387,3 +387,28 @@ func BenchmarkSuffixTracker(b *testing.B) {
 		_ = tr.State(s)
 	}
 }
+
+// TestSuffixTrackerObserveN: ObserveN(k) leaves the tracker
+// exactly where k calls Observe(false) do, from every reachable start.
+func TestSuffixTrackerObserveN(t *testing.T) {
+	for _, prefix := range [][]bool{nil, {true}, {true, false}, {true, false, false, true}} {
+		for k := 0; k <= 7; k++ {
+			bulk, err := NewSuffixTracker(3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			step, _ := NewSuffixTracker(3)
+			for _, h := range prefix {
+				bulk.Observe(h)
+				step.Observe(h)
+			}
+			bulk.ObserveN(k)
+			for j := 0; j < k; j++ {
+				step.Observe(false)
+			}
+			if *bulk != *step {
+				t.Errorf("prefix %v, k=%d: ObserveN gives %+v, per round %+v", prefix, k, *bulk, *step)
+			}
+		}
+	}
+}

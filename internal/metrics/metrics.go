@@ -16,12 +16,45 @@ import (
 // ChainGrowthRate returns the average growth of the maximum honest chain
 // height per round over the run — the empirical g.
 func ChainGrowthRate(records []engine.RoundRecord) float64 {
-	if len(records) == 0 {
+	var g GrowthRecorder
+	for _, r := range records {
+		g.OnRound(nil, r)
+	}
+	return g.Rate()
+}
+
+// GrowthRecorder is the streaming form of ChainGrowthRate: an
+// engine.SpanObserver that keeps the first and the latest round's
+// MaxHonestHeight, all the rate reads of the record stream.
+type GrowthRecorder struct {
+	first, last, rounds int
+}
+
+var _ engine.SpanObserver = (*GrowthRecorder)(nil)
+
+// OnRound implements engine.Observer.
+func (g *GrowthRecorder) OnRound(_ *engine.Engine, rec engine.RoundRecord) {
+	g.OnQuietSpan(nil, rec, rec.Round, rec.Round)
+}
+
+// OnQuietSpan implements engine.SpanObserver: the span's rounds share
+// rec's MaxHonestHeight.
+func (g *GrowthRecorder) OnQuietSpan(_ *engine.Engine, rec engine.RoundRecord, first, last int) {
+	if g.rounds == 0 {
+		g.first = rec.MaxHonestHeight
+	}
+	g.last = rec.MaxHonestHeight
+	g.rounds += last - first + 1
+}
+
+// Rate returns the average growth of the maximum honest chain height
+// per round over the rounds observed so far: first to latest height,
+// over the round count.
+func (g *GrowthRecorder) Rate() float64 {
+	if g.rounds == 0 {
 		return 0
 	}
-	first := records[0].MaxHonestHeight
-	last := records[len(records)-1].MaxHonestHeight
-	return float64(last-first) / float64(len(records))
+	return float64(g.last-g.first) / float64(g.rounds)
 }
 
 // MinWindowGrowth returns the minimum honest-chain growth over any span of

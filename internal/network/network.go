@@ -11,12 +11,12 @@
 // adversary controls its corrupted players outright, so withholding a
 // block is modeled as simply not sending it yet.
 //
-// In-flight state is one store keyed by delivery round. Each round holds
-// a list of entries, and an entry is one message together with the
-// recipients it is due to in that round: an ascending recipient list, or
-// nil for every player except the sender. So an honest broadcast is one
-// block plus one delay per recipient, as in the model, and costs 4 bytes
-// per recipient at most:
+// In-flight state is one list of delivery rounds in ascending order.
+// Each round holds a list of entries, and an entry is one message
+// together with the recipients it is due to in that round: an ascending
+// recipient list, or nil for every player except the sender. So an
+// honest broadcast is one block plus one delay per recipient, as in the
+// model, and costs 4 bytes per recipient at most:
 //
 //   - under a RecipientInvariant policy it is a single nil-list entry,
 //     O(1) at any player count;
@@ -164,13 +164,21 @@ func (d HashedDelay) DeliveryRound(m Message, recipient int) int {
 	return int(m.SentRound) + 1 + int(h%span)
 }
 
+// dueRound is one delivery round's entries, in arrival order.
+type dueRound struct {
+	round int
+	es    []Entry
+}
+
 // Network is the round-based Δ-delay message fabric. It is not safe for
 // concurrent use; the engine drives it from the round loop.
 type Network struct {
 	players int
 	delta   int
-	// due maps a delivery round to its entries, in arrival order.
-	due map[int][]Entry
+	// due holds every round with entries in flight, ascending by round,
+	// so the oldest is due[0]. Honest delays are ≤ Δ, so it rarely holds
+	// more than Δ rounds, and a binary search finds any of them.
+	due []dueRound
 	// taken is the round Deliver last handed out. Its entry slice and
 	// recipient lists go back to freeEntries and freeLists on the next
 	// Deliver, so the steady state reuses buffers instead of allocating.
@@ -196,7 +204,7 @@ func New(players, delta int) (*Network, error) {
 	if delta < 1 {
 		return nil, fmt.Errorf("network: Δ = %d must be ≥ 1", delta)
 	}
-	return &Network{players: players, delta: delta, due: map[int][]Entry{}}, nil
+	return &Network{players: players, delta: delta}, nil
 }
 
 // Players returns the number of connected nodes.
@@ -251,6 +259,12 @@ func (n *Network) newList() []int32 {
 	return l
 }
 
+// find returns the index of round in due and whether it is there;
+// otherwise the index where it belongs.
+func (n *Network) find(round int) (int, bool) {
+	return slices.BinarySearchFunc(n.due, round, func(d dueRound, r int) int { return cmp.Compare(d.round, r) })
+}
+
 // add schedules en for delivery at round. An entry that addresses no one
 // (a nil-list broadcast by the only player) is dropped.
 func (n *Network) add(round int, en Entry) {
@@ -258,13 +272,16 @@ func (n *Network) add(round int, en Entry) {
 	if c == 0 {
 		return
 	}
-	es, ok := n.due[round]
-	if !ok && len(n.freeEntries) > 0 {
-		k := len(n.freeEntries)
-		es = n.freeEntries[k-1]
-		n.freeEntries = n.freeEntries[:k-1]
+	i, ok := n.find(round)
+	if !ok {
+		var es []Entry
+		if k := len(n.freeEntries); k > 0 {
+			es = n.freeEntries[k-1]
+			n.freeEntries = n.freeEntries[:k-1]
+		}
+		n.due = slices.Insert(n.due, i, dueRound{round: round, es: es})
 	}
-	n.due[round] = append(es, en)
+	n.due[i].es = append(n.due[i].es, en)
 	n.pending += c
 	n.sent += c
 }
@@ -321,7 +338,8 @@ func (n *Network) Send(m Message, recipient, deliverRound int) error {
 	if deliverRound <= int(m.SentRound) {
 		deliverRound = int(m.SentRound) + 1
 	}
-	if es := n.due[deliverRound]; len(es) > 0 {
+	if i, ok := n.find(deliverRound); ok {
+		es := n.due[i].es
 		if last := &es[len(es)-1]; last.Msg == m && last.To != nil && last.To[len(last.To)-1] < int32(recipient) {
 			last.To = append(last.To, int32(recipient))
 			n.pending++
@@ -374,12 +392,14 @@ func (n *Network) Deliver(round int) []Entry {
 	if n.taken != nil {
 		n.freeEntries = append(n.freeEntries, n.taken[:0])
 	}
-	es := n.due[round]
-	n.taken = es
-	if es == nil {
+	i, ok := n.find(round)
+	if !ok {
+		n.taken = nil
 		return nil
 	}
-	delete(n.due, round)
+	es := n.due[i].es
+	n.taken = es
+	n.due = slices.Delete(n.due, i, i+1)
 	slices.SortStableFunc(es, func(a, b Entry) int { return compareMessages(a.Msg, b.Msg) })
 	for i := range es {
 		c := n.recipients(&es[i])
@@ -393,23 +413,19 @@ func (n *Network) Deliver(round int) []Entry {
 // and returns it. The engine folds these into the compaction watermark
 // so a rebase can never strand a message naming a retired block.
 func (n *Network) AppendInFlight(buf []blockchain.BlockID) []blockchain.BlockID {
-	for _, es := range n.due {
-		for i := range es {
-			buf = append(buf, es[i].Msg.Block.ID)
+	for _, d := range n.due {
+		for i := range d.es {
+			buf = append(buf, d.es[i].Msg.Block.ID)
 		}
 	}
 	return buf
 }
 
 // OldestPendingRound returns the earliest round with undelivered messages
-// and true, or 0 and false when nothing is pending. It costs O(rounds
-// with messages in flight).
+// and true, or 0 and false when nothing is pending. It costs O(1).
 func (n *Network) OldestPendingRound() (int, bool) {
-	first, ok := 0, false
-	for r := range n.due {
-		if !ok || r < first {
-			first, ok = r, true
-		}
+	if len(n.due) == 0 {
+		return 0, false
 	}
-	return first, ok
+	return n.due[0].round, true
 }

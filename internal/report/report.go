@@ -417,17 +417,24 @@ func sectionConcentration(w io.Writer, cfg Config) error {
 	return nil
 }
 
-// runLedger executes a run and returns its Lemma-1 accounting.
+// runLedger executes a run and returns its Lemma-1 accounting, folded
+// online by a LedgerRecorder.
 func runLedger(pr params.Params, rounds int, seed uint64, adv engine.Adversary) (consistency.Accounting, error) {
-	e, err := engine.New(engine.Config{Params: pr, Rounds: rounds, Seed: seed, Adversary: adv})
+	ledger, err := consistency.NewLedgerRecorder(pr.Delta)
 	if err != nil {
 		return consistency.Accounting{}, err
 	}
-	res, err := e.Run()
+	e, err := engine.New(engine.Config{
+		Params: pr, Rounds: rounds, Seed: seed, Adversary: adv,
+		Observer: ledger, SkipRecords: true,
+	})
 	if err != nil {
 		return consistency.Accounting{}, err
 	}
-	return consistency.Account(res.Records, pr.Delta)
+	if _, err := e.Run(); err != nil {
+		return consistency.Accounting{}, err
+	}
+	return ledger.Accounting(), nil
 }
 
 // Summary runs the suite into a buffer (used by tests) and reports the

@@ -55,8 +55,11 @@ type Report struct {
 // RunOne sets ecfg.Rounds from sem.Rounds, applies sem.Scenario (nil is
 // the default model), installs the Definition-1 checker (chop sem.T,
 // snapshot interval sem.SampleEvery resolved by ResolveSampleEvery,
-// window sem.CheckerRetention) and the Lemma-1 ledger ahead of
-// ecfg.Observer, runs the engine, and assembles the report.
+// window sem.CheckerRetention), the Lemma-1 ledger and a chain-growth
+// recorder ahead of ecfg.Observer, runs the engine, and assembles the
+// report. All three fold the round stream online, a quiet span in one
+// call each, so RunOne sets ecfg.SkipRecords: the returned Result
+// carries no Records.
 // sem.Adversary and sem.ForkDepth are not read: the strategy is
 // ecfg.Adversary.
 //
@@ -89,7 +92,9 @@ func RunOne(ctx context.Context, ecfg engine.Config, sem Semantics) (Report, *en
 	if err != nil {
 		return Report{}, nil, err
 	}
-	ecfg.Observer = engine.Observers(checker, ledger, ecfg.Observer)
+	growth := &metrics.GrowthRecorder{}
+	ecfg.Observer = engine.Observers(checker, ledger, growth, ecfg.Observer)
+	ecfg.SkipRecords = true
 	e, err := engine.New(ecfg)
 	if err != nil {
 		return Report{}, nil, err
@@ -108,7 +113,7 @@ func RunOne(ctx context.Context, ecfg engine.Config, sem Semantics) (Report, *en
 	if err != nil {
 		return Report{}, nil, err
 	}
-	rounds := float64(len(res.Records))
+	rounds := float64(res.Rounds)
 	pr := ecfg.Params
 	return Report{
 		Violations:           len(viols),
@@ -119,7 +124,7 @@ func RunOne(ctx context.Context, ecfg engine.Config, sem Semantics) (Report, *en
 		PredictedAdversary:   rounds * pr.AdversaryBlockRate(),
 		HonestBlocks:         res.HonestBlocks,
 		AdversaryBlocks:      res.AdversaryBlocks,
-		ChainGrowthRate:      metrics.ChainGrowthRate(res.Records),
+		ChainGrowthRate:      growth.Rate(),
 		ChainQuality:         quality,
 		MainChainShare:       metrics.MainChainShare(tree),
 		TotalBlocks:          tree.Len() - 1,

@@ -402,7 +402,7 @@ func Run(ctx context.Context, pr Params, opts ...Option) (*RunReport, error) {
 	return &RunReport{
 		SimulationReport: rep,
 		Partial:          res.Partial,
-		RoundsExecuted:   len(res.Records),
+		RoundsExecuted:   res.Rounds,
 	}, err
 }
 
