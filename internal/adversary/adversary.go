@@ -128,8 +128,7 @@ func (a *PrivateMining) minDepth() int {
 
 // restartFork re-anchors the private chain at the highest honest tip.
 func (a *PrivateMining) restartFork(ctx *engine.Context) {
-	tips := ctx.HonestTips()
-	best := tips[len(tips)-1]
+	best := ctx.BestHonestTip()
 	a.privateTip = best
 	h, err := ctx.Tree().Height(best)
 	if err != nil {
@@ -274,7 +273,7 @@ func (a *Selfish) Mine(ctx *engine.Context, mined int) {
 	honestAdvanced := honestMax > a.lastHonestMax
 	a.lastHonestMax = honestMax
 	if a.privateTip == 0 {
-		a.privateTip = a.bestHonest(ctx)
+		a.privateTip = ctx.BestHonestTip()
 	}
 	privHeight, err := tree.Height(a.privateTip)
 	if err != nil {
@@ -282,7 +281,7 @@ func (a *Selfish) Mine(ctx *engine.Context, mined int) {
 	}
 	if privHeight < honestMax {
 		// The public chain outran the secret one: abandon and re-anchor.
-		a.privateTip = a.bestHonest(ctx)
+		a.privateTip = ctx.BestHonestTip()
 		privHeight = honestMax
 	}
 	// Extend the secret chain with this round's successes (withheld).
@@ -304,12 +303,6 @@ func (a *Selfish) Mine(ctx *engine.Context, mined int) {
 			a.Overrides++
 		}
 	}
-}
-
-// bestHonest returns the highest honest tip.
-func (a *Selfish) bestHonest(ctx *engine.Context) blockchain.BlockID {
-	tips := ctx.HonestTips()
-	return tips[len(tips)-1]
 }
 
 // publishUpTo releases withheld private blocks of height ≤ maxHeight and

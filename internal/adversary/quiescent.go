@@ -84,7 +84,7 @@ func (a *Selfish) SkipSafe() bool { return true }
 func (a *Selfish) ObserveQuiet(ctx *engine.Context, first, last int) {
 	a.lastHonestMax = ctx.MaxHonestHeight()
 	if a.privateTip == 0 {
-		a.privateTip = a.bestHonest(ctx)
+		a.privateTip = ctx.BestHonestTip()
 	}
 }
 

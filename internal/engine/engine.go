@@ -444,6 +444,20 @@ func (e *Engine) AppendDistinctTips(buf []blockchain.BlockID) []blockchain.Block
 	return buf
 }
 
+// bestHonestTip returns the highest distinct honest tip — the last
+// entry DistinctTips would report (greatest height, then greatest ID) —
+// without building or sorting the list.
+func (e *Engine) bestHonestTip() blockchain.BlockID {
+	best := e.stats.tipList[0]
+	bestH, _ := e.tree.Height(best)
+	for _, id := range e.stats.tipList[1:] {
+		if h, _ := e.tree.Height(id); h > bestH || (h == bestH && id > best) {
+			best, bestH = id, h
+		}
+	}
+	return best
+}
+
 // DistinctTipCount returns the number of distinct honest chain tips
 // from the incrementally maintained refcounts, in O(1).
 func (e *Engine) DistinctTipCount() int { return len(e.stats.tipList) }
@@ -705,8 +719,9 @@ func (c *Context) Rng() *rng.Stream { return c.e.advRng }
 // HonestCount returns the number of honest players.
 func (c *Context) HonestCount() int { return c.e.honest }
 
-// HonestTips returns the distinct honest chain tips.
-func (c *Context) HonestTips() []blockchain.BlockID { return c.e.DistinctTips() }
+// BestHonestTip returns the highest honest chain tip (greatest height,
+// then greatest ID), without allocating.
+func (c *Context) BestHonestTip() blockchain.BlockID { return c.e.bestHonestTip() }
 
 // HonestTipOf returns the tip of honest player i.
 func (c *Context) HonestTipOf(i int) (blockchain.BlockID, error) { return c.e.PlayerTip(i) }

@@ -145,7 +145,8 @@ func TestShardedParityLargeN(t *testing.T) {
 }
 
 // TestDistinctTipsMatchesViewScan cross-checks the tip-list merge
-// against a direct scan of all honest views after a contentious run.
+// against a direct scan of all honest views after a contentious run,
+// and bestHonestTip against the sorted list's last entry.
 func TestDistinctTipsMatchesViewScan(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		check := func(e *Engine, rec RoundRecord) {
@@ -164,6 +165,9 @@ func TestDistinctTipsMatchesViewScan(t *testing.T) {
 				if _, ok := seen[id]; !ok {
 					t.Fatalf("shards=%d round %d: DistinctTips reported %d, absent from views", shards, rec.Round, id)
 				}
+			}
+			if best := e.bestHonestTip(); best != list[len(list)-1] {
+				t.Fatalf("shards=%d round %d: bestHonestTip %d, DistinctTips ends %d", shards, rec.Round, best, list[len(list)-1])
 			}
 		}
 		e, err := New(Config{

@@ -30,8 +30,16 @@
 // record, and reports the drop via OpenStats; the lost cell is simply
 // recomputed. A malformed record *before* the tail is not a torn append
 // but corruption, and Open fails loudly. Checksum verification runs on
-// every Get, so bit rot surfaces as an error, never as a silently wrong
+// every read, so bit rot surfaces as an error, never as a silently wrong
 // cell.
+//
+// # Reads
+//
+// GetRaw is the one read path: it parses the record, checks its key and
+// checksum, and returns the cell's stored bytes — the MarshalCell
+// encoding Put wrote, which is what the sweep service serves a cache
+// hit as, with no decode and re-encode. Get is GetRaw plus the cell
+// decode, for callers that want the AggregateCell.
 //
 // # Concurrency and ownership
 //
@@ -190,33 +198,46 @@ func (s *Store) Put(key string, cell sweep.AggregateCell) error {
 	return nil
 }
 
-// Get returns the committed cell for key, verifying the record checksum
-// on every read: a mismatch (bit rot, a payload spliced under the wrong
-// key) is an error, never a silently wrong cell. The second return is
-// false when the key has never been committed.
-func (s *Store) Get(key string) (sweep.AggregateCell, bool, error) {
+// GetRaw returns the committed cell for key as its stored interchange
+// bytes — one MarshalCell line without the trailing newline, exactly
+// what Put encoded — after verifying the record: it must parse, hold
+// key, and match its checksum. A mismatch (bit rot, a payload spliced
+// under the wrong key) is an error, never silently wrong bytes. The
+// second return is false when the key has never been committed. The
+// returned slice is the caller's.
+func (s *Store) GetRaw(key string) ([]byte, bool, error) {
 	s.mu.Lock()
 	l, ok := s.index[key]
 	j := s.j
 	s.mu.Unlock()
 	if !ok {
-		return sweep.AggregateCell{}, false, nil
+		return nil, false, nil
 	}
 	line := make([]byte, l.n)
 	if _, err := j.ReadAt(line, l.off); err != nil {
-		return sweep.AggregateCell{}, false, fmt.Errorf("store: read %s: %w", key, err)
+		return nil, false, fmt.Errorf("store: read %s: %w", key, err)
 	}
 	var rec record
 	if err := json.Unmarshal(bytes.TrimRight(line, "\n"), &rec); err != nil {
-		return sweep.AggregateCell{}, false, fmt.Errorf("store: decode record for %s: %w", key, err)
+		return nil, false, fmt.Errorf("store: decode record for %s: %w", key, err)
 	}
 	if rec.Key != key {
-		return sweep.AggregateCell{}, false, fmt.Errorf("store: record at offset %d holds key %s, wanted %s", l.off, rec.Key, key)
+		return nil, false, fmt.Errorf("store: record at offset %d holds key %s, wanted %s", l.off, rec.Key, key)
 	}
 	if got := checksum(rec.Key, rec.Cell); got != rec.Sum {
-		return sweep.AggregateCell{}, false, fmt.Errorf("store: checksum mismatch for %s: record says %s, payload hashes to %s", key, rec.Sum, got)
+		return nil, false, fmt.Errorf("store: checksum mismatch for %s: record says %s, payload hashes to %s", key, rec.Sum, got)
 	}
-	cell, _, err := sweep.UnmarshalCellLine(rec.Cell)
+	return rec.Cell, true, nil
+}
+
+// Get is GetRaw decoded: the committed cell for key, verified the same
+// way.
+func (s *Store) Get(key string) (sweep.AggregateCell, bool, error) {
+	raw, ok, err := s.GetRaw(key)
+	if !ok || err != nil {
+		return sweep.AggregateCell{}, ok, err
+	}
+	cell, _, err := sweep.UnmarshalCellLine(raw)
 	if err != nil {
 		return sweep.AggregateCell{}, false, fmt.Errorf("store: %w", err)
 	}

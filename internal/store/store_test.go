@@ -3,8 +3,12 @@ package store
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -267,6 +271,55 @@ func TestStoreChecksumMismatch(t *testing.T) {
 	if _, _, err := s2.Get("k"); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
 		t.Fatalf("Get on tampered payload = %v, want checksum mismatch", err)
 	}
+	if raw, _, err := s2.GetRaw("k"); err == nil || !strings.Contains(err.Error(), "checksum mismatch") || raw != nil {
+		t.Fatalf("GetRaw on tampered payload = %q, %v; want no bytes and checksum mismatch", raw, err)
+	}
+}
+
+// TestStoreRawIsMarshalCell pins what sweepd serves a cache hit as: the
+// stored bytes are exactly one MarshalCell line, and decoding them and
+// re-marshalling reproduces them — so serving them raw equals the
+// decode-and-re-encode path, for awkward error text (HTML-escaped
+// characters, non-ASCII) and awkward floats (−0, subnormal, huge).
+func TestStoreRawIsMarshalCell(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer s.Close()
+
+	negZero := math.Copysign(0, -1)
+	cells := map[string]sweep.AggregateCell{"plain": testCell(0.2, 1.5, 9)}
+	for i, msg := range []string{"p <= 0 & p > 1: <nil>", "ν = 0.45 ≥ ½ — Ünïcødé 日本語", "a\u2028b\tc\"d\\"} {
+		cell := testCell(0.1, float64(i+1), 0)
+		cell.Err = errors.New(msg)
+		cells["err-"+strconv.Itoa(i)] = cell
+	}
+	odd := testCell(negZero, math.SmallestNonzeroFloat64, 3)
+	odd.ViolationRateLo = negZero
+	odd.ViolationRateHi = 1e-310
+	odd.Margin.Mean = math.MaxFloat64
+	odd.Margin.Min = -math.MaxFloat64
+	odd.Convergence.Std = 1e21
+	odd.Adversary.Max = 123456789.123456789e200
+	cells["odd-floats"] = odd
+
+	for key, cell := range cells {
+		mustPut(t, s, key, cell)
+		raw, ok, err := s.GetRaw(key)
+		if err != nil || !ok {
+			t.Fatalf("GetRaw(%s) = ok=%v err=%v", key, ok, err)
+		}
+		if want := bytes.TrimSuffix(cellBytes(t, cell), []byte("\n")); !bytes.Equal(raw, want) {
+			t.Errorf("%s: stored bytes are not MarshalCell's:\nstored %s\nwant   %s", key, raw, want)
+		}
+		if again := bytes.TrimSuffix(cellBytes(t, mustGet(t, s, key)), []byte("\n")); !bytes.Equal(again, raw) {
+			t.Errorf("%s: decode + re-marshal changed the bytes:\nstored %s\nagain  %s", key, raw, again)
+		}
+	}
+	if raw, ok, err := s.GetRaw("missing"); err != nil || ok || raw != nil {
+		t.Fatalf("GetRaw(missing) = %q ok=%v err=%v, want miss", raw, ok, err)
+	}
 }
 
 // TestStoreKeepFirst pins first-write-wins: a duplicate Put must not
@@ -341,4 +394,39 @@ func TestStoreConcurrentAccess(t *testing.T) {
 	if s.Len() != 40 {
 		t.Fatalf("Len = %d, want 40", s.Len())
 	}
+}
+
+// BenchmarkStoreGet reads one committed cell per op from a 400-cell
+// store (a cached sweepd job's worth): raw is the verified read a cache
+// hit is served from, decoded adds the cell decode Get layers on top.
+func BenchmarkStoreGet(b *testing.B) {
+	s, err := Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	const cells = 400
+	keys := make([]string, cells)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("%064x", i)
+		if err := s.Put(keys[i], testCell(0.01*float64(i%10), float64(1+i/10), 8)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Run("raw", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := s.GetRaw(keys[i%cells]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("decoded", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := s.Get(keys[i%cells]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

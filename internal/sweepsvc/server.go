@@ -107,7 +107,8 @@ func (s *Service) handleResult(w http.ResponseWriter, r *http.Request) {
 
 // handleEvents streams the job's replay log and then live events as
 // Server-Sent Events: each Event goes out as "event: <Type>" with the
-// Event's JSON as its data line. The stream ends when the job is
+// Event's JSON as its data line, and the stream is flushed once per
+// batch of events watch delivers. The stream ends when the job is
 // terminal and fully delivered; per the event schema's add-only rule
 // (docs/sweepd.md), clients must ignore event types and data fields
 // they do not know.
@@ -127,13 +128,17 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
 
-	err := s.Watch(r.Context(), id, func(ev Event) error {
-		data, err := json.Marshal(ev)
-		if err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Type, data); err != nil {
-			return err
+	// One flush per batch watch hands over: a cached job's hundreds of
+	// events leave in a few writes instead of one each.
+	err := s.watch(r.Context(), id, func(evs []Event) error {
+		for _, ev := range evs {
+			data, err := json.Marshal(ev)
+			if err != nil {
+				return err
+			}
+			if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Type, data); err != nil {
+				return err
+			}
 		}
 		flusher.Flush()
 		return nil

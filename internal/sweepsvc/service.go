@@ -158,13 +158,13 @@ type Event struct {
 type cellCoord struct{ nu, c float64 }
 
 // flight is one in-progress cell computation other jobs can join. The
-// owner either completes it (ok = true, cell set) or aborts it
+// owner either completes it (ok = true, line set) or aborts it
 // (ok = false) — both close done after removing the flight from the
 // service's inflight map, so a waiter that sees ok = false can re-enter
 // the claim loop and find the key free (or newly cached).
 type flight struct {
 	done chan struct{}
-	cell sweep.AggregateCell
+	line []byte // the cell's MarshalCell bytes, without the newline
 	ok   bool
 }
 
@@ -536,6 +536,21 @@ func (s *Service) Result(id string) ([]byte, error) {
 // terminal and every event has been delivered, ctx's error on
 // cancellation, or fn's error if it rejects an event.
 func (s *Service) Watch(ctx context.Context, id string, fn func(Event) error) error {
+	return s.watch(ctx, id, func(evs []Event) error {
+		for _, ev := range evs {
+			if err := fn(ev); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// watch is Watch handing over events in batches: each call of fn gets
+// every event appended since the previous one, in order, so a consumer
+// can pay per-delivery costs (an SSE flush) once per batch. fn must not
+// retain or modify the slice.
+func (s *Service) watch(ctx context.Context, id string, fn func([]Event) error) error {
 	j, ok := s.lookup(id)
 	if !ok {
 		return fmt.Errorf("sweepsvc: unknown job %s", id)
@@ -549,8 +564,8 @@ func (s *Service) Watch(ctx context.Context, id string, fn func(Event) error) er
 		ch := j.changed
 		done := terminal(j.status.State) && i+len(evs) == len(j.events)
 		j.mu.Unlock()
-		for _, ev := range evs {
-			if err := fn(ev); err != nil {
+		if len(evs) > 0 {
+			if err := fn(evs); err != nil {
 				return err
 			}
 		}
@@ -576,19 +591,24 @@ func (s *Service) run(j *job) {
 	defer j.cancel()
 	j.update(func(st *JobStatus) { st.State = StateRunning }, &Event{Type: StateRunning})
 
-	cells, err := s.resolve(j)
+	lines, err := s.resolve(j)
 	if err == nil {
-		// Every cell sits at its parent index, so the grid marshals
-		// straight into the cold RunSweep byte stream.
-		var out bytes.Buffer
-		if err = sweep.MarshalCells(&out, cells); err == nil {
-			j.mu.Lock()
-			j.result = out.Bytes()
-			j.mu.Unlock()
-			j.update(func(st *JobStatus) { st.State = StateDone }, &Event{Type: StateDone})
-			s.journalEnd(j, StateDone)
-			return
+		// Every line is its cell's MarshalCell bytes at its parent index,
+		// so joining them is the cold RunSweep's MarshalCells stream.
+		n := 0
+		for _, line := range lines {
+			n += len(line) + 1
 		}
+		out := make([]byte, 0, n)
+		for _, line := range lines {
+			out = append(append(out, line...), '\n')
+		}
+		j.mu.Lock()
+		j.result = out
+		j.mu.Unlock()
+		j.update(func(st *JobStatus) { st.State = StateDone }, &Event{Type: StateDone})
+		s.journalEnd(j, StateDone)
+		return
 	}
 	// A cancelled job context wins over however the failure was wrapped:
 	// the caller asked for cancellation and gets "cancelled", not an
@@ -604,15 +624,16 @@ func (s *Service) run(j *job) {
 	s.journalEnd(j, state)
 }
 
-// resolve produces every cell of the job's grid, in parent order,
-// sourcing each from the store, a joined flight, or its own
-// computation. It loops until every cell is resolved: a round claims or
-// joins each pending cell, computes everything claimed
-// (compute-before-wait — the deadlock-freedom invariant), then waits on
-// the joins; joins whose owner aborted are retried next round.
-func (s *Service) resolve(j *job) ([]sweep.AggregateCell, error) {
+// resolve produces every cell of the job's grid as its MarshalCell
+// line (no newline), in parent order, sourcing each from the store's
+// verified bytes, a joined flight, or its own computation. It loops
+// until every cell is resolved: a round claims or joins each pending
+// cell, computes everything claimed (compute-before-wait — the
+// deadlock-freedom invariant), then waits on the joins; joins whose
+// owner aborted are retried next round.
+func (s *Service) resolve(j *job) ([][]byte, error) {
 	n := len(j.keys)
-	cells := make([]sweep.AggregateCell, n)
+	lines := make([][]byte, n)
 	pending := make([]int, n)
 	for i := range pending {
 		pending[i] = i
@@ -645,9 +666,12 @@ func (s *Service) resolve(j *job) ([]sweep.AggregateCell, error) {
 		s.mu.Unlock()
 
 		// Store reads can happen unlocked: committed records are
-		// immutable.
+		// immutable. A hit is served as the bytes Put encoded, which
+		// GetRaw has checksummed and the key (it pins EngineVersion)
+		// ties to this cell: the cold bytes, which a decode and
+		// re-encode would not always reproduce (docs/sweepd.md).
 		for _, idx := range hits {
-			cell, ok, err := s.opts.Store.Get(j.keys[idx])
+			line, ok, err := s.opts.Store.GetRaw(j.keys[idx])
 			if err == nil && !ok {
 				err = fmt.Errorf("sweepsvc: cell %s vanished from store", j.keys[idx])
 			}
@@ -655,14 +679,14 @@ func (s *Service) resolve(j *job) ([]sweep.AggregateCell, error) {
 				s.abortFlights(j, owned)
 				return nil, err
 			}
-			cells[idx] = cell
-			nu, c := cell.Nu, cell.C
+			lines[idx] = line
+			nu, c := j.coord(idx)
 			j.update(func(st *JobStatus) { st.CellsCached++ },
 				&Event{Type: "cell", Nu: nu, C: c, Cached: true})
 		}
 
 		if len(owned) > 0 {
-			if err := s.compute(j, owned, cells); err != nil {
+			if err := s.compute(j, owned, lines); err != nil {
 				return nil, err
 			}
 		}
@@ -680,14 +704,21 @@ func (s *Service) resolve(j *job) ([]sweep.AggregateCell, error) {
 				retry = append(retry, idx)
 				continue
 			}
-			cells[idx] = f.cell
-			nu, c := f.cell.Nu, f.cell.C
+			lines[idx] = f.line
+			nu, c := j.coord(idx)
 			j.update(func(st *JobStatus) { st.CellsCoalesced++ },
 				&Event{Type: "cell", Nu: nu, C: c, Coalesced: true})
 		}
 		pending = retry
 	}
-	return cells, nil
+	return lines, nil
+}
+
+// coord returns the grid coordinates of the cell at ν-major index idx —
+// the (ν, c) RunGrid stamps on that cell.
+func (j *job) coord(idx int) (nu, c float64) {
+	nC := len(j.sweep.CValues)
+	return j.sweep.NuValues[idx/nC], j.sweep.CValues[idx%nC]
 }
 
 // abortFlights aborts the job's still-incomplete claims among idxs so
@@ -708,14 +739,15 @@ func (s *Service) abortFlights(j *job, idxs []int) {
 }
 
 // compute runs the job's claimed cells and commits each finished cell —
-// store first, then the flight — as it lands. The claimed set is
-// decomposed into the fewest grid-aligned rectangles (whole ν-row
-// spans, or single-row c-spans); each rectangle is one shard, run by
-// sweep.RunGrid with a CellOffset that places it in the parent frame, so
-// its seeds — and therefore its cells — are exactly the parent's. On any
-// failure the remaining incomplete claims are aborted for other jobs to
+// store first, then the flight, which carries the cell's one MarshalCell
+// encoding to joined jobs — as it lands. The claimed set is decomposed
+// into the fewest grid-aligned rectangles (whole ν-row spans, or
+// single-row c-spans); each rectangle is one shard, run by sweep.RunGrid
+// with a CellOffset that places it in the parent frame, so its seeds —
+// and therefore its cells — are exactly the parent's. On any failure
+// the remaining incomplete claims are aborted for other jobs to
 // reclaim.
-func (s *Service) compute(j *job, owned []int, cells []sweep.AggregateCell) (err error) {
+func (s *Service) compute(j *job, owned []int, lines [][]byte) (err error) {
 	committed := make(map[int]bool, len(owned)) // written only by commit, on this goroutine
 	defer func() {
 		if err == nil {
@@ -742,6 +774,11 @@ func (s *Service) compute(j *job, owned []int, cells []sweep.AggregateCell) (err
 		if !ok {
 			return fmt.Errorf("sweepsvc: job %s: grid run returned unknown cell (ν=%g, c=%g)", j.id, cell.Nu, cell.C)
 		}
+		var buf bytes.Buffer
+		if err := sweep.MarshalCell(json.NewEncoder(&buf), cell); err != nil {
+			return err
+		}
+		line := bytes.TrimSuffix(buf.Bytes(), []byte("\n"))
 		// Store before flight: the claim-loop invariant (no flight + no
 		// store entry ⇒ unowned) depends on this order. A Put failure
 		// leaves the flight incomplete; the deferred abort hands the
@@ -751,14 +788,14 @@ func (s *Service) compute(j *job, owned []int, cells []sweep.AggregateCell) (err
 		}
 		s.mu.Lock()
 		if f, ok := s.inflight[j.keys[idx]]; ok {
-			f.cell = cell
+			f.line = line
 			f.ok = true
 			delete(s.inflight, j.keys[idx])
 			close(f.done)
 		}
 		s.computed++
 		s.mu.Unlock()
-		cells[idx] = cell
+		lines[idx] = line
 		committed[idx] = true
 		j.update(func(st *JobStatus) { st.CellsComputed++ },
 			&Event{Type: "cell", Nu: cell.Nu, C: cell.C})

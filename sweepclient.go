@@ -190,6 +190,24 @@ func (c *SweepClient) Result(ctx context.Context, id string) ([]AggregateCell, e
 // submission, then live events — calling fn for each until the job is
 // terminal (returning nil), ctx is cancelled, or fn returns an error.
 func (c *SweepClient) Stream(ctx context.Context, id string, fn func(SweepJobEvent) error) error {
+	// The event name is redundant with the payload's "type" field, so
+	// only data is parsed.
+	return c.events(ctx, id, func(_ string, data []byte) error {
+		var ev SweepJobEvent
+		if err := json.Unmarshal(data, &ev); err != nil {
+			return fmt.Errorf("neatbound: decode sweepd event: %w", err)
+		}
+		if fn != nil {
+			return fn(ev)
+		}
+		return nil
+	})
+}
+
+// events reads a job's Server-Sent Events stream, calling fn with each
+// event's name (its "event:" line) and data until the stream ends, ctx
+// is cancelled, or fn returns an error. fn must not retain data.
+func (c *SweepClient) events(ctx context.Context, id string, fn func(name string, data []byte) error) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/jobs/"+id+"/events", nil)
 	if err != nil {
 		return fmt.Errorf("neatbound: sweepd request: %w", err)
@@ -205,29 +223,24 @@ func (c *SweepClient) Stream(ctx context.Context, id string, fn func(SweepJobEve
 	}
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	var name string
 	var data []byte
 	for sc.Scan() {
 		line := sc.Bytes()
 		switch {
 		case len(line) == 0:
-			// Blank line terminates one SSE event. The event name line is
-			// redundant with the payload's "type" field, so only data is
-			// parsed.
+			// Blank line terminates one SSE event.
 			if len(data) == 0 {
 				continue
 			}
-			var ev SweepJobEvent
-			if err := json.Unmarshal(data, &ev); err != nil {
-				return fmt.Errorf("neatbound: decode sweepd event: %w", err)
+			if err := fn(name, data); err != nil {
+				return err
 			}
-			data = nil
-			if fn != nil {
-				if err := fn(ev); err != nil {
-					return err
-				}
-			}
+			name, data = "", data[:0]
+		case bytes.HasPrefix(line, []byte("event: ")):
+			name = string(line[len("event: "):])
 		case bytes.HasPrefix(line, []byte("data: ")):
-			data = append(data, bytes.TrimPrefix(line, []byte("data: "))...)
+			data = append(data, line[len("data: "):]...)
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -243,10 +256,20 @@ func (c *SweepClient) Stream(ctx context.Context, id string, fn func(SweepJobEve
 
 // Wait follows the job's event stream until it reaches a terminal
 // state, then returns the decoded cells of a done job — or an error
-// carrying the server's failure for a failed or cancelled one.
+// carrying the server's failure for a failed or cancelled one. Only the
+// terminal event's data is decoded; the rest are skipped by name.
 func (c *SweepClient) Wait(ctx context.Context, id string) ([]AggregateCell, error) {
 	var last SweepJobStatus
-	if err := c.Stream(ctx, id, func(ev SweepJobEvent) error {
+	if err := c.events(ctx, id, func(name string, data []byte) error {
+		switch name {
+		case SweepJobDone, SweepJobFailed, SweepJobCancelled:
+		default:
+			return nil
+		}
+		var ev SweepJobEvent
+		if err := json.Unmarshal(data, &ev); err != nil {
+			return fmt.Errorf("neatbound: decode sweepd event: %w", err)
+		}
 		last = ev.Status
 		return nil
 	}); err != nil {
@@ -258,6 +281,6 @@ func (c *SweepClient) Wait(ctx context.Context, id string) ([]AggregateCell, err
 	case SweepJobFailed, SweepJobCancelled:
 		return nil, fmt.Errorf("neatbound: sweepd job %s %s: %s", id, last.State, last.Error)
 	default:
-		return nil, fmt.Errorf("neatbound: sweepd event stream for job %s ended in state %q", id, last.State)
+		return nil, fmt.Errorf("neatbound: sweepd event stream for job %s ended without a terminal event", id)
 	}
 }

@@ -3,6 +3,8 @@ package neatbound
 import (
 	"bytes"
 	"context"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -100,8 +102,8 @@ func TestSweepClientEndToEnd(t *testing.T) {
 		t.Errorf("served bytes differ from cold RunSweep:\ngot:\n%s\nwant:\n%s", raw, want.Bytes())
 	}
 
-	// Wait composes Stream + Result; on a resubmission everything comes
-	// from the store and the decoded cells still match.
+	// Wait follows the events, then fetches Result; on a resubmission
+	// everything comes from the store and the decoded cells still match.
 	computed := svc.ComputedCells()
 	st2, err := client.Submit(ctx, sweepClientGrid, sweepClientOpts()...)
 	if err != nil {
@@ -311,5 +313,56 @@ func TestSweepClientDistributedParityAllKnobs(t *testing.T) {
 	scnWant := marshal(scnRef)
 	if got := sweepd(scnOpts); got != scnWant {
 		t.Errorf("scenario: sweepd result differs from RunSweep\ngot:\n%s\nwant:\n%s", got, scnWant)
+	}
+}
+
+// TestSweepClientWaitDecodesOnlyTerminal: Wait picks events out by their
+// SSE name and decodes only the terminal one's data, so a stream whose
+// progress events carry data Wait cannot parse still waits correctly —
+// while Stream, which decodes every event, rejects it. A failed
+// terminal event surfaces its error, and a stream that ends without
+// one is an error.
+func TestSweepClientWaitDecodesOnlyTerminal(t *testing.T) {
+	var cell bytes.Buffer
+	if err := MarshalCells(&cell, []AggregateCell{{Nu: 0.2, C: 1, Replicates: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	streams := map[string]string{
+		"job-1": "event: queued\ndata: {\"type\":\"queued\",\"status\":{\"state\":\"queued\"}}\n\n" +
+			"event: cell\ndata: {not json\n\n" +
+			"event: done\ndata: {\"type\":\"done\",\"status\":{\"id\":\"job-1\",\"state\":\"done\"}}\n\n",
+		"job-2": "event: cell\ndata: {not json\n\n" +
+			"event: failed\ndata: {\"type\":\"failed\",\"status\":{\"id\":\"job-2\",\"state\":\"failed\",\"error\":\"store: checksum mismatch\"}}\n\n",
+		"job-3": "event: running\ndata: {\"type\":\"running\",\"status\":{\"state\":\"running\"}}\n\n",
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /jobs/{id}/events", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/event-stream")
+		io.WriteString(w, streams[r.PathValue("id")])
+	})
+	mux.HandleFunc("GET /jobs/{id}/result", func(w http.ResponseWriter, r *http.Request) {
+		w.Write(cell.Bytes())
+	})
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+	client := NewSweepClient(ts.URL, ts.Client())
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	cells, err := client.Wait(ctx, "job-1")
+	if err != nil {
+		t.Fatalf("Wait on a done job with an undecodable progress event: %v", err)
+	}
+	if len(cells) != 1 || cells[0].Nu != 0.2 || cells[0].C != 1 {
+		t.Errorf("Wait returned %+v, want the served cell", cells)
+	}
+	if err := client.Stream(ctx, "job-1", nil); err == nil || !strings.Contains(err.Error(), "decode sweepd event") {
+		t.Errorf("Stream over an undecodable event = %v, want a decode error", err)
+	}
+	if _, err := client.Wait(ctx, "job-2"); err == nil || !strings.Contains(err.Error(), "failed: store: checksum mismatch") {
+		t.Errorf("Wait on a failed job = %v, want its failure", err)
+	}
+	if _, err := client.Wait(ctx, "job-3"); err == nil || !strings.Contains(err.Error(), "without a terminal event") {
+		t.Errorf("Wait on a stream without a terminal event = %v, want an error", err)
 	}
 }
