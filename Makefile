@@ -86,10 +86,13 @@ test-mem:
 ## test-svc: seconds-long short-mode race pass over the sweep service —
 ## the content-addressed store's crash/corruption/keep-first semantics,
 ## the service's exactly-once cache/coalesce paths and byte-identity
-## with RunSweep, the HTTP/SSE surface and façade client, and the
-## sweepd server lifecycle (docs/sweepd.md).
+## with RunSweep, the HTTP/SSE surface and façade client, the sweepd
+## server lifecycle (docs/sweepd.md), and the subset runs its cache
+## misses go through (sweep.RunGrid with Config.Cells against the
+## whole-grid run).
 test-svc:
 	$(GO) test -race -short ./internal/store/ ./internal/sweepsvc/ ./cmd/sweepd/
+	$(GO) test -race -short -run 'RunGridCells' ./internal/sweep/
 	$(GO) test -race -short -run 'SweepClient|SweepRequest' .
 
 ## test-chaos: seconds-long short-mode race pass over the fault paths
@@ -108,7 +111,7 @@ test-chaos:
 ## selection and weighted mining (incl. the all-ones ≡ unweighted
 ## identity and the FastForward disarm), the scenario golden traces
 ## (with the ignored shard counts and with consistency checkers attached),
-## the interchange fuzz seed corpora, and the xval theory
+## the interchange and scenario-spec fuzz seed corpora, and the xval theory
 ## cross-checks (every scenario must sit on the correct side of the
 ## paper's bounds near c*). Every
 ## stochastic check prints its seed in the failure message, so a red

@@ -15,7 +15,6 @@ import (
 
 	"neatbound/internal/adversary"
 	"neatbound/internal/bounds"
-	"neatbound/internal/consistency"
 	"neatbound/internal/engine"
 	"neatbound/internal/figures"
 	"neatbound/internal/markov"
@@ -199,13 +198,15 @@ func sectionS1Convergence(w io.Writer, cfg Config) error {
 		if err != nil {
 			return err
 		}
-		acc, err := runLedger(pr, cfg.Rounds, cfg.Seed, adversary.MaxDelay{})
+		rep, _, err := sweep.RunOne(context.Background(),
+			engine.Config{Params: pr, Seed: cfg.Seed, Adversary: adversary.MaxDelay{}},
+			sweep.Semantics{Rounds: cfg.Rounds})
 		if err != nil {
 			return err
 		}
 		want := float64(cfg.Rounds) * pr.ConvergenceOpportunityRate()
 		fmt.Fprintf(w, "| %g | %d | %.1f | %.3f |\n",
-			c, acc.Convergence, want, stats.RelativeError(float64(acc.Convergence), want))
+			c, rep.Ledger.Convergence, want, stats.RelativeError(float64(rep.Ledger.Convergence), want))
 	}
 	return nil
 }
@@ -218,13 +219,15 @@ func sectionS2Adversary(w io.Writer, cfg Config) error {
 		if err != nil {
 			return err
 		}
-		acc, err := runLedger(pr, cfg.Rounds, cfg.Seed+7, nil)
+		rep, _, err := sweep.RunOne(context.Background(),
+			engine.Config{Params: pr, Seed: cfg.Seed + 7},
+			sweep.Semantics{Rounds: cfg.Rounds})
 		if err != nil {
 			return err
 		}
 		want := float64(cfg.Rounds) * pr.AdversaryBlockRate()
 		fmt.Fprintf(w, "| %g | %d | %.1f | %.3f |\n",
-			nu, acc.Adversary, want, stats.RelativeError(float64(acc.Adversary), want))
+			nu, rep.Ledger.Adversary, want, stats.RelativeError(float64(rep.Ledger.Adversary), want))
 	}
 	return nil
 }
@@ -369,14 +372,9 @@ func sectionS7DepthTail(w io.Writer, cfg Config) error {
 	prev := -1
 	for _, depth := range []int{2, 4, 6, 8} {
 		adv := &adversary.PrivateMining{MinForkDepth: depth}
-		e, err := engine.New(engine.Config{
-			Params: pr, Rounds: cfg.Rounds, Seed: cfg.Seed + 53,
-			Adversary: adv,
-		})
-		if err != nil {
-			return err
-		}
-		if _, err := e.Run(); err != nil {
+		if _, _, err := sweep.RunOne(context.Background(),
+			engine.Config{Params: pr, Seed: cfg.Seed + 53, Adversary: adv},
+			sweep.Semantics{Rounds: cfg.Rounds}); err != nil {
 			return err
 		}
 		ratio := "—"
@@ -415,26 +413,6 @@ func sectionConcentration(w io.Writer, cfg Config) error {
 		return fmt.Errorf("report: empirical deviation %g exceeds bound %g", emp, bound)
 	}
 	return nil
-}
-
-// runLedger executes a run and returns its Lemma-1 accounting, folded
-// online by a LedgerRecorder.
-func runLedger(pr params.Params, rounds int, seed uint64, adv engine.Adversary) (consistency.Accounting, error) {
-	ledger, err := consistency.NewLedgerRecorder(pr.Delta)
-	if err != nil {
-		return consistency.Accounting{}, err
-	}
-	e, err := engine.New(engine.Config{
-		Params: pr, Rounds: rounds, Seed: seed, Adversary: adv,
-		Observer: ledger, SkipRecords: true,
-	})
-	if err != nil {
-		return consistency.Accounting{}, err
-	}
-	if _, err := e.Run(); err != nil {
-		return consistency.Accounting{}, err
-	}
-	return ledger.Accounting(), nil
 }
 
 // Summary runs the suite into a buffer (used by tests) and reports the

@@ -19,12 +19,12 @@ import (
 const EngineVersion = 1
 
 // CellSeed derives the deterministic engine seed of one (cell,
-// replicate) job from the sweep's base seed and the cell's parent-frame
-// ν-major index. This is the one derivation every execution path uses —
-// the in-process job queue (shifted via CellOffset for a sub-grid) and
-// the sweepd store's content addresses — so it is exported rather than
-// re-implied elsewhere. The formula matches
-// the pre-job-queue runner (replicate offsets the base seed, the 1-based
+// replicate) job from the sweep's base seed and the cell's ν-major index
+// in the whole grid. This is the one derivation every execution path
+// uses — the in-process job queue, over the whole grid or a Config.Cells
+// subset, and the sweepd store's content addresses — so it is exported
+// rather than re-implied elsewhere. The formula matches the
+// pre-job-queue runner (replicate offsets the base seed, the 1-based
 // cell index XORs in), so historical seeded sweeps reproduce.
 func CellSeed(base uint64, cellIdx, rep int) uint64 {
 	return (base + uint64(rep)*seedGolden) ^ (uint64(cellIdx+1) * seedGolden)

@@ -130,7 +130,8 @@ func AggregateReplicates(nu, c float64, reps []AggregateCell) (AggregateCell, er
 // replicates in index order, so results are bit-identical regardless of
 // worker scheduling), streams the aggregate to onCell (when non-nil, on
 // the caller's goroutine, in completion order), and returns the ν-major
-// aggregate slice. When ctx is cancelled the grid stops promptly — cells
+// aggregate slice, whose slots outside a non-nil cfg.Cells stay
+// zero-valued. When ctx is cancelled the grid stops promptly — cells
 // already aggregated are returned, unfinished slots stay zero-valued —
 // together with ctx.Err().
 func RunGrid(ctx context.Context, cfg Config, replicates int, onCell func(AggregateCell)) ([]AggregateCell, error) {

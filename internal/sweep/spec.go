@@ -98,8 +98,8 @@ type Spec struct {
 }
 
 // Config builds the in-process sweep configuration, resolving the
-// adversary name into a per-cell factory. Workers and the placement
-// offsets are left to the caller.
+// adversary name into a per-cell factory. Workers and Cells are left
+// to the caller.
 func (s Spec) Config() (Config, error) {
 	var factory func() engine.Adversary
 	if s.Adversary != "" {

@@ -68,11 +68,11 @@ type Config struct {
 	Workers int
 	// Tuning holds the cell engines' throughput knobs.
 	Tuning
-	// CellOffset places this grid inside a larger parent sweep: per-job
-	// seeds derive from the parent's ν-major cell index (local index +
-	// CellOffset), so a rectangle cut from the parent grid draws exactly
-	// the seeds the parent's run would. Zero for a standalone sweep.
-	CellOffset int
+	// Cells, when non-nil, lists the ν-major cell indices to run; the
+	// others are skipped and stay zero-valued in RunGrid's result. A
+	// listed cell draws the seeds it draws in the whole-grid run, so its
+	// result is the same. Nil runs the whole grid.
+	Cells []int
 }
 
 // semantics gathers the cells' Semantics from the flat knob fields.
@@ -106,22 +106,27 @@ func (cfg Config) validate() error {
 	if len(cfg.NuValues) == 0 || len(cfg.CValues) == 0 {
 		return fmt.Errorf("sweep: empty grid (%d ν × %d c)", len(cfg.NuValues), len(cfg.CValues))
 	}
+	nCells := len(cfg.NuValues) * len(cfg.CValues)
+	seen := make(map[int]bool, len(cfg.Cells))
+	for _, idx := range cfg.Cells {
+		if idx < 0 || idx >= nCells {
+			return fmt.Errorf("sweep: cell index %d outside the %d-cell grid", idx, nCells)
+		}
+		if seen[idx] {
+			return fmt.Errorf("sweep: cell index %d listed twice", idx)
+		}
+		seen[idx] = true
+	}
 	return nil
 }
 
-// cellSeed derives the deterministic seed of one (cell, replicate) job —
-// CellSeed in the parent grid's frame (a sub-grid shifts idx into it via
-// CellOffset).
-func (cfg Config) cellSeed(idx, rep int) uint64 {
-	return CellSeed(cfg.Seed, idx+cfg.CellOffset, rep)
-}
-
-// runJobs executes every (cell, replicate) pair of the grid on a worker
-// pool and hands each finished Cell to collect on the caller's
-// goroutine, in completion order. When ctx is cancelled, no further
-// jobs are dispatched, in-flight cell engines stop within one round
-// (their cells carry Err = ctx.Err()), already-finished cells still
-// reach collect, and runJobs returns ctx.Err().
+// runJobs executes every (cell, replicate) pair of the grid (of
+// cfg.Cells, when set) on a worker pool and hands each finished Cell to
+// collect on the caller's goroutine, in completion order. When ctx is
+// cancelled, no further jobs are dispatched, in-flight cell engines
+// stop within one round (their cells carry Err = ctx.Err()),
+// already-finished cells still reach collect, and runJobs returns
+// ctx.Err().
 func runJobs(ctx context.Context, cfg Config, replicates int, collect func(idx, rep int, cell Cell)) error {
 	if err := cfg.validate(); err != nil {
 		return err
@@ -138,26 +143,29 @@ func runJobs(ctx context.Context, cfg Config, replicates int, collect func(idx, 
 		idx, rep int
 		cell     Cell
 	}
-	nCells := len(cfg.NuValues) * len(cfg.CValues)
-	total := nCells * replicates
+	cells := cfg.Cells
+	if cells == nil {
+		cells = make([]int, len(cfg.NuValues)*len(cfg.CValues))
+		for i := range cells {
+			cells[i] = i
+		}
+	}
+	total := len(cells) * replicates
 	if workers > total {
 		workers = total
 	}
+	nC := len(cfg.CValues)
 	done := ctx.Done()
 	jobs := make(chan job)
 	results := make(chan result, workers)
 	go func() { // producer
 		defer close(jobs)
 		for rep := 0; rep < replicates; rep++ {
-			idx := 0
-			for _, nu := range cfg.NuValues {
-				for _, c := range cfg.CValues {
-					select {
-					case jobs <- job{idx: idx, rep: rep, nu: nu, c: c}:
-					case <-done:
-						return
-					}
-					idx++
+			for _, idx := range cells {
+				select {
+				case jobs <- job{idx: idx, rep: rep, nu: cfg.NuValues[idx/nC], c: cfg.CValues[idx%nC]}:
+				case <-done:
+					return
 				}
 			}
 		}
@@ -171,7 +179,7 @@ func runJobs(ctx context.Context, cfg Config, replicates int, collect func(idx, 
 				results <- result{
 					idx:  j.idx,
 					rep:  j.rep,
-					cell: runCell(ctx, cfg, j.nu, j.c, cfg.cellSeed(j.idx, j.rep)),
+					cell: runCell(ctx, cfg, j.nu, j.c, CellSeed(cfg.Seed, j.idx, j.rep)),
 				}
 			}
 		}()

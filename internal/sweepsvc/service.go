@@ -3,9 +3,9 @@
 // façade's grid/option vocabulary, keys every grid cell by its content
 // address (sweep.CellJob — parameters, ν, per-replicate seeds, engine
 // semantics version), consults the persistent result store first,
-// computes only the missing cells on sweep.RunGrid's job queue, and
-// returns cached and freshly computed cells as exactly the stream a
-// cold single-process RunSweep would have produced.
+// computes only the missing cells, as one batch on sweep.RunGrid's job
+// queue, and returns cached and freshly computed cells as exactly the
+// stream a cold single-process RunSweep would have produced.
 //
 // # Exactly-once computation
 //
@@ -28,8 +28,8 @@
 // # Job lifecycle and observation
 //
 // A job moves queued → running → done | failed | cancelled. Every state
-// change, committed shard, and finished cell appends an event to the
-// job's replay log; Watch streams the log from the start and then
+// change, finished compute batch and finished cell appends an event to
+// the job's replay log; Watch streams the log from the start and then
 // follows live — the HTTP layer (server.go) exposes this as
 // Server-Sent Events, the rest of the lifecycle as plain JSON. Jobs are
 // cancellable at any point: cancellation stops the job's grid runs via
@@ -87,15 +87,13 @@ func terminal(state string) bool {
 }
 
 // JobRequest is the submission body: a sweep.Spec in the
-// interchange's snake_case spelling. Placement is absent (submitted
-// grids are standalone; the service does its own cache-miss
-// placement).
+// interchange's snake_case spelling.
 type JobRequest struct {
 	sweep.Spec
 }
 
 // Sweep converts the request to the sweep description the service
-// validates, keys and cuts into cache-miss rectangles.
+// validates, keys and runs.
 func (r JobRequest) Sweep() Sweep {
 	return Sweep{Spec: r.Spec}
 }
@@ -113,9 +111,10 @@ type JobStatus struct {
 	CellsCached    int `json:"cells_cached"`
 	CellsCoalesced int `json:"cells_coalesced"`
 	CellsComputed  int `json:"cells_computed"`
-	// ShardsDone / ShardsTotal track the sub-grids (one per cache-miss
-	// rectangle) dispatched for this job (both 0 on a fully cached job).
-	// ShardsTotal grows as cache-miss rectangles are planned.
+	// ShardsDone / ShardsTotal count the compute batches of this job:
+	// one sweep.RunGrid call per claim round that owns cache misses, so
+	// 1 on a cold job and 0 on a fully cached one. ShardsTotal grows as
+	// a batch starts, ShardsDone as it finishes.
 	ShardsDone  int `json:"shards_done"`
 	ShardsTotal int `json:"shards_total"`
 	// Retries and ShardRetries are kept for wire compatibility (the
@@ -145,7 +144,8 @@ type Event struct {
 	// joined from another job's computation. Both false = computed here.
 	Cached    bool `json:"cached,omitempty"`
 	Coalesced bool `json:"coalesced,omitempty"`
-	// Shard is the job-global sub-grid a "shard" event reports finished.
+	// Shard is the job-global id of the compute batch a "shard" event
+	// reports finished.
 	Shard *int `json:"shard,omitempty"`
 	// Retried, Stalled and Reason are kept for wire compatibility (the
 	// add-only rule); the service never sets them.
@@ -394,7 +394,7 @@ func CellKeys(sw Sweep) []string {
 	keys := make([]string, 0, len(sw.NuValues)*nC)
 	for i, nu := range sw.NuValues {
 		for jc, c := range sw.CValues {
-			idx := sw.CellOffset + i*nC + jc
+			idx := i*nC + jc
 			seeds := make([]uint64, sw.Replicates)
 			for rep := range seeds {
 				seeds[rep] = sweep.CellSeed(sw.Seed, idx, rep)
@@ -581,7 +581,7 @@ func (s *Service) watch(ctx context.Context, id string, fn func([]Event) error) 
 	}
 }
 
-// runGrid runs one cache-miss rectangle; tests swap it to wedge or
+// runGrid runs one batch of cache misses; tests swap it to wedge or
 // script a job's computation.
 var runGrid = sweep.RunGrid
 
@@ -738,15 +738,13 @@ func (s *Service) abortFlights(j *job, idxs []int) {
 	}
 }
 
-// compute runs the job's claimed cells and commits each finished cell —
-// store first, then the flight, which carries the cell's one MarshalCell
-// encoding to joined jobs — as it lands. The claimed set is decomposed
-// into the fewest grid-aligned rectangles (whole ν-row spans, or
-// single-row c-spans); each rectangle is one shard, run by sweep.RunGrid
-// with a CellOffset that places it in the parent frame, so its seeds —
-// and therefore its cells — are exactly the parent's. On any failure
-// the remaining incomplete claims are aborted for other jobs to
-// reclaim.
+// compute runs the job's claimed cells as one batch: a single
+// sweep.RunGrid call over the job's grid with Cells = owned, so every
+// cell draws its whole-grid seeds and gives its whole-grid result. It
+// commits each finished cell as it lands — store first, then the
+// flight, which carries the cell's one MarshalCell encoding to joined
+// jobs. On any failure the remaining incomplete claims are aborted for
+// other jobs to reclaim.
 func (s *Service) compute(j *job, owned []int, lines [][]byte) (err error) {
 	committed := make(map[int]bool, len(owned)) // written only by commit, on this goroutine
 	defer func() {
@@ -762,11 +760,10 @@ func (s *Service) compute(j *job, owned []int, lines [][]byte) (err error) {
 		s.abortFlights(j, left)
 	}()
 
-	rects := decompose(owned, len(j.sweep.NuValues), len(j.sweep.CValues))
-	var base int // job-global id of this round's first shard
+	var shard int // job-global id of this batch
 	j.update(func(st *JobStatus) {
-		base = st.ShardsTotal
-		st.ShardsTotal += len(rects)
+		shard = st.ShardsTotal
+		st.ShardsTotal++
 	}, nil)
 
 	commit := func(cell sweep.AggregateCell) error {
@@ -802,109 +799,29 @@ func (s *Service) compute(j *job, owned []int, lines [][]byte) (err error) {
 		return nil
 	}
 
-	for i, r := range rects {
-		sub := subSweep(j.sweep, r)
-		cfg, err := sub.Spec.Config()
-		if err != nil {
-			return err
-		}
-		cfg.Workers = s.opts.Workers
-		cfg.CellOffset = sub.CellOffset
-		var commitErr error
-		_, runErr := runGrid(j.ctx, cfg, sub.Replicates, func(cell sweep.AggregateCell) {
-			// Commit every cell handed over while the job is live — an
-			// errored cell (every replicate failed) included, since it is
-			// the cell RunSweep reports. Once the job is cancelled a cell
-			// may be missing the replicates the cancellation cut short,
-			// so nothing more is committed.
-			if commitErr == nil && j.ctx.Err() == nil {
-				commitErr = commit(cell)
-			}
-		})
-		if runErr != nil {
-			return runErr
-		}
-		if commitErr != nil {
-			return commitErr
-		}
-		shard := base + i
-		j.update(func(st *JobStatus) { st.ShardsDone++ }, &Event{Type: "shard", Shard: &shard})
+	cfg, err := j.sweep.Spec.Config()
+	if err != nil {
+		return err
 	}
+	cfg.Workers = s.opts.Workers
+	cfg.Cells = owned
+	var commitErr error
+	_, runErr := runGrid(j.ctx, cfg, j.sweep.Replicates, func(cell sweep.AggregateCell) {
+		// Commit every cell handed over while the job is live — an
+		// errored cell (every replicate failed) included, since it is
+		// the cell RunSweep reports. Once the job is cancelled a cell
+		// may be missing the replicates the cancellation cut short,
+		// so nothing more is committed.
+		if commitErr == nil && j.ctx.Err() == nil {
+			commitErr = commit(cell)
+		}
+	})
+	if runErr != nil {
+		return runErr
+	}
+	if commitErr != nil {
+		return commitErr
+	}
+	j.update(func(st *JobStatus) { st.ShardsDone++ }, &Event{Type: "shard", Shard: &shard})
 	return nil
-}
-
-// rect is a half-open grid rectangle [nuLo, nuHi) × [cLo, cHi) in the
-// parent grid's index space.
-type rect struct{ nuLo, nuHi, cLo, cHi int }
-
-// decompose covers the claimed cell set with rectangles a sub-sweep can
-// express. Rows missing their full c-span stack into
-// multi-row rectangles (the spec's ν-major stride then equals the
-// parent's, so one CellOffset shifts every seed correctly); partially
-// missing rows become single-row rectangles per contiguous c-run. The
-// cover is exact and disjoint.
-func decompose(idxs []int, nNu, nC int) []rect {
-	miss := make([][]bool, nNu)
-	for i := range miss {
-		miss[i] = make([]bool, nC)
-	}
-	for _, idx := range idxs {
-		miss[idx/nC][idx%nC] = true
-	}
-	full := func(i int) bool {
-		for _, m := range miss[i] {
-			if !m {
-				return false
-			}
-		}
-		return true
-	}
-	empty := func(i int) bool {
-		for _, m := range miss[i] {
-			if m {
-				return false
-			}
-		}
-		return true
-	}
-	var rects []rect
-	for i := 0; i < nNu; {
-		switch {
-		case empty(i):
-			i++
-		case full(i):
-			k := i + 1
-			for k < nNu && full(k) {
-				k++
-			}
-			rects = append(rects, rect{i, k, 0, nC})
-			i = k
-		default:
-			for jc := 0; jc < nC; {
-				if !miss[i][jc] {
-					jc++
-					continue
-				}
-				k := jc + 1
-				for k < nC && miss[i][k] {
-					k++
-				}
-				rects = append(rects, rect{i, i + 1, jc, k})
-				jc = k
-			}
-			i++
-		}
-	}
-	return rects
-}
-
-// subSweep cuts one rectangle of the parent sweep into a standalone
-// sweep whose CellOffset places its cell (0, 0) — and with it every
-// derived seed — in the parent's frame.
-func subSweep(p Sweep, r rect) Sweep {
-	sub := p
-	sub.NuValues = p.NuValues[r.nuLo:r.nuHi]
-	sub.CValues = p.CValues[r.cLo:r.cHi]
-	sub.CellOffset = p.CellOffset + r.nuLo*len(p.CValues) + r.cLo
-	return sub
 }

@@ -74,6 +74,16 @@ func waitJob(t *testing.T, svc *sweepsvc.Service, id string) (sweepsvc.JobStatus
 // single-process façade RunSweep of the same request, marshalled.
 func coldBytes(t *testing.T, req sweepsvc.JobRequest) []byte {
 	t.Helper()
+	var buf bytes.Buffer
+	if err := neatbound.MarshalCells(&buf, coldCells(t, req)); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// coldCells is the single-process façade RunSweep of the request.
+func coldCells(t *testing.T, req sweepsvc.JobRequest) []sweep.AggregateCell {
+	t.Helper()
 	grid := neatbound.SweepGrid{N: req.N, Delta: req.Delta, NuValues: req.NuValues, CValues: req.CValues}
 	opts := []neatbound.Option{
 		neatbound.WithRounds(req.Rounds),
@@ -88,11 +98,7 @@ func coldBytes(t *testing.T, req sweepsvc.JobRequest) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := neatbound.MarshalCells(&buf, cells); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return cells
 }
 
 func TestColdRunMatchesRunSweep(t *testing.T) {
@@ -208,6 +214,58 @@ func TestPartialOverlap(t *testing.T) {
 	}
 	if want := coldBytes(t, big); !bytes.Equal(got, want) {
 		t.Errorf("merged cached+fresh result differs from cold RunSweep:\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestScatteredMissesRunAsOneBatch: with a checkerboard of the grid
+// already in the store, the other half — no two misses adjacent — is
+// computed in one RunGrid batch, and the result is still the cold
+// RunSweep's bytes.
+func TestScatteredMissesRunAsOneBatch(t *testing.T) {
+	svc, st := newService(t, sweepsvc.Options{})
+	req := testReq()
+	req.NuValues = []float64{0.2, 0.3, 0.45}
+	req.CValues = []float64{1, 2, 4, 8}
+	nC := len(req.CValues)
+	cells := coldCells(t, req)
+	for i, key := range sweepsvc.CellKeys(req.Sweep()) {
+		if (i/nC+i%nC)%2 == 0 {
+			if err := st.Put(key, cells[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	st0, err := svc.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fin, events := waitJob(t, svc, st0.ID)
+	if fin.State != sweepsvc.StateDone {
+		t.Fatalf("job ended %s (%s), want done", fin.State, fin.Error)
+	}
+	half := len(cells) / 2
+	if fin.CellsCached != half || fin.CellsComputed != half {
+		t.Errorf("checkerboard breakdown: cached %d computed %d, want %d each", fin.CellsCached, fin.CellsComputed, half)
+	}
+	shards := 0
+	for _, ev := range events {
+		if ev.Type == "shard" {
+			shards++
+		}
+	}
+	if fin.ShardsTotal != 1 || fin.ShardsDone != 1 || shards != 1 {
+		t.Errorf("scattered misses ran as %d/%d batches with %d shard events, want one", fin.ShardsDone, fin.ShardsTotal, shards)
+	}
+	got, err := svc.Result(st0.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := neatbound.MarshalCells(&want, cells); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Errorf("result differs from cold RunSweep:\ngot:\n%s\nwant:\n%s", got, want.Bytes())
 	}
 }
 

@@ -12,19 +12,11 @@ import (
 // replicate count is refused before the service allocates for it.
 const maxJobRuns = 1 << 20
 
-// Sweep is the sweep a job computes: the serializable sweep.Spec plus
-// its placement in a parent grid. The adversary travels by name, so a
-// Sweep can be journalled and resubmitted.
+// Sweep is the sweep a job computes: the serializable sweep.Spec. The
+// adversary travels by name, so a Sweep can be journalled and
+// resubmitted.
 type Sweep struct {
 	sweep.Spec
-	// CellOffset places this sweep inside a larger parent grid: it is
-	// the parent-frame ν-major index of this sweep's cell (0, 0), added
-	// to every per-cell seed derivation. Zero for a standalone sweep. It
-	// is what lets the service run a rectangular slice of a job's grid —
-	// a single ν-row span, or whole ν-rows when CValues is the parent's
-	// full list — and get exactly the cells the parent's single-process
-	// run would have computed.
-	CellOffset int
 }
 
 // Validate rejects sweeps the service cannot run. Beyond the
@@ -50,9 +42,6 @@ func (s Sweep) Validate() error {
 	}
 	if s.Replicates < 1 {
 		return fmt.Errorf("sweepsvc: replicates = %d must be ≥ 1", s.Replicates)
-	}
-	if s.CellOffset < 0 {
-		return fmt.Errorf("sweepsvc: cell offset = %d must be ≥ 0", s.CellOffset)
 	}
 	// Divide rather than multiply: the products can overflow.
 	nNu, nC := len(s.NuValues), len(s.CValues)
