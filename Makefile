@@ -69,10 +69,12 @@ test-parallel:
 ## byte-identity, sparse regimes, adversary state replay), the quiet-span
 ## folds (the O(1) convergence counter against the window reference,
 ## span observers and RunOne against per-round dispatch, flat
-## allocation per round), and the unknown-block error on the
-## flash-delivery path.
+## allocation per round), the unknown-block error on the
+## flash-delivery path, and cancellation (the engine's and the façade
+## Run's, which stop at the exact round a per-round observer cancels
+## in, stepped or fast-forwarded).
 test-skip:
-	$(GO) test -race -short -run 'Geometric|Uniform|SendAll|DeliverySchedule|FastForward|UnknownBlock' ./internal/dist/ ./internal/network/ ./internal/engine/ ./internal/consistency/ .
+	$(GO) test -race -short -run 'Geometric|Uniform|SendAll|DeliverySchedule|FastForward|UnknownBlock|Cancellation' ./internal/dist/ ./internal/network/ ./internal/engine/ ./internal/consistency/ .
 
 ## test-mem: ~20 s short-mode race pass over the memory path — the SoA
 ## arena's compaction query-parity, sparse-ID, and payload-side-table
@@ -131,12 +133,12 @@ bench:
 	$(GO) test -bench . -benchmem -run '^$$' .
 
 ## bench-mem: the n = 10⁶ sparse-p memory benchmark (n·p = 0.1, 10⁵
-## rounds) with fast-forward, arena compaction, and a bounded checker
-## retention window: the run mines ~10⁴ blocks but the arena stays
-## ~10³ live, and heap_peak_bytes/live_blocks land in the entry (the
-## pr7-mem-n1e6 configuration). Same append-only label discipline as
-## bench; ~1 min.
+## rounds; fast-forward arms, as on every run) with arena compaction
+## and a bounded checker retention window: the run mines ~10⁴ blocks
+## but the arena stays ~10³ live, and heap_peak_bytes/live_blocks land
+## in the entry (the pr7-mem-n1e6 configuration). Same append-only
+## label discipline as bench; ~1 min.
 bench-mem:
 	$(GO) run ./cmd/benchjson -label $(BENCH_LABEL) -out BENCH_engine.json \
 		-n 1000000 -p 1e-7 -delta 10 -nu 0.3 -rounds 100000 -iters 3 \
-		-fast-forward -compact-every 2000 -checker-retention 4
+		-compact-every 2000 -checker-retention 4

@@ -53,8 +53,10 @@ type entry struct {
 	RoundsPerOp int     `json:"rounds_per_op"`
 	Iterations  int     `json:"iterations"`
 	Shards      int     `json:"shards"`
-	// FastForward records whether the run used the engine's event-driven
-	// round skipping (bit-identical results; throughput-only knob).
+	// FastForward records whether the run could take the engine's
+	// event-driven round skipping (bit-identical results). It was
+	// opt-in, so an older entry without it stepped every round; every
+	// run now takes it wherever it arms, and new entries record true.
 	FastForward bool `json:"fast_forward,omitempty"`
 	// CompactEvery/CheckerRetention record the arena-compaction knobs of
 	// the measured run (0 = compaction off; bit-identical results,
@@ -100,7 +102,6 @@ func main() {
 		nu      = flag.Float64("nu", 0.3, "adversarial fraction ν")
 		rounds  = flag.Int("rounds", 1000, "rounds per simulation op")
 		iters   = flag.Int("iters", 30, "simulation ops to average over")
-		ff      = flag.Bool("fast-forward", false, "enable event-driven round skipping")
 		compact = flag.Int("compact-every", 0, "arena compaction interval in rounds (0 = off)")
 		retain  = flag.Int("checker-retention", 0, "checker snapshot retention window (0 = full history)")
 		scn     = flag.String("scenario", "", "scenario preset name or inline JSON spec (docs/scenarios.md; empty = default model)")
@@ -119,7 +120,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	e, err := measure(pr, *rounds, *iters, *ff, *compact, *retain, spec)
+	e, err := measure(pr, *rounds, *iters, *compact, *retain, spec)
 	if err != nil {
 		fatal(err)
 	}
@@ -173,7 +174,7 @@ func encode(f file) ([]byte, error) {
 // BenchmarkSimulationRound body) and reports per-round cost. Allocation
 // counts come from runtime.MemStats deltas, matching -benchmem; peak
 // heap comes from a background sampler running across the timed loop.
-func measure(pr params.Params, rounds, iters int, fastForward bool, compactEvery, retention int, scenario *neatbound.ScenarioSpec) (entry, error) {
+func measure(pr params.Params, rounds, iters, compactEvery, retention int, scenario *neatbound.ScenarioSpec) (entry, error) {
 	if iters < 1 || rounds < 1 {
 		return entry{}, fmt.Errorf("benchjson: iters and rounds must be ≥ 1")
 	}
@@ -183,9 +184,6 @@ func measure(pr params.Params, rounds, iters int, fastForward bool, compactEvery
 		neatbound.WithCompaction(compactEvery, 0),
 		neatbound.WithCheckerRetention(retention),
 		neatbound.WithScenario(scenario),
-	}
-	if fastForward {
-		opts = append(opts, neatbound.WithFastForward())
 	}
 	var rep *neatbound.RunReport
 	run := func(seed uint64) error {
@@ -217,7 +215,7 @@ func measure(pr params.Params, rounds, iters int, fastForward bool, compactEvery
 		EngineVersion: neatbound.EngineVersion,
 		N:             pr.N, P: pr.P, Delta: pr.Delta, Nu: pr.Nu,
 		RoundsPerOp: rounds, Iterations: iters,
-		FastForward:  fastForward,
+		FastForward:  true,
 		CompactEvery: compactEvery, CheckerRetention: retention,
 		Cores: runtime.NumCPU(), Procs: runtime.GOMAXPROCS(0),
 		RoundsPerSec:   total / elapsed.Seconds(),

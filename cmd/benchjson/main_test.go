@@ -14,7 +14,7 @@ import (
 
 func TestMeasureProducesSaneEntry(t *testing.T) {
 	pr := params.Params{N: 50, P: 1e-3, Delta: 3, Nu: 0.3}
-	e, err := measure(pr, 200, 2, true, 50, 4, nil)
+	e, err := measure(pr, 200, 2, 50, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,10 +52,10 @@ func TestMeasureProducesSaneEntry(t *testing.T) {
 
 func TestMeasureValidation(t *testing.T) {
 	pr := params.Params{N: 50, P: 1e-3, Delta: 3, Nu: 0.3}
-	if _, err := measure(pr, 0, 1, false, 0, 0, nil); err == nil {
+	if _, err := measure(pr, 0, 1, 0, 0, nil); err == nil {
 		t.Error("0 rounds accepted")
 	}
-	if _, err := measure(pr, 10, 0, false, 0, 0, nil); err == nil {
+	if _, err := measure(pr, 10, 0, 0, 0, nil); err == nil {
 		t.Error("0 iters accepted")
 	}
 }

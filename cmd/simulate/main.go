@@ -38,8 +38,6 @@ func run(args []string) error {
 		"strategy: "+strings.Join(neatbound.AdversaryNames(), "|"))
 	forkDepth := fs.Int("fork-depth", 4, "private adversary's target fork depth")
 	tee := fs.Int("T", 8, "consistency chop parameter (Definition 1)")
-	ff := fs.Bool("fast-forward", false,
-		"event-driven round skipping for sparse-mining regimes; bit-identical (see docs/fastforward.md)")
 	scenarioArg := fs.String("scenario", "",
 		"scenario layer: a preset name ("+strings.Join(neatbound.ScenarioNames(), "|")+") or a JSON spec (docs/scenarios.md)")
 	if err := fs.Parse(args); err != nil {
@@ -66,9 +64,6 @@ func run(args []string) error {
 		neatbound.WithSeed(*seed),
 		neatbound.WithAdversaryName(*advName, neatbound.AdversaryOpts{ForkDepth: *forkDepth}),
 		neatbound.WithConsistency(*tee, 0),
-	}
-	if *ff {
-		opts = append(opts, neatbound.WithFastForward())
 	}
 	if scn != nil {
 		opts = append(opts, neatbound.WithScenario(scn))

@@ -100,7 +100,10 @@ type Config struct {
 	// stepping whenever a precondition fails — NuSchedule set, oracle
 	// mining, an adversary without SkipSafe, or a parameterization
 	// outside the binomial inversion regime. TestGoldenTracesFastForward
-	// pins the equivalence on all golden configs.
+	// pins the equivalence on all golden configs. sweep.RunOne sets it
+	// on every run, so every façade run and sweep cell takes the fast
+	// path where it arms; false keeps the step engine, the reference
+	// the parity tests compare against.
 	FastForward bool
 	// CompactEvery, when > 0, enables epoch-based arena compaction: every
 	// CompactEvery rounds the engine computes the watermark — the common
@@ -486,8 +489,12 @@ func (e *Engine) Run() (*Result, error) { return e.RunContext(context.Background
 // RunContext executes cfg.Rounds rounds, checking ctx between rounds.
 // When ctx is cancelled the run stops before the next round and returns
 // the partial result — Partial set, Rounds counting the rounds executed
-// so far — together with ctx.Err(); a mid-round engine error likewise
-// returns the partial result with that error. Observers' OnFinish hooks
+// so far — together with ctx.Err(). Under fast-forward a quiet span
+// that no observer takes round by round (none attached, or every one a
+// SpanObserver) is crossed whole, so ctx is checked between spans of at
+// most maxSkipSpan rounds; a round-by-round stack is still checked
+// after every round. A mid-round engine error likewise returns the
+// partial result with that error. Observers' OnFinish hooks
 // run in every case — complete, cancelled, or failed — so writers
 // flush; their error is joined onto the run's.
 func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
@@ -503,22 +510,18 @@ func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
 	e.nextCompact = e.cfg.CompactEvery
 	done := ctx.Done()
 	for e.round < e.cfg.Rounds {
-		if done != nil {
-			select {
-			case <-done:
-				res.Partial = true
-				e.finalize(res)
-				return res, errors.Join(ctx.Err(), e.finishObservers(res))
-			default:
-			}
+		if closed(done) {
+			res.Partial = true
+			e.finalize(res)
+			return res, errors.Join(ctx.Err(), e.finishObservers(res))
 		}
 		var err error
 		if e.ff.armed {
 			// Event-driven advance: skip to the next mining event or
 			// delivery-due round (reporting every skipped round to the
-			// observers), then execute that round. Bounded, so cancellation is still
-			// checked with low latency.
-			err = e.ffAdvance(res)
+			// observers), then execute that round. Bounded, so
+			// cancellation is still checked with low latency.
+			err = e.ffAdvance(res, done)
 		} else {
 			var rec RoundRecord
 			rec, err = e.step()

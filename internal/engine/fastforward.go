@@ -157,8 +157,11 @@ func (e *Engine) armFastForward() bool {
 // the cancellation-latency cap boundary). The span reaches a
 // span-aware observer stack in one OnQuietSpan call and any other stack
 // round by round; RNG draws are consumed in exactly the step engine's
-// order, so the trace is bit-identical to stepping.
-func (e *Engine) ffAdvance(res *Result) error {
+// order, so the trace is bit-identical to stepping. A round-by-round
+// stack sees done checked after every round, as the step loop does:
+// once it is closed the span ends at the round just delivered and the
+// span-ending round is not executed.
+func (e *Engine) ffAdvance(res *Result, done <-chan struct{}) error {
 	// Rounds that could possibly be quiet: up to the end of the run,
 	// but not past the round before the oldest pending delivery, and at
 	// most maxSkipSpan per call.
@@ -195,6 +198,7 @@ func (e *Engine) ffAdvance(res *Result) error {
 		quiet++
 	}
 
+	stopped := false
 	if quiet > 0 {
 		first, last := e.round+1, e.round+quiet
 		// State is untouched across the span, so every skipped round's
@@ -205,30 +209,32 @@ func (e *Engine) ffAdvance(res *Result) error {
 			MinHonestHeight: e.minHonestHeight(),
 			DistinctTips:    e.DistinctTipCount(),
 		}
+		switch {
+		case e.spanObs != nil:
+			e.round, rec.Round = last, last
+			e.spanObs.OnQuietSpan(e, rec, first, last)
+		case e.obs != nil:
+			for e.round < last && !stopped {
+				e.round++
+				rec.Round = e.round
+				e.obs.OnRound(e, rec)
+				stopped = closed(done)
+			}
+			last = e.round
+		default:
+			e.round = last
+		}
 		if !e.cfg.SkipRecords {
 			for r := first; r <= last; r++ {
 				rec.Round = r
 				res.Records = append(res.Records, rec)
 			}
 		}
-		switch {
-		case e.spanObs != nil:
-			e.round, rec.Round = last, last
-			e.spanObs.OnQuietSpan(e, rec, first, last)
-		case e.obs != nil:
-			for e.round < last {
-				e.round++
-				rec.Round = e.round
-				e.obs.OnRound(e, rec)
-			}
-		default:
-			e.round = last
-		}
-		res.Rounds += quiet
+		res.Rounds += last - first + 1
 		// Replay the adversary's quiet-round bookkeeping in bulk.
 		e.ff.quiet.ObserveQuiet(&e.ctx, first, last)
 	}
-	if e.round >= e.cfg.Rounds {
+	if stopped || e.round >= e.cfg.Rounds {
 		return nil
 	}
 
@@ -241,6 +247,16 @@ func (e *Engine) ffAdvance(res *Result) error {
 	}
 	e.emit(res, rec)
 	return nil
+}
+
+// closed reports whether done is closed; a nil done never is.
+func closed(done <-chan struct{}) bool {
+	select {
+	case <-done:
+		return true
+	default:
+		return false
+	}
 }
 
 // view returns player i's current chain tip and height: its deviant

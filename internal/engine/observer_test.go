@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -128,34 +129,44 @@ func TestTraceWriterSurfacesWriteError(t *testing.T) {
 	}
 }
 
+// TestRunContextCancellation: a cancel landing during round stopAt's
+// observer call stops the run before round stopAt+1, stepped or fast-
+// forwarded — a round-by-round observer sees the context checked after
+// every round of a quiet span, not once per span.
 func TestRunContextCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	const stopAt = 50
-	e, err := New(Config{
-		Params: testParams(), Rounds: 100000, Seed: 4,
-		Observer: ObserverFunc(func(_ *Engine, rec RoundRecord) {
-			if rec.Round == stopAt {
-				cancel()
+	for _, ff := range []bool{false, true} {
+		t.Run(fmt.Sprintf("FastForward=%v", ff), func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			const stopAt = 50
+			var seen int
+			e, err := New(Config{
+				Params: testParams(), Rounds: 100000, Seed: 4, FastForward: ff,
+				Observer: ObserverFunc(func(_ *Engine, rec RoundRecord) {
+					seen++
+					if rec.Round == stopAt {
+						cancel()
+					}
+				}),
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := e.RunContext(ctx)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if res == nil || !res.Partial {
-		t.Fatalf("partial flag not set: %+v", res)
-	}
-	// The engine must stop before the next round: the cancel lands
-	// during round stopAt's observer call, so exactly stopAt rounds ran.
-	if len(res.Records) != stopAt {
-		t.Errorf("executed %d rounds after cancelling at %d", len(res.Records), stopAt)
-	}
-	if res.FinalTips() == nil {
-		t.Error("partial result missing final tips")
+			res, err := e.RunContext(ctx)
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			if res == nil || !res.Partial {
+				t.Fatalf("partial flag not set: %+v", res)
+			}
+			if len(res.Records) != stopAt || res.Rounds != stopAt || seen != stopAt {
+				t.Errorf("cancelled at round %d: %d records, %d rounds counted, %d observed; want %d each",
+					stopAt, len(res.Records), res.Rounds, seen, stopAt)
+			}
+			if res.FinalTips() == nil {
+				t.Error("partial result missing final tips")
+			}
+		})
 	}
 }
 

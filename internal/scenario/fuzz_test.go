@@ -69,11 +69,39 @@ func FuzzScenarioSpec(f *testing.F) {
 					t.Fatalf("%q against %+v: %d weights summing to %d, want %d and %d", arg, pr, len(c.Weights), sum, honest, honest)
 				}
 			}
+			if spec != nil && spec.Partition != nil {
+				checkPartition(t, arg, pr, spec.Partition, c.Policy)
+			}
 			if c.Policy != nil {
 				checkPolicy(t, arg, pr, c.Policy, rg)
 			}
 		}
 	})
+}
+
+// checkPartition checks the compiled partition against its spec: the
+// spec's period when set, else 8 times the length; the spec's length
+// (Δ when unset), capped at the period; and 1 ≤ Length ≤ Period. An
+// overflowing 8·length breaks the multiple.
+func checkPartition(t *testing.T, arg string, pr params.Params, p *PartitionSpec, policy network.DelayPolicy) {
+	t.Helper()
+	pd, ok := policy.(network.PartitionDelay)
+	if !ok {
+		t.Fatalf("%q against %+v: partition compiled to %T", arg, pr, policy)
+	}
+	length := p.Length
+	if length == 0 {
+		length = pr.Delta
+	}
+	if p.Period > 0 && pd.Period != p.Period {
+		t.Fatalf("%q against %+v: period %d, want the spec's %d", arg, pr, pd.Period, p.Period)
+	}
+	if p.Period == 0 && (pd.Period/8 != length || pd.Period%8 != 0) {
+		t.Fatalf("%q against %+v: default period %d, want 8·%d", arg, pr, pd.Period, length)
+	}
+	if want := min(length, pd.Period); pd.Length != want || pd.Length < 1 {
+		t.Fatalf("%q against %+v: length %d, want %d (≥ 1)", arg, pr, pd.Length, want)
+	}
 }
 
 // checkPolicy samples messages, sent by any player or the adversary

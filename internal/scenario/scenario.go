@@ -18,6 +18,7 @@ package scenario
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -126,6 +127,10 @@ func (s *Spec) Validate() error {
 		}
 		if p.Period > 0 && p.Length > p.Period {
 			return fmt.Errorf("scenario: partition length %d exceeds period %d", p.Length, p.Period)
+		}
+		if p.Period == 0 && p.Length > math.MaxInt/8 {
+			// The default period 8·Length would overflow int.
+			return fmt.Errorf("scenario: partition length %d too large for the default period 8·length", p.Length)
 		}
 	}
 	if c := s.Churn; c != nil {

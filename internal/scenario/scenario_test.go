@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"encoding/json"
+	"math"
 	"reflect"
 	"testing"
 
@@ -22,6 +23,7 @@ func TestValidateRejects(t *testing.T) {
 		"negative bursty":     {Delay: &DelaySpec{Kind: "bursty", RegimeLen: -1}},
 		"split frac ≥ 1":      {Partition: &PartitionSpec{SplitFrac: 1}},
 		"length > period":     {Partition: &PartitionSpec{Period: 10, Length: 11}},
+		"8·length overflows":  {Partition: &PartitionSpec{Length: math.MaxInt/8 + 1}},
 		"leave frac ≥ 1":      {Churn: &ChurnSpec{LeaveFrac: 1}},
 		"negative leave":      {Churn: &ChurnSpec{LeaveFrac: -0.25}},
 		"negative heavy":      {Power: &PowerSpec{Heavy: -3}},
@@ -34,6 +36,31 @@ func TestValidateRejects(t *testing.T) {
 	var nilSpec *Spec
 	if err := nilSpec.Validate(); err != nil {
 		t.Errorf("nil spec must validate: %v", err)
+	}
+}
+
+// TestParseRejectsPartitionOverflow: a partition whose default period
+// 8·Length overflows int is refused. Accepted, the first spec compiled
+// to Period 8, Length 8 (a partition active every round) and the second
+// to Period 0, Length 0 (no partition at all).
+func TestParseRejectsPartitionOverflow(t *testing.T) {
+	for _, arg := range []string{
+		`{"partition":{"length":2305843009213693953}}`,
+		`{"partition":{"length":2305843009213693952}}`,
+	} {
+		if spec, err := Parse(arg); err == nil {
+			t.Errorf("Parse(%s) accepted %+v", arg, *spec.Partition)
+		}
+	}
+	// The largest length whose default period fits still parses, and an
+	// explicit period makes any length up to it valid.
+	for _, arg := range []string{
+		`{"partition":{"length":1152921504606846975}}`,
+		`{"partition":{"period":2305843009213693953,"length":2305843009213693953}}`,
+	} {
+		if _, err := Parse(arg); err != nil {
+			t.Errorf("Parse(%s): %v", arg, err)
+		}
 	}
 }
 

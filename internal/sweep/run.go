@@ -59,7 +59,9 @@ type Report struct {
 // recorder ahead of ecfg.Observer, runs the engine, and assembles the
 // report. All three fold the round stream online, a quiet span in one
 // call each, so RunOne sets ecfg.SkipRecords: the returned Result
-// carries no Records.
+// carries no Records. RunOne also sets ecfg.FastForward: the engine
+// takes its event-driven path wherever it arms and steps otherwise,
+// with the same results either way (docs/fastforward.md).
 // sem.Adversary and sem.ForkDepth are not read: the strategy is
 // ecfg.Adversary.
 //
@@ -95,6 +97,7 @@ func RunOne(ctx context.Context, ecfg engine.Config, sem Semantics) (Report, *en
 	growth := &metrics.GrowthRecorder{}
 	ecfg.Observer = engine.Observers(checker, ledger, growth, ecfg.Observer)
 	ecfg.SkipRecords = true
+	ecfg.FastForward = true
 	e, err := engine.New(ecfg)
 	if err != nil {
 		return Report{}, nil, err

@@ -46,7 +46,7 @@ type Semantics struct {
 	// Scenario, when non-nil, applies the scenario layer
 	// (internal/scenario): its delay policy replaces the adversary's
 	// honest-broadcast schedule, and its churn and power sections
-	// configure the engine. Scenarios disarm Tuning.FastForward. Nil is
+	// configure the engine. Scenarios disarm fast-forward. Nil is
 	// the default model.
 	Scenario *scenario.Spec `json:"scenario,omitempty"`
 }
@@ -62,9 +62,12 @@ type Tuning struct {
 	// engine_shards is part of the job-request wire format, whose
 	// fields are add-only.
 	EngineShards int `json:"engine_shards,omitempty"`
-	// FastForward enables the engine's event-driven round skipping
-	// (engine.Config.FastForward); it pays off in sparse-mining cells
-	// and falls back to stepping elsewhere.
+	// FastForward was the opt-in to the engine's event-driven round
+	// skipping.
+	//
+	// Deprecated: ignored; RunOne takes the fast path on every run
+	// where it arms. Kept because fast_forward is part of the
+	// job-request wire format, whose fields are add-only.
 	FastForward bool `json:"fast_forward,omitempty"`
 	// CompactEvery retires the arena's blocks below the retention
 	// watermark every CompactEvery rounds (engine.Config.CompactEvery;
@@ -76,7 +79,6 @@ type Tuning struct {
 
 // Apply returns ecfg with the tuning knobs set.
 func (t Tuning) Apply(ecfg engine.Config) engine.Config {
-	ecfg.FastForward = t.FastForward
 	ecfg.CompactEvery = t.CompactEvery
 	ecfg.CompactMinRetire = t.CompactMinRetire
 	return ecfg

@@ -170,12 +170,11 @@ type flight struct {
 
 // job is one submission's full state.
 type job struct {
-	id      string
-	sweep   Sweep
-	keys    []string // ν-major cell content addresses
-	cellIdx map[cellCoord]int
-	ctx     context.Context
-	cancel  context.CancelFunc
+	id     string
+	sweep  Sweep
+	keys   []string // ν-major cell content addresses; nil once run returns
+	ctx    context.Context
+	cancel context.CancelFunc
 	// userCancel distinguishes a Cancel call from a daemon-shutdown
 	// cancellation: only the former journals a terminal record.
 	userCancel atomic.Bool
@@ -436,14 +435,6 @@ func (s *Service) submit(req JobRequest, resumes string) (JobStatus, error) {
 		return JobStatus{}, errClosed
 	}
 	keys := CellKeys(sw)
-	cellIdx := make(map[cellCoord]int, len(keys))
-	idx := 0
-	for _, nu := range sw.NuValues {
-		for _, c := range sw.CValues {
-			cellIdx[cellCoord{nu, c}] = idx
-			idx++
-		}
-	}
 
 	s.mu.Lock()
 	if s.root.Err() != nil {
@@ -471,7 +462,6 @@ func (s *Service) submit(req JobRequest, resumes string) (JobStatus, error) {
 		id:      id,
 		sweep:   sw,
 		keys:    keys,
-		cellIdx: cellIdx,
 		ctx:     ctx,
 		cancel:  cancel,
 		status:  JobStatus{ID: id, State: StateQueued, CellsTotal: len(keys)},
@@ -585,10 +575,13 @@ func (s *Service) watch(ctx context.Context, id string, fn func([]Event) error) 
 // script a job's computation.
 var runGrid = sweep.RunGrid
 
-// run drives one job to a terminal state.
+// run drives one job to a terminal state. The keys are only read on
+// its goroutine, so a finished job drops them and keeps just its
+// status, events and result.
 func (s *Service) run(j *job) {
 	defer s.wg.Done()
 	defer j.cancel()
+	defer func() { j.keys = nil }()
 	j.update(func(st *JobStatus) { st.State = StateRunning }, &Event{Type: StateRunning})
 
 	lines, err := s.resolve(j)
@@ -766,8 +759,15 @@ func (s *Service) compute(j *job, owned []int, lines [][]byte) (err error) {
 		st.ShardsTotal++
 	}, nil)
 
+	// RunGrid hands cells over by coordinates: map them back to the
+	// owned indices.
+	cellIdx := make(map[cellCoord]int, len(owned))
+	for _, idx := range owned {
+		nu, c := j.coord(idx)
+		cellIdx[cellCoord{nu, c}] = idx
+	}
 	commit := func(cell sweep.AggregateCell) error {
-		idx, ok := j.cellIdx[cellCoord{cell.Nu, cell.C}]
+		idx, ok := cellIdx[cellCoord{cell.Nu, cell.C}]
 		if !ok {
 			return fmt.Errorf("sweepsvc: job %s: grid run returned unknown cell (ν=%g, c=%g)", j.id, cell.Nu, cell.C)
 		}

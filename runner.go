@@ -233,15 +233,12 @@ func WithNuSchedule(fn func(round int) float64) Option {
 		apply: func(o *runOptions) { o.nuSchedule = fn }}
 }
 
-// WithFastForward enables the engine's event-driven round skipping
-// (engine.Config.FastForward): quiet rounds — nothing due on the
-// network, zero mining on both sides, adversary quiescent — are crossed
-// in O(1) instead of walking every player, which in sparse-mining
-// regimes (np ≪ 1) turns the round loop's cost from O(rounds) into
-// O(events). The flag never changes results: the fast path consumes RNG
-// draws in the step engine's exact order and emits every skipped
-// round's record, and the engine silently falls back to stepping
-// whenever a precondition fails (see docs/fastforward.md).
+// WithFastForward was the opt-in to the engine's event-driven round
+// skipping (docs/fastforward.md). It still fills the fast_forward field
+// of a SweepRequest, which the wire format keeps.
+//
+// Deprecated: a no-op. Every run takes the fast path wherever it arms
+// and steps elsewhere, with byte-identical results either way.
 func WithFastForward() Option {
 	return Option{name: "WithFastForward", scope: scopeRun | scopeSweep | scopeSvc,
 		apply: func(o *runOptions) { o.FastForward = true }}
@@ -302,7 +299,7 @@ func ParseScenario(arg string) (*ScenarioSpec, error) {
 // cell): the spec's delay policy replaces the honest Δ-bound broadcast
 // schedule — always within the Δ envelope of the model — and its
 // churn/power sections configure scheduled player leave epochs and
-// per-player mining weights. Scenarios disarm FastForward (the engine
+// per-player mining weights. Scenarios disarm fast-forward (the engine
 // falls back to stepping; see docs/scenarios.md) and are incompatible
 // with WithNuSchedule. Nil is the default model. Run, RunSweep and
 // SweepClient.Submit.
