@@ -86,25 +86,30 @@ test-mem:
 	$(GO) test -race -short -run 'Compact|Retention|Payload|Sparse|SubtreesMatch|ScanMatches' ./internal/blockchain/ ./internal/consistency/ .
 
 ## test-svc: seconds-long short-mode race pass over the sweep service —
-## the content-addressed store's crash/corruption/keep-first semantics,
-## the service's exactly-once cache/coalesce paths and byte-identity
-## with RunSweep, the HTTP/SSE surface and façade client, the sweepd
-## server lifecycle (docs/sweepd.md), and the subset runs its cache
-## misses go through (sweep.RunGrid with Config.Cells against the
-## whole-grid run).
+## the content-addressed store's crash/corruption/keep-first semantics
+## and its fixed-frame reads against the encoding/json decode, the
+## service's exactly-once cache/coalesce paths and byte-identity with
+## RunSweep, the HTTP/SSE surface and façade client, the sweepd server
+## lifecycle (docs/sweepd.md), the subset runs its cache misses go
+## through (sweep.RunGrid with Config.Cells against the whole-grid run),
+## and the parallel UnmarshalCells every client result goes through
+## against the sequential Scanner reader.
 test-svc:
 	$(GO) test -race -short ./internal/store/ ./internal/sweepsvc/ ./cmd/sweepd/
-	$(GO) test -race -short -run 'RunGridCells' ./internal/sweep/
+	$(GO) test -race -short -run 'RunGridCells|UnmarshalCellsParity' ./internal/sweep/
 	$(GO) test -race -short -run 'SweepClient|SweepRequest' .
 
 ## test-chaos: seconds-long short-mode race pass over the fault paths
 ## (docs/faults.md) — the journal and cell store's torn-tail truncation,
-## mid-file corruption and checksum failures (plus the seed corpora of
-## FuzzStoreOpen and FuzzJournalOpen), the sweepd job journal's
-## recovery across restarts, and cmd/sweep -checkpoint resuming from
-## the cell store with output byte-identical to a cold run.
+## mid-file corruption and checksum failures, the store's fixed-frame
+## reads against the encoding/json decode on damaged and hand-written
+## records (plus the seed corpora of FuzzStoreOpen, whose off-frame
+## records every read must decode, and FuzzJournalOpen), the sweepd job
+## journal's recovery across restarts, and cmd/sweep -checkpoint
+## resuming from the cell store with output byte-identical to a cold
+## run.
 test-chaos:
-	$(GO) test -race -short -run 'TornTail|Corruption|Checksum|StoreOpen|Journal|Restart|Checkpoint' \
+	$(GO) test -race -short -run 'TornTail|Corruption|Checksum|StoreFrame|StoreOpen|Journal|Restart|Checkpoint' \
 		./internal/store/ ./internal/sweepsvc/ ./cmd/sweepd/ ./cmd/sweep/
 
 ## test-scenarios: seconds-long short-mode race pass over the scenario

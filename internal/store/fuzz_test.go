@@ -45,10 +45,11 @@ func wireBytes(t *testing.T, cell sweep.AggregateCell) string {
 
 // FuzzStoreOpen edits a cells.log written by Put and reopens it. Open
 // must truncate a torn tail or fail with an error — never panic — and
-// after a successful Open every Get that succeeds returns exactly the
-// cell Put under that key, every record wholly before the edit still
-// reads back, the log reopens clean, and Put appends where Open left
-// off.
+// after a successful Open every GetRaw of an indexed key agrees with the
+// encoding/json reference read of its record, every Get that succeeds
+// returns exactly the cell Put under that key, every record wholly
+// before the edit still reads back, the log reopens clean, and Put
+// appends where Open left off.
 func FuzzStoreOpen(f *testing.F) {
 	cells := map[string]sweep.AggregateCell{
 		"k0": testCell(0.1, 1, 3),
@@ -76,6 +77,13 @@ func FuzzStoreOpen(f *testing.F) {
 	seedEdits(f, valid, ends["k0"])
 	// A later, corrupt record under a committed key must not shadow it.
 	f.Add(uint16(len(valid)), uint16(0), []byte(`{"v":1,"key":"k0","sum":"0","cell":{}}`+"\n"))
+	// Records off the fixed frame, which reads must decode: reordered
+	// fields, an escaped key, whitespace around the cell; and a framed
+	// record whose checksum matches a cell that is not JSON.
+	f.Add(uint16(len(valid)), uint16(0), []byte(`{"key":"k3","v":1,"sum":"`+sumOf("k3", []byte(`{}`))+`","cell":{}}`+"\n"))
+	f.Add(uint16(len(valid)), uint16(0), []byte(`{"v":1,"key":"\u006b3","sum":"`+sumOf("k3", []byte(`{}`))+`","cell":{}}`+"\n"))
+	f.Add(uint16(len(valid)), uint16(0), []byte(`{"v":1,"key":"k3","sum":"`+sumOf("k3", []byte(`{}`))+`","cell": {} }`+"\n"))
+	f.Add(uint16(len(valid)), uint16(0), frame("k3", sumOf("k3", []byte(`{},{`)), []byte(`{},{`)))
 
 	f.Fuzz(func(t *testing.T, at, del uint16, patch []byte) {
 		dir := t.TempDir()
@@ -85,6 +93,17 @@ func FuzzStoreOpen(f *testing.F) {
 		s, err := Open(dir)
 		if err != nil {
 			return
+		}
+		for k, l := range s.index {
+			line := make([]byte, l.n)
+			if _, err := s.j.ReadAt(line, l.off); err != nil {
+				t.Fatal(err)
+			}
+			got, _, gotErr := s.GetRaw(k)
+			want, wantErr := readRecordRef(bytes.TrimRight(line, "\n"), k, l.off)
+			if !sameResult(got, gotErr, want, wantErr) {
+				t.Fatalf("GetRaw(%q) = %q, %v; reference read %q, %v", k, got, gotErr, want, wantErr)
+			}
 		}
 		for _, k := range keys {
 			got, ok, err := s.Get(k)

@@ -20,7 +20,7 @@
 // sum is the CRC-32C of "<key>\n<cell bytes>" — so a payload spliced
 // under the wrong key fails verification just like a flipped bit.
 // Appends are single-writer, each record is written in one Write call
-// and fsynced before Put returns, and the in-memory key → offset index
+// and fsynced before PutRaw returns, and the in-memory key → offset index
 // is rebuilt by scanning the log on Open. (All of this is the Journal
 // type's contract; Store layers the cell schema and index on top.)
 //
@@ -37,15 +37,21 @@
 //
 // GetRaw is the one read path: it parses the record, checks its key and
 // checksum, and returns the cell's stored bytes — the MarshalCell
-// encoding Put wrote, which is what the sweep service serves a cache
-// hit as, with no decode and re-encode. Get is GetRaw plus the cell
-// decode, for callers that want the AggregateCell.
+// encoding PutRaw wrote, which is what the sweep service serves a cache
+// hit as, with no decode and re-encode. A record in the fixed frame
+// PutRaw writes for a key JSON leaves unescaped is read by hand: the
+// cell is the bytes between `"cell":` and the final `}`, checked by one
+// json.Valid scan and the checksum. Any other shape, or a frame that
+// fails a check, is decoded by encoding/json, so both accept the same
+// records with the same bytes and every error reads as the decode's.
+// Get is GetRaw plus the cell decode, for callers that want the
+// AggregateCell.
 //
 // # Concurrency and ownership
 //
 // One process owns a store directory (sweepd's single-writer
 // assumption; nothing here takes file locks). Within the process a
-// Store is safe for concurrent use: Put serializes on the writer lock,
+// Store is safe for concurrent use: PutRaw serializes on the writer lock,
 // Get reads the immutable committed prefix via ReadAt.
 package store
 
@@ -70,6 +76,9 @@ const logName = "cells.log"
 
 // castagnoli is the CRC-32C table every checksum uses.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// newline separates the key from the cell bytes under the checksum.
+var newline = []byte{'\n'}
 
 // record is the on-disk line form.
 type record struct {
@@ -119,7 +128,7 @@ func Open(dir string) (*Store, error) {
 		if rec.V > recordVersion {
 			return fmt.Errorf("version %d is newer than this store's %d", rec.V, recordVersion)
 		}
-		// Keep-first, as Put: a later record under a committed key can
+		// Keep-first, as PutRaw: a later record under a committed key can
 		// only be a duplicate or damage, and must not shadow the first.
 		if _, dup := s.index[rec.Key]; !dup {
 			s.index[rec.Key] = loc{off: off, n: int64(len(line) + 1)}
@@ -159,30 +168,50 @@ func (s *Store) Has(key string) bool {
 	return ok
 }
 
-// checksum is the record checksum: CRC-32C over "<key>\n<cell bytes>".
-func checksum(key string, cell []byte) string {
-	h := crc32.New(castagnoli)
-	h.Write([]byte(key))
-	h.Write([]byte{'\n'})
-	h.Write(cell)
-	return fmt.Sprintf("%08x", h.Sum32())
+// checksum is the record's sum field: the lowercase hex CRC-32C of
+// "<key>\n<cell bytes>".
+func checksum(key, cell []byte) [8]byte {
+	c := crc32.Update(0, castagnoli, key)
+	c = crc32.Update(c, castagnoli, newline)
+	c = crc32.Update(c, castagnoli, cell)
+	const digits = "0123456789abcdef"
+	var sum [8]byte
+	for i := len(sum) - 1; i >= 0; i-- {
+		sum[i] = digits[c&0xf]
+		c >>= 4
+	}
+	return sum
 }
 
-// Put commits one finished cell under its content address. The first
-// write wins: a key already committed is left untouched (content
-// addressing means a duplicate carries the same result, and keep-first
-// preserves the exact bytes earlier readers may already have served).
-// Put returns only after the record is fsynced.
+// Put commits one finished cell under its content address: PutRaw of
+// its MarshalCell bytes.
 func (s *Store) Put(key string, cell sweep.AggregateCell) error {
 	var buf bytes.Buffer
 	if err := sweep.MarshalCell(json.NewEncoder(&buf), cell); err != nil {
 		return fmt.Errorf("store: encode cell for %s: %w", key, err)
 	}
-	cellBytes := bytes.TrimRight(buf.Bytes(), "\n")
-	rec := record{V: recordVersion, Key: key, Sum: checksum(key, cellBytes), Cell: cellBytes}
-	line, err := json.Marshal(rec)
+	return s.PutRaw(key, buf.Bytes())
+}
+
+// PutRaw commits one finished cell, given as its MarshalCell line (the
+// trailing newline is optional), under its content address. The first
+// write wins: a key already committed is left untouched (content
+// addressing means a duplicate carries the same result, and keep-first
+// preserves the exact bytes earlier readers may already have served).
+// A record that would not read back as cell is refused before it is
+// written: cell bytes that are not compact JSON, which the record
+// encoding would rewrite under the checksum, or a key that is not
+// UTF-8, which would decode as another key. PutRaw returns only after
+// the record is fsynced.
+func (s *Store) PutRaw(key string, cell []byte) error {
+	cell = bytes.TrimRight(cell, "\n")
+	sum := checksum([]byte(key), cell)
+	line, err := json.Marshal(record{V: recordVersion, Key: key, Sum: string(sum[:]), Cell: cell})
 	if err != nil {
 		return fmt.Errorf("store: encode record for %s: %w", key, err)
+	}
+	if got, err := readRecord(line, key, 0); err != nil || !bytes.Equal(got, cell) {
+		return fmt.Errorf("store: record for %s would not read back its cell bytes", key)
 	}
 
 	s.mu.Lock()
@@ -200,7 +229,7 @@ func (s *Store) Put(key string, cell sweep.AggregateCell) error {
 
 // GetRaw returns the committed cell for key as its stored interchange
 // bytes — one MarshalCell line without the trailing newline, exactly
-// what Put encoded — after verifying the record: it must parse, hold
+// what PutRaw stored — after verifying the record: it must parse, hold
 // key, and match its checksum. A mismatch (bit rot, a payload spliced
 // under the wrong key) is an error, never silently wrong bytes. The
 // second return is false when the key has never been committed. The
@@ -217,17 +246,76 @@ func (s *Store) GetRaw(key string) ([]byte, bool, error) {
 	if _, err := j.ReadAt(line, l.off); err != nil {
 		return nil, false, fmt.Errorf("store: read %s: %w", key, err)
 	}
+	cell, err := readRecord(bytes.TrimRight(line, "\n"), key, l.off)
+	if err != nil {
+		return nil, false, err
+	}
+	return cell, true, nil
+}
+
+// The fixed frame PutRaw writes around a key that encoding/json leaves
+// unescaped: {"v":1,"key":"<key>","sum":"<8 hex>","cell":<cell>}.
+const (
+	frameKey  = `{"v":1,"key":"`
+	frameSum  = `","sum":"`
+	frameCell = `","cell":`
+)
+
+// readRecord verifies one record line for key, read at offset off, and
+// returns its cell bytes, a sub-slice of line. A record in the fixed
+// frame is read with one validity scan of the cell plus the checksum;
+// any other shape is decoded by encoding/json. Both accept exactly the
+// same records and return the same bytes: the frame's key, sum and cell
+// can only decode to themselves, and a frame that does not verify goes
+// to the decode, which reports why.
+func readRecord(line []byte, key string, off int64) ([]byte, error) {
+	if cell, ok := framedCell(line, key); ok {
+		return cell, nil
+	}
 	var rec record
-	if err := json.Unmarshal(bytes.TrimRight(line, "\n"), &rec); err != nil {
-		return nil, false, fmt.Errorf("store: decode record for %s: %w", key, err)
+	if err := json.Unmarshal(line, &rec); err != nil {
+		return nil, fmt.Errorf("store: decode record for %s: %w", key, err)
 	}
 	if rec.Key != key {
-		return nil, false, fmt.Errorf("store: record at offset %d holds key %s, wanted %s", l.off, rec.Key, key)
+		return nil, fmt.Errorf("store: record at offset %d holds key %s, wanted %s", off, rec.Key, key)
 	}
-	if got := checksum(rec.Key, rec.Cell); got != rec.Sum {
-		return nil, false, fmt.Errorf("store: checksum mismatch for %s: record says %s, payload hashes to %s", key, rec.Sum, got)
+	if sum := checksum([]byte(rec.Key), rec.Cell); string(sum[:]) != rec.Sum {
+		return nil, fmt.Errorf("store: checksum mismatch for %s: record says %s, payload hashes to %s", key, rec.Sum, sum[:])
 	}
-	return rec.Cell, true, nil
+	return rec.Cell, nil
+}
+
+// framedCell returns the cell of a record in the fixed frame for key
+// whose cell is one JSON value with no surrounding whitespace and whose
+// sum matches; ok is false for anything else.
+func framedCell(line []byte, key string) (cell []byte, ok bool) {
+	for i := 0; i < len(key); i++ {
+		// Printable ASCII that json.Marshal writes verbatim in a string.
+		if b := key[i]; b < 0x20 || b > 0x7e || b == '"' || b == '\\' || b == '<' || b == '>' || b == '&' {
+			return nil, false
+		}
+	}
+	k := len(frameKey)
+	sumAt := k + len(key) + len(frameSum)
+	cellAt := sumAt + 8 + len(frameCell)
+	if len(line) < cellAt+2 || line[len(line)-1] != '}' ||
+		string(line[:k]) != frameKey || string(line[k:k+len(key)]) != key ||
+		string(line[k+len(key):sumAt]) != frameSum || string(line[sumAt+8:cellAt]) != frameCell {
+		return nil, false
+	}
+	cell = line[cellAt : len(line)-1]
+	if isSpace(cell[0]) || isSpace(cell[len(cell)-1]) || !json.Valid(cell) {
+		return nil, false
+	}
+	if sum := checksum(line[k:k+len(key)], cell); string(sum[:]) != string(line[sumAt:sumAt+8]) {
+		return nil, false
+	}
+	return cell, true
+}
+
+// isSpace reports whether b is JSON insignificant whitespace.
+func isSpace(b byte) bool {
+	return b == ' ' || b == '\t' || b == '\n' || b == '\r'
 }
 
 // Get is GetRaw decoded: the committed cell for key, verified the same

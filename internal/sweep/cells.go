@@ -2,11 +2,15 @@ package sweep
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
+	"slices"
 	"sort"
+	"sync"
 
 	"neatbound/internal/stats"
 )
@@ -80,31 +84,131 @@ func UnmarshalCellLine(line []byte) (AggregateCell, int, error) {
 // are skipped, so concatenated per-host outputs parse directly. Replicate
 // tags are dropped: a tagged record reads back as a one-replicate
 // aggregate, which MergeCells pools like any other duplicate.
+//
+// Lines are framed as bufio.Scanner's ScanLines frames them (a "\r"
+// before the newline is dropped, a final line may lack its newline, a
+// line of maxCellLine bytes or more is an error), then decoded in
+// contiguous chunks on up to GOMAXPROCS goroutines. The cells keep
+// their stream order, and an error names the first failing line — a
+// decode error, an over-long line or the read error after the last
+// line, whichever comes first in the stream.
 func UnmarshalCells(r io.Reader) ([]AggregateCell, error) {
-	var out []AggregateCell
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
+	data, endsWithData, readErr := readCellStream(r)
+	lines := make([]cellLine, 0, bytes.Count(data, []byte{'\n'})+1)
+	n := 0 // line number, blank lines included
+	for len(data) > 0 {
+		raw, rest, found := bytes.Cut(data, []byte{'\n'})
+		// A Scanner holds a line and its newline in maxCellLine bytes; a
+		// final line fills them only when its last Read also ended the
+		// stream.
+		if len(raw) > maxCellLine || len(raw) == maxCellLine && (found || !endsWithData) {
+			readErr = bufio.ErrTooLong
+			break
 		}
-		var wc wireCell
-		if err := json.Unmarshal(raw, &wc); err != nil {
-			return nil, fmt.Errorf("sweep: unmarshal cell line %d: %w", line, err)
+		if !found {
+			rest = nil
 		}
-		cell := wc.AggregateCell
-		if wc.Error != "" {
-			cell.Err = errors.New(wc.Error)
+		data = rest
+		n++
+		if raw = bytes.TrimSuffix(raw, []byte{'\r'}); len(raw) > 0 {
+			lines = append(lines, cellLine{raw: raw, n: n})
 		}
-		out = append(out, cell)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("sweep: unmarshal cells: %w", err)
+
+	out := make([]AggregateCell, len(lines))
+	workers := min(runtime.GOMAXPROCS(0), len(lines)/64+1)
+	errs := make([]error, workers) // each chunk's first failing line
+	var wg sync.WaitGroup
+	for w := range workers {
+		lo, hi := w*len(lines)/workers, (w+1)*len(lines)/workers
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[w] = decodeCellLines(out[lo:hi], lines[lo:hi])
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	if readErr != nil {
+		return nil, fmt.Errorf("sweep: unmarshal cells: %w", readErr)
+	}
+	if len(out) == 0 {
+		return nil, nil
 	}
 	return out, nil
+}
+
+// maxCellLine bounds one interchange line, as the 1 MiB token limit of
+// the bufio.Scanner the reader used to frame with did.
+const maxCellLine = 1 << 20
+
+// cellLine is one non-blank line of a cell stream and its 1-based line
+// number.
+type cellLine struct {
+	raw []byte
+	n   int
+}
+
+// decodeCellLines decodes lines into out, stopping at the first line
+// that fails.
+func decodeCellLines(out []AggregateCell, lines []cellLine) error {
+	for i, l := range lines {
+		var wc wireCell
+		if err := json.Unmarshal(l.raw, &wc); err != nil {
+			return fmt.Errorf("sweep: unmarshal cell line %d: %w", l.n, err)
+		}
+		out[i] = wc.AggregateCell
+		if wc.Error != "" {
+			out[i].Err = errors.New(wc.Error)
+		}
+	}
+	return nil
+}
+
+// readCellStream reads r to its end and returns what it read, whether
+// the Read that returned the last bytes also ended the stream, and the
+// read error, nil at io.EOF. Like bufio.Scanner it stops at a reader
+// that reports an impossible count (bufio.ErrBadReadCount) or returns
+// nothing 100 times in a row (io.ErrNoProgress), and once the
+// unterminated tail holds maxCellLine bytes, which the stream cannot
+// frame as a line unless that Read ended it.
+func readCellStream(r io.Reader) (data []byte, endsWithData bool, err error) {
+	size := 64 * 1024
+	if l, ok := r.(interface{ Len() int }); ok && l.Len() >= 0 {
+		size = l.Len() + 1 // an in-memory stream is read in one go
+	}
+	buf := make([]byte, 0, size)
+	tail := 0 // start of the bytes after the last newline
+	for empties := 0; len(buf)-tail < maxCellLine; {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, len(buf))
+		}
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		if n < 0 || n > cap(buf)-len(buf) {
+			return buf, false, bufio.ErrBadReadCount
+		}
+		if i := bytes.LastIndexByte(buf[len(buf):len(buf)+n], '\n'); i >= 0 {
+			tail = len(buf) + i + 1
+		}
+		buf = buf[:len(buf)+n]
+		switch {
+		case err == io.EOF:
+			return buf, n > 0, nil
+		case err != nil:
+			return buf, n > 0, err
+		case n > 0:
+			empties = 0
+		default:
+			if empties++; empties > 100 {
+				return buf, false, io.ErrNoProgress
+			}
+		}
+	}
+	return buf, false, nil
 }
 
 // MergeCellStreams folds several JSON-lines AggregateCell streams — the

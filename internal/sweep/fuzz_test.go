@@ -2,13 +2,16 @@ package sweep
 
 import (
 	"bytes"
+	"io"
 	"testing"
 )
 
 // FuzzUnmarshalCells drives the cell-interchange reader with arbitrary
 // byte streams: malformed input must come back as an error, never a
-// panic, and any stream that parses must survive MergeCells (what
-// MergeCellStreams does next with every decoded stream).
+// panic, the result must match the sequential Scanner reference (same
+// cells or same error), and any stream that parses must survive
+// MergeCells (what MergeCellStreams does next with every decoded
+// stream).
 func FuzzUnmarshalCells(f *testing.F) {
 	var buf bytes.Buffer
 	if err := MarshalCells(&buf, []AggregateCell{{Nu: 0.3, C: 2, Replicates: 3, ViolationRuns: 1}}); err != nil {
@@ -21,7 +24,11 @@ func FuzzUnmarshalCells(f *testing.F) {
 	f.Add([]byte("{\"nu\":\"not a number\"}\n"))
 	f.Add([]byte("null\n{}\n"))
 	f.Add([]byte(`{"nu":0.1,"c":1,"rep":0,"error":"boom"}` + "\n"))
+	f.Add([]byte("{}\r\n\r\n{\"nu\":1}\r\n{"))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if diff := sameCells(func() io.Reader { return bytes.NewReader(data) }); diff != "" {
+			t.Fatalf("UnmarshalCells differs from the reference: %s", diff)
+		}
 		cells, err := UnmarshalCells(bytes.NewReader(data))
 		if err != nil {
 			return

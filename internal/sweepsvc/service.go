@@ -777,10 +777,10 @@ func (s *Service) compute(j *job, owned []int, lines [][]byte) (err error) {
 		}
 		line := bytes.TrimSuffix(buf.Bytes(), []byte("\n"))
 		// Store before flight: the claim-loop invariant (no flight + no
-		// store entry ⇒ unowned) depends on this order. A Put failure
+		// store entry ⇒ unowned) depends on this order. A PutRaw failure
 		// leaves the flight incomplete; the deferred abort hands the
 		// cell back.
-		if err := s.opts.Store.Put(j.keys[idx], cell); err != nil {
+		if err := s.opts.Store.PutRaw(j.keys[idx], line); err != nil {
 			return err
 		}
 		s.mu.Lock()
