@@ -70,20 +70,22 @@ test-parallel:
 ## folds (the O(1) convergence counter against the window reference,
 ## span observers and RunOne against per-round dispatch, flat
 ## allocation per round), the unknown-block error on the
-## flash-delivery path, and cancellation (the engine's and the façade
+## flash-delivery path, cancellation (the engine's and the façade
 ## Run's, which stop at the exact round a per-round observer cancels
-## in, stepped or fast-forwarded).
+## in, stepped or fast-forwarded), and the Switcher rotation, which
+## steps and must leave step-identical records.
 test-skip:
-	$(GO) test -race -short -run 'Geometric|Uniform|SendAll|DeliverySchedule|FastForward|UnknownBlock|Cancellation' ./internal/dist/ ./internal/network/ ./internal/engine/ ./internal/consistency/ .
+	$(GO) test -race -short -run 'Geometric|Uniform|SendAll|DeliverySchedule|FastForward|UnknownBlock|Cancellation|SwitcherRotation' ./internal/dist/ ./internal/network/ ./internal/engine/ ./internal/consistency/ .
 
 ## test-mem: ~20 s short-mode race pass over the memory path — the SoA
 ## arena's compaction query-parity, sparse-ID, and payload-side-table
 ## tests, the subtree labelling against IsAncestor and the labelled
 ## consistency scans against the per-pair predicate (both across
-## compaction), the checker retention contract, and golden-trace
-## bit-identity under aggressive compaction (docs/memory.md).
+## compaction), the checker retention contract, golden-trace
+## bit-identity under aggressive compaction, and the height-counter
+## rebase when every lazy view is a taller deviant (docs/memory.md).
 test-mem:
-	$(GO) test -race -short -run 'Compact|Retention|Payload|Sparse|SubtreesMatch|ScanMatches' ./internal/blockchain/ ./internal/consistency/ .
+	$(GO) test -race -short -run 'Compact|Retention|Payload|Sparse|SubtreesMatch|ScanMatches|AllDeviantRebase' ./internal/blockchain/ ./internal/consistency/ .
 
 ## test-svc: seconds-long short-mode race pass over the sweep service —
 ## the content-addressed store's crash/corruption/keep-first semantics

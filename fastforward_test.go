@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"reflect"
@@ -327,7 +328,8 @@ func runSpanStack(t *testing.T, gc goldenCase, perRound bool) spanStackResult {
 // checkers, the Lemma-1 ledger, the growth recorder — must end exactly
 // as the same stack fed round by round (forced by one per-round
 // ObserverFunc), on every golden and sparse configuration. On the
-// sparse ones the folding stack must really have received spans.
+// sparse ones other than the switcher the folding stack must really
+// have received spans.
 func TestFastForwardSpanObserversIdentical(t *testing.T) {
 	cases := map[string]func() goldenCase{}
 	for name := range goldenCases(t) {
@@ -344,7 +346,8 @@ func TestFastForwardSpanObserversIdentical(t *testing.T) {
 			if step.probe.spans != 0 {
 				t.Fatalf("a stack with a per-round observer received %d spans", step.probe.spans)
 			}
-			if strings.HasPrefix(name, "sparse/") && fold.probe.spans == 0 {
+			// A rotation is not span-quiescent, so its run steps.
+			if strings.HasPrefix(name, "sparse/") && name != "sparse/tiny-switcher" && fold.probe.spans == 0 {
 				t.Fatal("the span-folding stack received no spans")
 			}
 			if !reflect.DeepEqual(fold.dense, step.dense) {
@@ -487,4 +490,59 @@ func TestHugeRoundsReturnPartial(t *testing.T) {
 			t.Fatalf("partial %t, %d rounds with %d records", res.Partial, res.Rounds, len(res.Records))
 		}
 	})
+}
+
+// TestSwitcherRotationMatchesStepped: a rotation's quiet rounds are not
+// replayable in bulk — a member re-activated after a period away sees
+// views that changed while it was inactive, so its first Mine(ctx, 0)
+// may publish or restart — so a Switcher must make fast-forward step,
+// leaving the RoundRecord stream equal to the step engine's on every
+// seed.
+func TestSwitcherRotationMatchesStepped(t *testing.T) {
+	pr := params.Params{N: 22, P: 1.0 / 8192, Delta: 8, Nu: 0.17}
+	run := func(seed uint64, ff bool) []engine.RoundRecord {
+		sw, err := adversary.NewSwitcher(4, adversary.MaxDelay{}, &adversary.Selfish{}, &adversary.Balance{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := engine.New(engine.Config{Params: pr, Rounds: 4000, Seed: seed, Adversary: sw, FastForward: ff})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Records
+	}
+	for seed := uint64(1); seed <= 300; seed++ {
+		if !reflect.DeepEqual(run(seed, false), run(seed, true)) {
+			t.Errorf("seed %d: step and fast-forward records differ", seed)
+		}
+	}
+}
+
+// TestRunGridAllDeviantRebase: with n = 4 every honest view can be a
+// taller self-mined deviant while the lazy views are valid, so the
+// tracked height minimum sits above the majority height the next flash
+// delivery writes. Compaction must not rebase the height counters past
+// that majority height; this grid used to panic in a RunGrid worker.
+func TestRunGridAllDeviantRebase(t *testing.T) {
+	var spec sweep.Spec
+	if err := json.Unmarshal([]byte(`{"n":4,"delta":16,"nu_values":[0.4],"c_values":[1],"seed":1,
+		"replicates":400,"adversary":"max-delay","rounds":2020,"t":5,"sample_every":104,
+		"checker_retention":1,"compact_every":301,"compact_min_retire":2}`), &spec); err != nil {
+		t.Fatal(err)
+	}
+	for seed := uint64(1); seed <= 20; seed++ {
+		spec.Seed = seed
+		cfg, err := spec.Config()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Workers = 1
+		if _, err := sweep.RunGrid(context.Background(), cfg, spec.Replicates, nil); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
 }

@@ -4,23 +4,27 @@ import (
 	"neatbound/internal/engine"
 )
 
-// This file implements engine.SpanQuiescent for every strategy, letting
-// the engine's fast-forward path compress spans of quiet rounds — zero
-// mining on both sides, nothing due on the network — into one
+// This file implements engine.SpanQuiescent for every single strategy,
+// letting the engine's fast-forward path compress spans of quiet rounds
+// — zero mining on both sides, nothing due on the network — into one
 // ObserveQuiet call. Each ObserveQuiet body is the exact residue of
 // stepping the strategy through the span: what Mine(ctx, 0) plus the
 // per-round HonestDelayPolicy consultation would have mutated, given
 // that the honest views (and hence every ctx query) are constant across
-// a quiet span. TestQuiescentMatchesStepped pins each body against the
-// stepped strategy.
+// a quiet span.
+//
+// A Switcher is not span-quiescent. The PrivateMining and Selfish proofs
+// below assume the strategy's own previous Mine call saw the current
+// views; a member re-activated after a period away sees views that
+// changed meanwhile, so its first quiet Mine may publish or restart. A
+// rotation therefore disarms fast-forward and steps.
 
-// Compile-time checks that every strategy is span-quiescent.
+// Compile-time checks that every single strategy is span-quiescent.
 var (
 	_ engine.SpanQuiescent = MaxDelay{}
 	_ engine.SpanQuiescent = (*PrivateMining)(nil)
 	_ engine.SpanQuiescent = (*Balance)(nil)
 	_ engine.SpanQuiescent = (*Selfish)(nil)
-	_ engine.SpanQuiescent = (*Switcher)(nil)
 )
 
 // SkipSafe implements engine.SpanQuiescent: Mine(ctx, 0) returns before
@@ -85,41 +89,5 @@ func (a *Selfish) ObserveQuiet(ctx *engine.Context, first, last int) {
 	a.lastHonestMax = ctx.MaxHonestHeight()
 	if a.privateTip == 0 {
 		a.privateTip = ctx.BestHonestTip()
-	}
-}
-
-// SkipSafe implements engine.SpanQuiescent: a rotation is skip-safe iff
-// every strategy in it is.
-func (a *Switcher) SkipSafe() bool {
-	for _, s := range a.Strategies {
-		q, ok := s.(engine.SpanQuiescent)
-		if !ok || !q.SkipSafe() {
-			return false
-		}
-	}
-	return true
-}
-
-// ObserveQuiet implements engine.SpanQuiescent by walking the period
-// blocks the span crosses: each block replays the activation bookkeeping
-// active() performs on its first round (the later rounds' active()
-// calls see the same index and mutate nothing) and delegates the
-// block's sub-range to the strategy that would have received those
-// rounds' Mine calls.
-func (a *Switcher) ObserveQuiet(ctx *engine.Context, first, last int) {
-	for r := first; r <= last; {
-		idx := ((r - 1) / a.Period) % len(a.Strategies)
-		if idx != a.lastIdx {
-			a.lastIdx = idx
-			a.Activations++
-		}
-		end := ((r-1)/a.Period + 1) * a.Period
-		if end > last {
-			end = last
-		}
-		if q, ok := a.Strategies[idx].(engine.SpanQuiescent); ok {
-			q.ObserveQuiet(ctx, r, end)
-		}
-		r = end + 1
 	}
 }

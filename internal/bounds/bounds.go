@@ -118,17 +118,6 @@ func Theorem1Holds(pr params.Params, delta1 float64) (bool, error) {
 	return Theorem1LogLHS(pr) >= logRHS, nil
 }
 
-// Theorem1MaxDelta1 returns the largest δ₁ for which Inequality (10)
-// holds, ᾱ^{2Δ}·α₁/(pνn) − 1, which is negative when no positive δ₁
-// works.
-func Theorem1MaxDelta1(pr params.Params) (float64, error) {
-	if err := pr.Validate(); err != nil {
-		return 0, fmt.Errorf("bounds: %w", err)
-	}
-	logRatio := Theorem1LogLHS(pr) - math.Log(pr.P) - math.Log(pr.AdversaryN())
-	return math.Expm1(logRatio), nil
-}
-
 // Epsilons are the constants 0 < ε₁ < 1 and ε₂ > 0 of Theorems 2 and 3.
 type Epsilons struct {
 	E1, E2 float64
@@ -263,18 +252,6 @@ func Theorem2NuMax(c, delta float64, eps Epsilons) (float64, error) {
 		return 0, fmt.Errorf("bounds: inverting Theorem 2 at c=%g: %w", c, err)
 	}
 	return root, nil
-}
-
-// PSSExactConditionHolds evaluates the exact PSS consistency condition
-// α[1−(2Δ+2)α] > β with α = 1−(1−p)^{µn} and β = νnp — the unapproximated
-// form behind the blue curve.
-func PSSExactConditionHolds(pr params.Params) (bool, error) {
-	if err := pr.Validate(); err != nil {
-		return false, fmt.Errorf("bounds: %w", err)
-	}
-	alpha := pr.Alpha()
-	beta := pr.P * pr.AdversaryN()
-	return alpha*(1-(2*float64(pr.Delta)+2)*alpha) > beta, nil
 }
 
 // Regime is a (δ₁, δ₂) pair from Remark 1, carving out a ν range

@@ -201,43 +201,24 @@ func TestTheorem1HoldsDirectComputation(t *testing.T) {
 	}
 }
 
-func TestTheorem1MaxDelta1Agrees(t *testing.T) {
-	pr := params.Params{N: 1000, P: 1e-5, Delta: 10, Nu: 0.2}
-	d, err := Theorem1MaxDelta1(pr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lhs := math.Pow(pr.AlphaBar(), 2*float64(pr.Delta)) * pr.Alpha1()
-	rhs := pr.P * pr.AdversaryN()
-	if math.Abs(d-(lhs/rhs-1)) > 1e-9*math.Abs(d) {
-		t.Errorf("MaxDelta1 = %g, direct = %g", d, lhs/rhs-1)
-	}
-}
-
 func TestTheorem1LogSpaceAtPaperScale(t *testing.T) {
 	// Δ = 10¹³ with c = 2: ᾱ^{2Δ} underflows any direct computation, but
 	// the log-space check must return a finite, sensible verdict.
 	pr := params.MustFromC(100000, int(1e13), 0.2, 2.0)
-	d, err := Theorem1MaxDelta1(pr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.IsNaN(d) || math.IsInf(d, 0) {
-		t.Fatalf("MaxDelta1 = %g at paper scale", d)
+	if lhs := Theorem1LogLHS(pr); math.IsNaN(lhs) || math.IsInf(lhs, 0) {
+		t.Fatalf("log LHS = %g at paper scale", lhs)
 	}
 	// c = 2 exceeds the neat bound for ν = 0.2 (≈1.154): Theorem 1 should
 	// admit a positive δ₁.
-	if d <= 0 {
-		t.Errorf("MaxDelta1 = %g ≤ 0 at c=2, ν=0.2", d)
+	ok, err := Theorem1Holds(pr, 0.01)
+	if err != nil || !ok {
+		t.Errorf("Theorem 1 at c=2, ν=0.2, δ₁=0.01: %v %v", ok, err)
 	}
-	// And at c far below the bound it must fail.
+	// And at c far below the bound it must fail, even for a tiny δ₁.
 	prBad := params.MustFromC(100000, int(1e13), 0.2, 0.2)
-	dBad, err := Theorem1MaxDelta1(prBad)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dBad > 0 {
-		t.Errorf("MaxDelta1 = %g > 0 at c=0.2, ν=0.2", dBad)
+	ok, err = Theorem1Holds(prBad, 1e-9)
+	if err != nil || ok {
+		t.Errorf("Theorem 1 at c=0.2, ν=0.2, δ₁=1e-9: %v %v", ok, err)
 	}
 }
 
@@ -247,9 +228,6 @@ func TestTheorem1Validation(t *testing.T) {
 		t.Error("δ₁=0 accepted")
 	}
 	if _, err := Theorem1Holds(params.Params{}, 0.1); err == nil {
-		t.Error("invalid params accepted")
-	}
-	if _, err := Theorem1MaxDelta1(params.Params{}); err == nil {
 		t.Error("invalid params accepted")
 	}
 }
@@ -376,23 +354,6 @@ func TestTheorem2NuMaxInverse(t *testing.T) {
 	numax, err := Theorem2NuMax(1e-6, delta, eps)
 	if err != nil || numax != 0 {
 		t.Errorf("Theorem2NuMax(1e-6) = %g, %v", numax, err)
-	}
-}
-
-func TestPSSExactCondition(t *testing.T) {
-	// Generous c: holds. Tiny c: fails.
-	good := params.MustFromC(100000, 1000, 0.1, 20)
-	ok, err := PSSExactConditionHolds(good)
-	if err != nil || !ok {
-		t.Errorf("PSS exact at c=20 ν=0.1: %v %v", ok, err)
-	}
-	bad := params.MustFromC(100000, 1000, 0.45, 0.5)
-	ok, err = PSSExactConditionHolds(bad)
-	if err != nil || ok {
-		t.Errorf("PSS exact at c=0.5 ν=0.45: %v %v", ok, err)
-	}
-	if _, err := PSSExactConditionHolds(params.Params{}); err == nil {
-		t.Error("invalid params accepted")
 	}
 }
 

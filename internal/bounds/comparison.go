@@ -113,19 +113,3 @@ func ComparisonTable(nus []float64, delta float64, eps Epsilons) ([]Comparison, 
 	}
 	return out, nil
 }
-
-// MaxImprovementRatio scans a ν grid for the largest PSS/neat requirement
-// ratio — the headline multiplicative gain of the paper.
-func MaxImprovementRatio(nus []float64, delta float64, eps Epsilons) (float64, float64, error) {
-	table, err := ComparisonTable(nus, delta, eps)
-	if err != nil {
-		return 0, 0, err
-	}
-	best, bestNu := 0.0, 0.0
-	for _, c := range table {
-		if c.ImprovementRatio > best {
-			best, bestNu = c.ImprovementRatio, c.Nu
-		}
-	}
-	return best, bestNu, nil
-}

@@ -72,21 +72,6 @@ func ConfirmationsForRisk(nu, risk float64) (int, error) {
 	return int(math.Ceil(t)), nil
 }
 
-// RacePMF returns the probability that the adversary mines exactly k of
-// the next n blocks, binom(n, ν) — the block-attribution process of the
-// race (each block is adversarial with probability ν when both sides mine
-// at full power).
-func RacePMF(nu float64, n, k int) (float64, error) {
-	if err := validateNu(nu); err != nil {
-		return 0, err
-	}
-	if n < 0 || k < 0 || k > n {
-		return 0, fmt.Errorf("bounds: invalid race counts n=%d k=%d", n, k)
-	}
-	logC := logChoose(n, k)
-	return math.Exp(logC + float64(k)*math.Log(nu) + float64(n-k)*math.Log(1-nu)), nil
-}
-
 // DoubleSpendProbability returns the Nakamoto/Rosenfeld estimate of a
 // successful depth-z double spend: the adversary mines privately while
 // the honest chain accumulates z confirmations, then needs to catch up

@@ -142,28 +142,6 @@ func TestConfirmationsForRisk(t *testing.T) {
 	}
 }
 
-func TestRacePMFSumsToOne(t *testing.T) {
-	for _, n := range []int{1, 5, 20} {
-		sum := 0.0
-		for k := 0; k <= n; k++ {
-			p, err := RacePMF(0.3, n, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sum += p
-		}
-		if math.Abs(sum-1) > 1e-12 {
-			t.Errorf("n=%d: race pmf sums to %g", n, sum)
-		}
-	}
-	if _, err := RacePMF(0.3, 5, 6); err == nil {
-		t.Error("k>n accepted")
-	}
-	if _, err := RacePMF(0.3, -1, 0); err == nil {
-		t.Error("negative n accepted")
-	}
-}
-
 func TestDoubleSpendProbability(t *testing.T) {
 	// z = 0: trivially successful.
 	p, err := DoubleSpendProbability(0.1, 0)

@@ -220,7 +220,7 @@ type Geometric struct {
 }
 
 // Fails reports whether a trial that drew uniform u fails — the exact
-// comparison each Sample/SampleCapped trial performs.
+// comparison each Sample trial performs.
 func (g Geometric) Fails(u float64) bool { return u <= g.Q }
 
 // Sample draws trials from r until one succeeds and returns the number
@@ -235,24 +235,6 @@ func (g Geometric) Sample(r *rng.Stream) int {
 		k++
 	}
 	return k
-}
-
-// SampleCapped draws at most max trials from r. If a trial succeeds
-// after k < max failures it returns (k, u, true) where u is the
-// successful trial's uniform, having consumed k+1 uniforms; if all max
-// trials fail it returns (max, u, false) with u the last failure's
-// uniform, having consumed exactly max. max ≤ 0 consumes nothing and
-// returns (0, 0, false). The returned u lets a caller finish an
-// interrupted inversion draw via Binomial.SampleWith without re-drawing.
-func (g Geometric) SampleCapped(r *rng.Stream, max int) (failures int, u float64, success bool) {
-	for failures < max {
-		u = r.Float64()
-		if !g.Fails(u) {
-			return failures, u, true
-		}
-		failures++
-	}
-	return failures, u, false
 }
 
 // BernoulliCount is the naive O(n) reference: n independent Bernoulli(p)

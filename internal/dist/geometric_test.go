@@ -120,41 +120,6 @@ func TestPZeroMatchesInversionZeroTest(t *testing.T) {
 	}
 }
 
-func TestSampleCapped(t *testing.T) {
-	b := Binomial{N: 28, P: 0.005}
-	g := Geometric{Q: b.PZero()}
-	for seed := uint64(1); seed <= 30; seed++ {
-		for _, cap := range []int{0, 1, 3, 10, 1000} {
-			rCap, rRef := rng.New(seed), rng.New(seed)
-			fails, u, ok := g.SampleCapped(rCap, cap)
-			// Reference: raw trial loop bounded by cap.
-			wantFails, wantOK := 0, false
-			var wantU float64
-			for wantFails < cap {
-				wantU = rRef.Float64()
-				if !g.Fails(wantU) {
-					wantOK = true
-					break
-				}
-				wantFails++
-			}
-			if fails != wantFails || ok != wantOK || (cap > 0 && u != wantU) {
-				t.Fatalf("seed %d cap %d: got (%d, %g, %v), want (%d, %g, %v)",
-					seed, cap, fails, u, ok, wantFails, wantU, wantOK)
-			}
-			if a, c := rCap.Uint64(), rRef.Uint64(); a != c {
-				t.Fatalf("seed %d cap %d: stream states diverged", seed, cap)
-			}
-			if ok {
-				// The success uniform must complete to a nonzero draw.
-				if b.SampleWith(u) == 0 {
-					t.Fatalf("seed %d cap %d: success uniform %g completes to zero", seed, cap, u)
-				}
-			}
-		}
-	}
-}
-
 func TestGeometricDegenerate(t *testing.T) {
 	// Q ≤ 0: every trial succeeds immediately, consuming one uniform.
 	r := rng.New(3)

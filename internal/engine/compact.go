@@ -76,7 +76,14 @@ func (e *Engine) maybeCompact() error {
 	}
 	e.stats.rebase(e.tree.Base())
 	if e.cfg.NuSchedule == nil {
-		e.stats.rebaseHeights()
+		// While the lazy views are valid every player may be a taller
+		// deviant, leaving minH above the majority height that the next
+		// flash delivery still writes.
+		floor := e.stats.minH
+		if e.ff.uniformValid {
+			floor = min(floor, e.ff.majH)
+		}
+		e.stats.rebaseHeights(floor)
 	}
 	return nil
 }

@@ -726,9 +726,6 @@ func (c *Context) HonestCount() int { return c.e.honest }
 // then greatest ID), without allocating.
 func (c *Context) BestHonestTip() blockchain.BlockID { return c.e.bestHonestTip() }
 
-// HonestTipOf returns the tip of honest player i.
-func (c *Context) HonestTipOf(i int) (blockchain.BlockID, error) { return c.e.PlayerTip(i) }
-
 // MaxHonestHeight returns the tallest honest view.
 func (c *Context) MaxHonestHeight() int { return c.e.MaxHonestHeight() }
 

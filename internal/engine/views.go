@@ -24,9 +24,9 @@ type viewStats struct {
 	// heightCount[h-hBase] counts honest views at chain height h; minH
 	// and maxH bracket its support (heights only grow, so the brackets
 	// advance amortized O(1)); tracked is the number of honest views
-	// currently counted. hBase follows minH at compaction time (see
-	// rebaseHeights), so the array spans the live height range, not the
-	// whole chain.
+	// currently counted. hBase follows minH, or the lazy majority height
+	// when that is lower, at compaction time (see rebaseHeights), so the
+	// array spans the live height range, not the whole chain.
 	heightCount []int
 	hBase       int
 	minH, maxH  int
@@ -100,19 +100,19 @@ func (s *viewStats) heights(h int) *int {
 	return &s.heightCount[k]
 }
 
-// rebaseHeights moves hBase up to minH, dropping the counters below it,
-// once minH has passed half the array; the copy-down is then amortized
-// O(1) per height. Every counter below minH is zero. The engine calls it
-// only without a NuSchedule: then no honest view ever moves below minH
-// (heights only grow), while a corrupted player's parked view may
-// re-enter the honest set below it.
-func (s *viewStats) rebaseHeights() {
-	shift := s.minH - s.hBase
+// rebaseHeights moves hBase up to floor ≤ minH, dropping the counters
+// below it, once floor has passed half the array; the copy-down is then
+// amortized O(1) per height. Every counter below minH is zero. The
+// engine calls it only without a NuSchedule: then no honest view ever
+// moves below minH (heights only grow), while a corrupted player's
+// parked view may re-enter the honest set below it.
+func (s *viewStats) rebaseHeights(floor int) {
+	shift := floor - s.hBase
 	if 2*shift <= len(s.heightCount) {
 		return
 	}
 	s.heightCount = s.heightCount[:copy(s.heightCount, s.heightCount[shift:])]
-	s.hBase = s.minH
+	s.hBase = floor
 }
 
 // addTipRef counts count views on tip id, growing the refcount arena

@@ -236,17 +236,3 @@ func (c *ConcatChain) ProductFormStationary() []float64 {
 	}
 	return out
 }
-
-// MinStationaryBound returns the Proposition-1 lower bound on min π_{F‖P}:
-// min π_F · (min{p·µn-ish class probabilities})^{Δ+1}. Here the detailed
-// class probabilities are {ᾱ, α₁, α₊} (coarsened), so the bound uses their
-// minimum positive value.
-func (c *ConcatChain) MinStationaryBound() float64 {
-	minClass := math.Inf(1)
-	for _, v := range []float64{c.AlphaBar, c.Alpha1, c.AlphaM} {
-		if v > 0 && v < minClass {
-			minClass = v
-		}
-	}
-	return c.Suffix.MinStationary() * math.Pow(minClass, float64(c.winSize))
-}

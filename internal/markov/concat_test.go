@@ -178,21 +178,6 @@ func TestDecodeEncodeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestMinStationaryBoundHolds(t *testing.T) {
-	// Proposition-1-style bound: every product-form stationary mass is at
-	// least MinStationaryBound.
-	c := mustConcat(t, 0.6, 0.3, 2)
-	bound := c.MinStationaryBound()
-	if bound <= 0 {
-		t.Fatalf("bound = %g", bound)
-	}
-	for idx, v := range c.ProductFormStationary() {
-		if v < bound-1e-15 {
-			t.Fatalf("π[%d] = %g below bound %g", idx, v, bound)
-		}
-	}
-}
-
 func TestPiNormBoundOnConcatChain(t *testing.T) {
 	// ‖φ‖_π ≤ 1/√(min π) for point-mass initial distributions
 	// (Proposition 1).

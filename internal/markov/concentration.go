@@ -70,39 +70,6 @@ func (b *ConcentrationBound) LowerTail(steps int, delta float64) float64 {
 	return math.Min(v, 1)
 }
 
-// UpperTail returns the matching bound on P[C ≥ (1+δ)·T·π_target] (same
-// exponent shape in Chung et al.'s Theorem 3.1).
-func (b *ConcentrationBound) UpperTail(steps int, delta float64) float64 {
-	if delta <= 0 {
-		return 1
-	}
-	exponent := -delta * delta * float64(steps) * b.PiTarget / (72 * float64(b.MixingTime))
-	v := b.LeadConstant * b.PiNormBound * math.Exp(exponent)
-	return math.Min(v, 1)
-}
-
-// MinStepsForConfidence returns the smallest T such that the lower-tail
-// bound at deviation delta falls below failProb — how long a window must
-// be for the paper's concentration argument to bite.
-func (b *ConcentrationBound) MinStepsForConfidence(delta, failProb float64) (int, error) {
-	if delta <= 0 || delta > 1 {
-		return 0, fmt.Errorf("markov: δ = %g outside (0, 1]", delta)
-	}
-	if failProb <= 0 || failProb >= 1 {
-		return 0, fmt.Errorf("markov: failure probability %g outside (0, 1)", failProb)
-	}
-	if b.PiTarget <= 0 {
-		return 0, fmt.Errorf("markov: target has zero stationary mass")
-	}
-	// Solve lead·‖φ‖_π·exp(−δ²Tπ/(72τ)) = failProb for T.
-	t := 72 * float64(b.MixingTime) / (delta * delta * b.PiTarget) *
-		math.Log(b.LeadConstant*b.PiNormBound/failProb)
-	if t < 1 {
-		t = 1
-	}
-	return int(math.Ceil(t)), nil
-}
-
 // EmpiricalVisitDeviation runs trials independent walks of the given
 // length from start and returns the observed fraction of walks whose
 // visit count of target fell at or below (1−delta)·steps·π_target — the

@@ -76,43 +76,12 @@ func TestTailBoundEdgeCases(t *testing.T) {
 	if b.LowerTail(1000, 0) != 1 || b.LowerTail(1000, -0.5) != 1 {
 		t.Error("non-positive δ should give trivial bound")
 	}
-	if b.UpperTail(1000, 0) != 1 {
-		t.Error("upper tail with δ=0 should be 1")
-	}
 	if v := b.LowerTail(10, 0.1); v > 1 {
 		t.Errorf("bound %g exceeds 1", v)
 	}
 	// δ > 1 is clamped for the lower tail (a count cannot be negative).
 	if v1, v2 := b.LowerTail(5000, 1), b.LowerTail(5000, 2); v1 != v2 {
 		t.Errorf("δ clamping: %g vs %g", v1, v2)
-	}
-}
-
-func TestMinStepsForConfidence(t *testing.T) {
-	_, b := newBoundForTest(t, 0.3, 3)
-	steps, err := b.MinStepsForConfidence(0.5, 1e-6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if steps < 1 {
-		t.Fatalf("steps = %d", steps)
-	}
-	// The bound at the returned T must be ≤ the target probability.
-	if v := b.LowerTail(steps, 0.5); v > 1e-6*1.01 {
-		t.Errorf("bound %g at T=%d exceeds 1e-6", v, steps)
-	}
-	// And at T−2 it must not be (tightness of the inversion).
-	if v := b.LowerTail(steps-2, 0.5); v < 1e-6*0.99 {
-		t.Errorf("bound already %g two steps earlier — inversion loose", v)
-	}
-	if _, err := b.MinStepsForConfidence(0, 0.5); err == nil {
-		t.Error("δ=0 accepted")
-	}
-	if _, err := b.MinStepsForConfidence(0.5, 0); err == nil {
-		t.Error("failProb=0 accepted")
-	}
-	if _, err := b.MinStepsForConfidence(0.5, 1.5); err == nil {
-		t.Error("failProb>1 accepted")
 	}
 }
 

@@ -217,9 +217,6 @@ func (t *SuffixTracker) ObserveN(k int) {
 // when the suffix state is well defined.
 func (t *SuffixTracker) Valid() bool { return t.hSeen >= 2 }
 
-// HSeen returns the number of H states observed so far.
-func (t *SuffixTracker) HSeen() int { return t.hSeen }
-
 // NRun returns the length of the current trailing run of N states.
 func (t *SuffixTracker) NRun() int { return t.nRun }
 

@@ -57,23 +57,6 @@ func (g *GrowthRecorder) Rate() float64 {
 	return float64(g.last-g.first) / float64(g.rounds)
 }
 
-// MinWindowGrowth returns the minimum honest-chain growth over any span of
-// `window` rounds (i.e. across window steps between records), the quantity
-// chain-growth statements quantify over.
-func MinWindowGrowth(records []engine.RoundRecord, window int) (int, error) {
-	if window < 1 || window >= len(records) {
-		return 0, fmt.Errorf("metrics: window %d outside [1, %d)", window, len(records))
-	}
-	min := records[window].MaxHonestHeight - records[0].MaxHonestHeight
-	for i := window + 1; i < len(records); i++ {
-		g := records[i].MaxHonestHeight - records[i-window].MaxHonestHeight
-		if g < min {
-			min = g
-		}
-	}
-	return min, nil
-}
-
 // ChainQuality returns the fraction of honest blocks among the last k
 // blocks of the chain ending at tip (excluding genesis). k larger than
 // the chain is truncated to the whole chain. The k ≤ 0 (whole-chain)

@@ -24,35 +24,6 @@ func TestChainGrowthRate(t *testing.T) {
 	}
 }
 
-func TestMinWindowGrowth(t *testing.T) {
-	records := []engine.RoundRecord{
-		{MaxHonestHeight: 0}, {MaxHonestHeight: 2}, {MaxHonestHeight: 2},
-		{MaxHonestHeight: 3}, {MaxHonestHeight: 6},
-	}
-	got, err := MinWindowGrowth(records, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 2-round spans: h[2]−h[0]=2, h[3]−h[1]=1, h[4]−h[2]=4 → min 1.
-	if got != 1 {
-		t.Errorf("min window growth = %d, want 1", got)
-	}
-	one, err := MinWindowGrowth(records, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 1-round spans: 2,0,1,3 → min 0.
-	if one != 0 {
-		t.Errorf("min 1-round growth = %d, want 0", one)
-	}
-	if _, err := MinWindowGrowth(records, 0); err == nil {
-		t.Error("window 0 accepted")
-	}
-	if _, err := MinWindowGrowth(records, 5); err == nil {
-		t.Error("window >= len accepted")
-	}
-}
-
 // qualityTree: genesis → h1 → a2 → h3 → a4 with honest flags [t,f,t,f].
 func qualityTree(t *testing.T) *blockchain.Tree {
 	t.Helper()

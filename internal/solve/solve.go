@@ -146,64 +146,6 @@ func Brent(f func(float64) float64, a, b float64, opt Options) (float64, error) 
 	return b, ErrMaxIterations
 }
 
-// ExpandBracket grows [a, b] geometrically around its initial position
-// until f changes sign, up to maxExpand doublings. It returns the bracket
-// or ErrNoBracket.
-func ExpandBracket(f func(float64) float64, a, b float64, maxExpand int) (float64, float64, error) {
-	if a >= b {
-		return 0, 0, fmt.Errorf("solve: invalid initial bracket [%g, %g]", a, b)
-	}
-	fa, fb := f(a), f(b)
-	for i := 0; i < maxExpand; i++ {
-		if (fa > 0) != (fb > 0) || fa == 0 || fb == 0 {
-			return a, b, nil
-		}
-		w := b - a
-		if math.Abs(fa) < math.Abs(fb) {
-			a -= w
-			fa = f(a)
-		} else {
-			b += w
-			fb = f(b)
-		}
-	}
-	if (fa > 0) != (fb > 0) || fa == 0 || fb == 0 {
-		return a, b, nil
-	}
-	return 0, 0, ErrNoBracket
-}
-
-// InvertMonotone solves g(x) = y for x in [lo, hi], where g is monotone
-// (either direction) on the interval.
-func InvertMonotone(g func(float64) float64, y, lo, hi float64, opt Options) (float64, error) {
-	return Bisect(func(x float64) float64 { return g(x) - y }, lo, hi, opt)
-}
-
-// Minimize1D finds the minimizer of f on [a, b] by golden-section search.
-// f must be unimodal on the interval for a guaranteed global result.
-func Minimize1D(f func(float64) float64, a, b float64, opt Options) (float64, error) {
-	opt = opt.withDefaults()
-	if a >= b {
-		return 0, fmt.Errorf("solve: invalid interval [%g, %g]", a, b)
-	}
-	const invPhi = 0.6180339887498949
-	x1 := b - invPhi*(b-a)
-	x2 := a + invPhi*(b-a)
-	f1, f2 := f(x1), f(x2)
-	for i := 0; i < opt.MaxIter && b-a > opt.TolX; i++ {
-		if f1 < f2 {
-			b, x2, f2 = x2, x1, f1
-			x1 = b - invPhi*(b-a)
-			f1 = f(x1)
-		} else {
-			a, x1, f1 = x1, x2, f2
-			x2 = a + invPhi*(b-a)
-			f2 = f(x2)
-		}
-	}
-	return a + (b-a)/2, nil
-}
-
 // LogSpace returns n points logarithmically spaced between lo and hi
 // inclusive. It is used to generate the Figure-1 c-axis (0.1 … 100).
 func LogSpace(lo, hi float64, n int) []float64 {

@@ -101,58 +101,6 @@ func TestQuickBrentFindsLinearRoot(t *testing.T) {
 	}
 }
 
-func TestExpandBracket(t *testing.T) {
-	f := func(x float64) float64 { return x - 100 }
-	a, b, err := ExpandBracket(f, 0, 1, 60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fa, fb := f(a), f(b); (fa > 0) == (fb > 0) && fa != 0 && fb != 0 {
-		t.Errorf("[%g,%g] does not bracket", a, b)
-	}
-}
-
-func TestExpandBracketFailure(t *testing.T) {
-	f := func(x float64) float64 { return 1.0 }
-	if _, _, err := ExpandBracket(f, 0, 1, 10); !errors.Is(err, ErrNoBracket) {
-		t.Errorf("want ErrNoBracket, got %v", err)
-	}
-}
-
-func TestExpandBracketInvalidInterval(t *testing.T) {
-	if _, _, err := ExpandBracket(math.Cos, 2, 1, 10); err == nil {
-		t.Error("inverted interval accepted")
-	}
-}
-
-func TestInvertMonotone(t *testing.T) {
-	g := func(x float64) float64 { return x * x * x }
-	x, err := InvertMonotone(g, 27, 0, 10, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(x-3) > 1e-9 {
-		t.Errorf("inverse = %g, want 3", x)
-	}
-}
-
-func TestMinimize1D(t *testing.T) {
-	f := func(x float64) float64 { return (x - 1.7) * (x - 1.7) }
-	x, err := Minimize1D(f, -10, 10, Options{TolX: 1e-10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(x-1.7) > 1e-6 {
-		t.Errorf("minimizer = %g, want 1.7", x)
-	}
-}
-
-func TestMinimize1DInvalid(t *testing.T) {
-	if _, err := Minimize1D(math.Cos, 1, 1, Options{}); err == nil {
-		t.Error("empty interval accepted")
-	}
-}
-
 func TestLogSpace(t *testing.T) {
 	pts := LogSpace(0.1, 100, 31)
 	if len(pts) != 31 {
