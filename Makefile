@@ -73,19 +73,24 @@ test-parallel:
 ## flash-delivery path, cancellation (the engine's and the façade
 ## Run's, which stop at the exact round a per-round observer cancels
 ## in, stepped or fast-forwarded), and the Switcher rotation, which
-## steps and must leave step-identical records.
+## steps and must leave step-identical records, plus the seed corpus of
+## FuzzRunOneMatchesStep (sweep.RunOne against a stepping copy on every
+## report field but LiveBlocks, the Switcher rotation and all-deviant
+## rebase repros among the seeds).
 test-skip:
-	$(GO) test -race -short -run 'Geometric|Uniform|SendAll|DeliverySchedule|FastForward|UnknownBlock|Cancellation|SwitcherRotation' ./internal/dist/ ./internal/network/ ./internal/engine/ ./internal/consistency/ .
+	$(GO) test -race -short -run 'Geometric|Uniform|SendAll|DeliverySchedule|FastForward|UnknownBlock|Cancellation|SwitcherRotation|RunOneMatchesStep' ./internal/dist/ ./internal/network/ ./internal/engine/ ./internal/consistency/ .
 
 ## test-mem: ~20 s short-mode race pass over the memory path — the SoA
-## arena's compaction query-parity, sparse-ID, and payload-side-table
-## tests, the subtree labelling against IsAncestor and the labelled
-## consistency scans against the per-pair predicate (both across
-## compaction), the checker retention contract, golden-trace
-## bit-identity under aggressive compaction, and the height-counter
-## rebase when every lazy view is a taller deviant (docs/memory.md).
+## arena's compaction query-parity and sparse-ID tests, the subtree
+## labelling against IsAncestor and the labelled consistency scans
+## against the per-pair predicate (both across compaction), the O(1)
+## MainChainShare against the fork-statistics scan it replaced (random
+## trees across compaction, every adversary's RunOne report), the
+## checker retention contract, golden-trace bit-identity under
+## aggressive compaction, and the height-counter rebase when every lazy
+## view is a taller deviant (docs/memory.md).
 test-mem:
-	$(GO) test -race -short -run 'Compact|Retention|Payload|Sparse|SubtreesMatch|ScanMatches|AllDeviantRebase' ./internal/blockchain/ ./internal/consistency/ .
+	$(GO) test -race -short -run 'Compact|Retention|Sparse|SubtreesMatch|ScanMatches|AllDeviantRebase|MainChainShare' ./internal/blockchain/ ./internal/consistency/ ./internal/metrics/ .
 
 ## test-svc: seconds-long short-mode race pass over the sweep service —
 ## the content-addressed store's crash/corruption/keep-first semantics
@@ -94,11 +99,13 @@ test-mem:
 ## RunSweep, the HTTP/SSE surface and façade client, the sweepd server
 ## lifecycle (docs/sweepd.md), the subset runs its cache misses go
 ## through (sweep.RunGrid with Config.Cells against the whole-grid run),
-## and the parallel UnmarshalCells every client result goes through
-## against the sequential Scanner reader.
+## the panic containment at RunGrid's job boundary (a panicking job
+## fails its grid and its sweepd job, stores nothing, and the service
+## runs on), and the parallel UnmarshalCells every client result goes
+## through against the sequential Scanner reader.
 test-svc:
 	$(GO) test -race -short ./internal/store/ ./internal/sweepsvc/ ./cmd/sweepd/
-	$(GO) test -race -short -run 'RunGridCells|UnmarshalCellsParity' ./internal/sweep/
+	$(GO) test -race -short -run 'RunGridCells|RunGridPanic|UnmarshalCellsParity' ./internal/sweep/
 	$(GO) test -race -short -run 'SweepClient|SweepRequest' .
 
 ## test-chaos: seconds-long short-mode race pass over the fault paths

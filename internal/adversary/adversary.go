@@ -47,7 +47,7 @@ func (MaxDelay) Mine(ctx *engine.Context, mined int) {
 	}
 	parent := ctx.Tree().Best()
 	for k := 0; k < mined; k++ {
-		b, err := ctx.MineBlock(parent, "")
+		b, err := ctx.MineBlock(parent)
 		if err != nil {
 			return
 		}
@@ -91,7 +91,7 @@ func (a *PrivateMining) Mine(ctx *engine.Context, mined int) {
 	}
 	// Extend the private chain with every success (sequential queries).
 	for k := 0; k < mined; k++ {
-		b, err := ctx.MineBlock(a.privateTip, "private")
+		b, err := ctx.MineBlock(a.privateTip)
 		if err != nil {
 			return
 		}
@@ -223,7 +223,7 @@ func (a *Balance) Mine(ctx *engine.Context, mined int) {
 		if heights[1] < heights[0] {
 			short = 1
 		}
-		b, err := ctx.MineBlock(tips[short], "balance")
+		b, err := ctx.MineBlock(tips[short])
 		if err != nil {
 			return
 		}
@@ -286,7 +286,7 @@ func (a *Selfish) Mine(ctx *engine.Context, mined int) {
 	}
 	// Extend the secret chain with this round's successes (withheld).
 	for k := 0; k < mined; k++ {
-		b, err := ctx.MineBlock(a.privateTip, "selfish")
+		b, err := ctx.MineBlock(a.privateTip)
 		if err != nil {
 			return
 		}

@@ -191,9 +191,7 @@ func TestSelfishMiningDegradesChainQuality(t *testing.T) {
 	if adv.Overrides == 0 {
 		t.Fatal("selfish miner never overrode the public chain")
 	}
-	tips := res.Tree.Tips()
-	best := tips[len(tips)-1]
-	q, err := metrics.ChainQuality(res.Tree, best, 0)
+	q, err := metrics.ChainQuality(res.Tree, res.Tree.Best(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,8 +207,7 @@ func TestSelfishVsPassiveQuality(t *testing.T) {
 	pr := params.Params{N: 40, P: 0.002, Delta: 2, Nu: 0.4}
 	quality := func(adv engine.Adversary, seed uint64) float64 {
 		res, _ := run(t, pr, 30000, seed, adv, 6, 500)
-		tips := res.Tree.Tips()
-		q, err := metrics.ChainQuality(res.Tree, tips[len(tips)-1], 0)
+		q, err := metrics.ChainQuality(res.Tree, res.Tree.Best(), 0)
 		if err != nil {
 			t.Fatal(err)
 		}

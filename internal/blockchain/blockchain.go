@@ -1,25 +1,23 @@
 // Package blockchain provides the chain substrate of Nakamoto's protocol
 // as modeled in Section III of the paper: blocks are abstract records
-// carrying a message, every player maintains a local chain C, and honest
-// players adopt the longest chain they have seen. The package stores all
-// mined blocks in a Tree (the global block DAG is a tree because every
-// block names one parent) and offers the prefix predicates that the
-// consistency property (Definition 1) is stated in.
+// (their messages are not stored), every player maintains a local chain
+// C, and honest players adopt the longest chain they have seen. The
+// package stores all mined blocks in a Tree (the global block DAG is a
+// tree because every block names one parent) and offers the prefix
+// predicates that the consistency property (Definition 1) is stated in.
 //
 // Storage is a struct-of-arrays arena indexed directly by BlockID: the
 // mining substrate hands out sequential IDs starting at 1 (genesis is 0),
 // so id−base is a direct slice index into flat parallel columns
-// (parent/height/round/miner/childCount) plus packed present/honest bit
-// flags — no per-block heap object, no pointer chase, ~32 bytes per
-// block. Payloads live in a side table allocated only when an
-// environment actually supplies one, so payload-free runs pay nothing.
-// Every Add also maintains a skip pointer per block (binary-lifting
-// style, one pointer per node), so the ancestor queries — AncestorAt,
-// IsAncestor, CommonAncestor, PrefixHolds — run in O(log height)
-// instead of O(height) parent walks. For the many-pair questions of a
-// finished run, Subtrees labels the read-only arena in pre-order once,
-// in O(live blocks), after which each ancestry test is one integer
-// comparison; the consistency checker's pairwise scans use it.
+// (parent/jump/height/miner) plus packed present/honest bit flags — no
+// per-block heap object, no pointer chase, ~24 bytes per block. Every
+// Add also maintains a skip pointer per block (binary-lifting style, one
+// pointer per node), so the ancestor queries — AncestorAt, IsAncestor,
+// CommonAncestor, PrefixHolds — run in O(log height) instead of
+// O(height) parent walks. For the many-pair questions of a finished
+// run, Subtrees labels the read-only arena in pre-order once, in O(live
+// blocks), after which each ancestry test is one integer comparison;
+// the consistency checker's pairwise scans use it.
 //
 // CompactBelow retires the ID prefix strictly below a floor block: IDs
 // stay stable while the storage index rebases behind an O(1) offset
@@ -37,7 +35,6 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"sort"
 )
 
 // BlockID identifies a block. IDs are assigned by the mining substrate;
@@ -57,16 +54,11 @@ type Block struct {
 	Parent BlockID
 	// Height is the distance from genesis (genesis has height 0).
 	Height int
-	// Round is the protocol round in which the block was mined.
-	Round int
 	// Miner is the index of the mining player, or -1 for genesis.
 	Miner int
 	// Honest records whether the miner was honest when the block was
 	// mined. It feeds the chain-quality metric.
 	Honest bool
-	// Payload is the environment-supplied message (transactions). Empty
-	// payloads are free; non-empty ones are stored in a side table.
-	Payload string
 }
 
 // Common errors returned by Tree operations.
@@ -105,20 +97,14 @@ type Tree struct {
 	// genesis (jump = self) and jumps are rebuilt against it; orphan
 	// blocks keep a retired jump target and degrade to parent walks.
 	jump []BlockID
-	// height, round, miner, childCount are the remaining per-block
-	// columns. int32 bounds heights/rounds at ~2.1e9 and player counts
-	// likewise — far beyond any simulated horizon — at half the memory.
-	height     []int32
-	round      []int32
-	miner      []int32
-	childCount []int32
+	// height and miner are the remaining per-block columns. int32 bounds
+	// heights at ~2.1e9 and player counts likewise — far beyond any
+	// simulated horizon — at half the memory.
+	height []int32
+	miner  []int32
 	// present and honest are packed bit flags, indexed by storage index.
 	present []uint64
 	honest  []uint64
-	// payloadIDs/payloads form the payload side table, sorted by ID.
-	// They stay nil until a block actually carries a payload.
-	payloadIDs []BlockID
-	payloads   []string
 	// count is the number of blocks ever added including retired ones
 	// (Len is stable across compaction); live counts stored blocks.
 	count int
@@ -142,17 +128,15 @@ type Tree struct {
 // NewTree returns a Tree containing only the genesis block.
 func NewTree() *Tree {
 	t := &Tree{
-		parent:     []BlockID{GenesisID},
-		jump:       []BlockID{GenesisID},
-		height:     []int32{0},
-		round:      []int32{0},
-		miner:      []int32{-1},
-		childCount: []int32{0},
-		present:    []uint64{0},
-		honest:     []uint64{0},
-		count:      1,
-		live:       1,
-		bestID:     GenesisID,
+		parent:  []BlockID{GenesisID},
+		jump:    []BlockID{GenesisID},
+		height:  []int32{0},
+		miner:   []int32{-1},
+		present: []uint64{0},
+		honest:  []uint64{0},
+		count:   1,
+		live:    1,
+		bestID:  GenesisID,
 	}
 	bitSet(t.present, 0)
 	bitSet(t.honest, 0)
@@ -196,29 +180,13 @@ func (t *Tree) lookup(id BlockID) (int, error) {
 
 // blockAt assembles the Block value stored at index i.
 func (t *Tree) blockAt(i int) Block {
-	id := t.base + BlockID(i)
 	return Block{
-		ID:      id,
-		Parent:  t.parent[i],
-		Height:  int(t.height[i]),
-		Round:   int(t.round[i]),
-		Miner:   int(t.miner[i]),
-		Honest:  bitGet(t.honest, i),
-		Payload: t.payloadOf(id),
+		ID:     t.base + BlockID(i),
+		Parent: t.parent[i],
+		Height: int(t.height[i]),
+		Miner:  int(t.miner[i]),
+		Honest: bitGet(t.honest, i),
 	}
-}
-
-// payloadOf returns the side-table payload for id ("" when none).
-func (t *Tree) payloadOf(id BlockID) string {
-	n := len(t.payloadIDs)
-	if n == 0 {
-		return ""
-	}
-	pos := sort.Search(n, func(i int) bool { return t.payloadIDs[i] >= id })
-	if pos < n && t.payloadIDs[pos] == id {
-		return t.payloads[pos]
-	}
-	return ""
 }
 
 // Len returns the number of blocks ever added including genesis — stable
@@ -264,9 +232,7 @@ func (t *Tree) grow(i int) {
 	t.parent = extend(t.parent, n)
 	t.jump = extend(t.jump, n)
 	t.height = extend(t.height, n)
-	t.round = extend(t.round, n)
 	t.miner = extend(t.miner, n)
-	t.childCount = extend(t.childCount, n)
 	words := (n + 63) >> 6
 	t.present = extend(t.present, words)
 	t.honest = extend(t.honest, words)
@@ -315,18 +281,13 @@ func (t *Tree) Add(b *Block) error {
 	t.grow(i)
 	t.parent[i] = b.Parent
 	t.height[i] = int32(b.Height)
-	t.round[i] = int32(b.Round)
 	t.miner[i] = int32(b.Miner)
 	bitSet(t.present, i)
 	if b.Honest {
 		bitSet(t.honest, i)
 	}
-	t.childCount[pi]++
 	t.count++
 	t.live++
-	if b.Payload != "" {
-		t.addPayload(b.ID, b.Payload)
-	}
 	// Skip pointer: double the jump distance when the parent's last two
 	// jumps covered equal distances, else fall back to the parent. The
 	// jump target's height is a function of the block's height alone
@@ -350,24 +311,6 @@ func (t *Tree) Add(b *Block) error {
 		t.bestID = b.ID
 	}
 	return nil
-}
-
-// addPayload records a non-empty payload in the sorted side table.
-// Sequential IDs append; out-of-order test IDs insert.
-func (t *Tree) addPayload(id BlockID, payload string) {
-	n := len(t.payloadIDs)
-	if n == 0 || t.payloadIDs[n-1] < id {
-		t.payloadIDs = append(t.payloadIDs, id)
-		t.payloads = append(t.payloads, payload)
-		return
-	}
-	pos := sort.Search(n, func(i int) bool { return t.payloadIDs[i] >= id })
-	t.payloadIDs = append(t.payloadIDs, 0)
-	t.payloads = append(t.payloads, "")
-	copy(t.payloadIDs[pos+1:], t.payloadIDs[pos:])
-	copy(t.payloads[pos+1:], t.payloads[pos:])
-	t.payloadIDs[pos] = id
-	t.payloads[pos] = payload
 }
 
 // Best returns the highest block in the tree in O(1) (first-added wins
@@ -660,59 +603,12 @@ func (s *Subtrees) Contains(a, b BlockID) bool {
 	return okA && okB && lo <= pb && pb < hi
 }
 
-// Tips returns all stored blocks with no stored children, sorted by
-// (height, ID) for determinism. Under compaction this covers the live
-// suffix only — retired history has no tips by construction (every
-// retired block is an ancestor of the floor's descendants).
-func (t *Tree) Tips() []BlockID {
-	var tips []BlockID
-	for i := range t.parent {
-		if bitGet(t.present, i) && t.childCount[i] == 0 {
-			tips = append(tips, t.base+BlockID(i))
-		}
-	}
-	if len(tips) == 0 {
-		tips = []BlockID{t.base} // floor-only tree: the floor has no children
-	}
-	sortIDsByHeight(t, tips)
-	return tips
-}
-
-// ChildCount returns the number of direct children of id in O(1).
-func (t *Tree) ChildCount(id BlockID) int {
-	i, ok := t.index(id)
-	if !ok {
-		return 0
-	}
-	return int(t.childCount[i])
-}
-
 // ArenaLen returns the exclusive upper bound of the ID arena: every
 // stored block's ID is < ArenaLen(). The arena may contain holes (sparse
 // test IDs) and, after compaction, starts at Base(); Get reports
 // presence. It supports flat iteration over all blocks without recursive
 // tree walks.
 func (t *Tree) ArenaLen() int { return int(t.base) + len(t.parent) }
-
-// Children returns the direct children of id (nil when none). With the
-// arena layout this is an O(live blocks) scan; the hot paths use
-// ChildCount instead.
-func (t *Tree) Children(id BlockID) []BlockID {
-	i, ok := t.index(id)
-	if !ok || t.childCount[i] == 0 {
-		return nil
-	}
-	out := make([]BlockID, 0, t.childCount[i])
-	for j := i + 1; j < len(t.parent); j++ {
-		if bitGet(t.present, j) && t.parent[j] == id {
-			out = append(out, t.base+BlockID(j))
-			if len(out) == cap(out) {
-				break
-			}
-		}
-	}
-	return out
-}
 
 // MaxHeight returns the height of the tallest block in O(1).
 func (t *Tree) MaxHeight() int { return t.bestHeight }
@@ -777,16 +673,9 @@ func (t *Tree) CompactBelow(floor BlockID) (int, error) {
 	t.parent = t.parent[:copy(t.parent, t.parent[k:])]
 	t.jump = t.jump[:copy(t.jump, t.jump[k:])]
 	t.height = t.height[:copy(t.height, t.height[k:])]
-	t.round = t.round[:copy(t.round, t.round[k:])]
 	t.miner = t.miner[:copy(t.miner, t.miner[k:])]
-	t.childCount = t.childCount[:copy(t.childCount, t.childCount[k:])]
 	t.present = shiftBitsDown(t.present, k, n)
 	t.honest = shiftBitsDown(t.honest, k, n)
-	if len(t.payloadIDs) > 0 {
-		cut := sort.Search(len(t.payloadIDs), func(i int) bool { return t.payloadIDs[i] >= floor })
-		t.payloadIDs = t.payloadIDs[:copy(t.payloadIDs, t.payloadIDs[cut:])]
-		t.payloads = t.payloads[:copy(t.payloads, t.payloads[cut:])]
-	}
 	t.base = floor
 	t.live -= retired
 	t.floorHeight = int(t.height[0])
@@ -857,22 +746,6 @@ func shiftBitsDown(words []uint64, k, n int) []uint64 {
 		words[i] = w
 	}
 	return words[:outWords]
-}
-
-// sortIDsByHeight orders ids by (height, ID) ascending.
-func sortIDsByHeight(t *Tree, ids []BlockID) {
-	// Insertion sort: tip counts are tiny.
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0; j-- {
-			hj := t.height[ids[j]-t.base]
-			hp := t.height[ids[j-1]-t.base]
-			if hj < hp || (hj == hp && ids[j] < ids[j-1]) {
-				ids[j], ids[j-1] = ids[j-1], ids[j]
-			} else {
-				break
-			}
-		}
-	}
 }
 
 // ChopLast returns chain with its last chop elements removed. A chop

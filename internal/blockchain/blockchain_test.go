@@ -14,7 +14,7 @@ func buildLinear(t *testing.T, tree *Tree, n int) BlockID {
 	t.Helper()
 	parent := GenesisID
 	for i := 1; i <= n; i++ {
-		b := &Block{ID: BlockID(i), Parent: parent, Round: i, Miner: 0, Honest: true}
+		b := &Block{ID: BlockID(i), Parent: parent, Miner: 0, Honest: true}
 		if err := tree.Add(b); err != nil {
 			t.Fatal(err)
 		}
@@ -199,34 +199,6 @@ func TestPrefixHolds(t *testing.T) {
 	}
 	if _, err := tree.PrefixHolds(99, 3, 0); err == nil {
 		t.Error("unknown tip accepted")
-	}
-}
-
-func TestTips(t *testing.T) {
-	tree := forkedTree(t)
-	tips := tree.Tips()
-	if len(tips) != 2 || tips[0] != 3 || tips[1] != 12 {
-		t.Errorf("tips = %v, want [3 12] (sorted by height)", tips)
-	}
-	empty := NewTree()
-	if tips := empty.Tips(); len(tips) != 1 || tips[0] != GenesisID {
-		t.Errorf("genesis-only tips = %v", tips)
-	}
-}
-
-func TestChildren(t *testing.T) {
-	tree := forkedTree(t)
-	kids := tree.Children(1)
-	if len(kids) != 2 {
-		t.Fatalf("children of 1: %v", kids)
-	}
-	// Mutating the copy must not affect the tree.
-	kids[0] = 999
-	if tree.Children(1)[0] == 999 {
-		t.Error("Children returned aliased slice")
-	}
-	if got := tree.Children(3); len(got) != 0 {
-		t.Errorf("leaf children = %v", got)
 	}
 }
 

@@ -8,6 +8,27 @@ import (
 	"neatbound/internal/rng"
 )
 
+// leaves returns the stored blocks without a stored child, in ID order.
+func leaves(tree *Tree) []BlockID {
+	parents := make(map[BlockID]bool)
+	var ids []BlockID
+	for id := tree.Base(); id < BlockID(tree.ArenaLen()); id++ {
+		if b, ok := tree.Get(id); ok {
+			ids = append(ids, id)
+			if id != GenesisID {
+				parents[b.Parent] = true
+			}
+		}
+	}
+	out := ids[:0]
+	for _, id := range ids {
+		if !parents[id] {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
 // TestCompactBelowQueryParity is the core compaction contract: every
 // query about a floor-descendant block answers exactly the same before
 // and after CompactBelow, and queries that would need retired blocks
@@ -81,7 +102,7 @@ func TestCompactBelowQueryParity(t *testing.T) {
 	preLen, preLive := tree.Len(), tree.LiveBlocks()
 	preMax := tree.MaxHeight()
 	var preTips []BlockID
-	for _, tip := range tree.Tips() {
+	for _, tip := range leaves(tree) {
 		if tip >= floor {
 			preTips = append(preTips, tip)
 		}
@@ -108,7 +129,7 @@ func TestCompactBelowQueryParity(t *testing.T) {
 	if tree.Best() != best || tree.MaxHeight() != preMax {
 		t.Errorf("best changed: %d/%d, want %d/%d", tree.Best(), tree.MaxHeight(), best, preMax)
 	}
-	if got := tree.Tips(); !reflect.DeepEqual(got, preTips) {
+	if got := leaves(tree); !reflect.DeepEqual(got, preTips) {
 		t.Errorf("tips = %v, want surviving pre-tips %v", got, preTips)
 	}
 
@@ -338,52 +359,5 @@ func TestCompactBelowValidation(t *testing.T) {
 	}
 	if h, err := tree.Height(9); err != nil || h != 8 {
 		t.Errorf("Height(9) = %d, %v; want 8", h, err)
-	}
-}
-
-// TestPayloadSideTable checks that payload storage is lazy — no side
-// table unless a payload is actually supplied — and that compaction
-// drops exactly the retired entries.
-func TestPayloadSideTable(t *testing.T) {
-	tree := NewTree()
-	buildLinear(t, tree, 5)
-	if tree.payloadIDs != nil || tree.payloads != nil {
-		t.Fatal("payload side table allocated for payload-free blocks")
-	}
-	if b, _ := tree.Get(3); b.Payload != "" {
-		t.Errorf("phantom payload: %q", b.Payload)
-	}
-
-	if err := tree.Add(&Block{ID: 6, Parent: 5, Payload: "tx-low"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := tree.Add(&Block{ID: 7, Parent: 6}); err != nil {
-		t.Fatal(err)
-	}
-	if err := tree.Add(&Block{ID: 8, Parent: 7, Payload: "tx-high"}); err != nil {
-		t.Fatal(err)
-	}
-	if len(tree.payloadIDs) != 2 {
-		t.Fatalf("side table has %d entries, want 2", len(tree.payloadIDs))
-	}
-	if b, _ := tree.Get(6); b.Payload != "tx-low" {
-		t.Errorf("payload(6) = %q", b.Payload)
-	}
-	if b, _ := tree.Get(7); b.Payload != "" {
-		t.Errorf("payload(7) = %q", b.Payload)
-	}
-
-	// Compacting between the two payloads drops only the retired one.
-	if _, err := tree.CompactBelow(7); err != nil {
-		t.Fatal(err)
-	}
-	if len(tree.payloadIDs) != 1 {
-		t.Fatalf("side table has %d entries after compaction, want 1", len(tree.payloadIDs))
-	}
-	if b, _ := tree.Get(8); b.Payload != "tx-high" {
-		t.Errorf("retained payload(8) = %q", b.Payload)
-	}
-	if b, _ := tree.Get(7); b.Payload != "" {
-		t.Errorf("payload(7) after compaction = %q", b.Payload)
 	}
 }

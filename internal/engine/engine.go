@@ -140,7 +140,7 @@ type Config struct {
 	// result-neutral. Callers that fold the stream online (sweep.RunOne)
 	// set it, so a run's memory does not grow with its length. It is
 	// deleted together with Records once the benchmark stops reading
-	// them (ROADMAP item 2).
+	// them (ROADMAP item 7).
 	SkipRecords bool
 }
 
@@ -662,7 +662,6 @@ func (e *Engine) step() (RoundRecord, error) {
 		b := blockchain.Block{
 			ID:     e.alloc.Next(),
 			Parent: parent,
-			Round:  t,
 			Miner:  i,
 			Honest: true,
 		}
@@ -741,14 +740,12 @@ func (c *Context) BranchBest() (tips [2]blockchain.BlockID, heights [2]int) {
 // in the tree, returning it by value. The block is NOT announced; use
 // Send/SendToAll to deliver it (withholding is modeled by simply not
 // sending).
-func (c *Context) MineBlock(parent blockchain.BlockID, payload string) (blockchain.Block, error) {
+func (c *Context) MineBlock(parent blockchain.BlockID) (blockchain.Block, error) {
 	b := blockchain.Block{
-		ID:      c.e.alloc.Next(),
-		Parent:  parent,
-		Round:   c.e.round,
-		Miner:   c.e.honest, // first corrupted index
-		Honest:  false,
-		Payload: payload,
+		ID:     c.e.alloc.Next(),
+		Parent: parent,
+		Miner:  c.e.honest, // first corrupted index
+		Honest: false,
 	}
 	if err := c.e.tree.Add(&b); err != nil {
 		return blockchain.Block{}, fmt.Errorf("engine: adversary mine: %w", err)
@@ -807,7 +804,7 @@ func (PassiveAdversary) Mine(ctx *Context, mined int) {
 	// Longest block known globally (the adversary sees everything).
 	parent := ctx.Tree().Best()
 	for k := 0; k < mined; k++ {
-		b, err := ctx.MineBlock(parent, "")
+		b, err := ctx.MineBlock(parent)
 		if err != nil {
 			return
 		}

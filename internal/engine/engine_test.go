@@ -161,19 +161,17 @@ func TestTreeConsistentWithRecords(t *testing.T) {
 	}
 	// Honest flags must partition the non-genesis blocks per the counters.
 	honest, adv := 0, 0
-	var walk func(id blockchain.BlockID)
-	walk = func(id blockchain.BlockID) {
-		for _, kid := range res.Tree.Children(id) {
-			b, _ := res.Tree.Get(kid)
-			if b.Honest {
-				honest++
-			} else {
-				adv++
-			}
-			walk(kid)
+	for id := 1; id < res.Tree.ArenaLen(); id++ {
+		b, ok := res.Tree.Get(blockchain.BlockID(id))
+		if !ok {
+			t.Fatalf("block %d missing from an uncompacted tree", id)
+		}
+		if b.Honest {
+			honest++
+		} else {
+			adv++
 		}
 	}
-	walk(blockchain.GenesisID)
 	if honest != res.HonestBlocks || adv != res.AdversaryBlocks {
 		t.Errorf("tree flags honest=%d adv=%d, counters %d/%d", honest, adv, res.HonestBlocks, res.AdversaryBlocks)
 	}
@@ -271,7 +269,7 @@ func (a *recordingAdversary) Mine(ctx *Context, mined int) {
 	a.rounds++
 	a.minedTotal += mined
 	if mined > 0 && a.released == 0 {
-		b, err := ctx.MineBlock(blockchain.GenesisID, "attack")
+		b, err := ctx.MineBlock(blockchain.GenesisID)
 		if err != nil {
 			panic(err)
 		}
@@ -312,7 +310,7 @@ func TestMineBlockRejectsUnknownParent(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := &Context{e: e}
-	if _, err := ctx.MineBlock(blockchain.BlockID(9999), ""); err == nil {
+	if _, err := ctx.MineBlock(blockchain.BlockID(9999)); err == nil {
 		t.Error("unknown parent accepted")
 	}
 }
@@ -374,7 +372,7 @@ func (a *rogueAnnouncer) Mine(ctx *Context, _ int) {
 		return
 	}
 	a.sentAt = ctx.Round()
-	rogue := blockchain.Block{ID: 900000, Parent: blockchain.GenesisID, Height: 50, Round: a.sentAt}
+	rogue := blockchain.Block{ID: 900000, Parent: blockchain.GenesisID, Height: 50}
 	var err error
 	if a.toAll {
 		err = ctx.SendToAll(rogue, a.sentAt+1)

@@ -34,7 +34,7 @@ func (a maxDelayPassive) HonestDelayPolicy(*Context) network.DelayPolicy {
 func (a maxDelayPassive) Mine(ctx *Context, mined int) {
 	parent := ctx.Tree().Best()
 	for k := 0; k < mined; k++ {
-		b, err := ctx.MineBlock(parent, "")
+		b, err := ctx.MineBlock(parent)
 		if err != nil {
 			return
 		}

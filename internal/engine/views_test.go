@@ -85,7 +85,7 @@ func (balanceProbe) Mine(ctx *Context, mined int) {
 		if heights[1] < heights[0] {
 			short = 1
 		}
-		blk, err := ctx.MineBlock(tips[short], "probe")
+		blk, err := ctx.MineBlock(tips[short])
 		if err != nil {
 			return
 		}

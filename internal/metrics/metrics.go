@@ -1,9 +1,9 @@
 // Package metrics computes the chain-growth and chain-quality properties
-// surveyed in the paper's Section II (related work), plus fork statistics.
-// They complement the consistency property: chain growth g means honest
-// chains grow by at least T blocks every T/g rounds; chain quality q means
-// any T consecutive blocks of an honest chain contain at least a q
-// fraction of honest blocks.
+// surveyed in the paper's Section II (related work), plus the main-chain
+// share of a block tree. They complement the consistency property:
+// chain growth g means honest chains grow by at least T blocks every T/g
+// rounds; chain quality q means any T consecutive blocks of an honest
+// chain contain at least a q fraction of honest blocks.
 package metrics
 
 import (
@@ -96,62 +96,14 @@ func ChainQuality(tree *blockchain.Tree, tip blockchain.BlockID, k int) (float64
 	return float64(honest) / float64(n), nil
 }
 
-// ForkStats summarizes the shape of the block tree.
-type ForkStats struct {
-	// Blocks is the total number of non-genesis blocks.
-	Blocks int
-	// ForkPoints is the number of blocks (incl. genesis) with ≥ 2
-	// children. After arena compaction only retained blocks are
-	// scanned; retired fork points (all strictly below the common
-	// ancestor of every live tip) are not counted.
-	ForkPoints int
-	// MaxHeight is the height of the tallest block.
-	MaxHeight int
-	// MainChainBlocks is the number of non-genesis blocks on the chain to
-	// the highest tip (ties broken by lowest ID).
-	MainChainBlocks int
-	// Orphans is Blocks − MainChainBlocks.
-	Orphans int
-}
-
-// ComputeForkStats scans the tree. Fork points are counted by a flat
-// arena iteration — every stored block is reachable from genesis, so
-// this matches a tree walk without recursing chain-height deep (which
-// overflowed goroutine stacks at large-n, long-run configurations).
-func ComputeForkStats(tree *blockchain.Tree) ForkStats {
-	st := ForkStats{
-		Blocks:    tree.Len() - 1,
-		MaxHeight: tree.MaxHeight(),
-	}
-	for id := int(tree.Base()); id < tree.ArenaLen(); id++ {
-		if _, ok := tree.Get(blockchain.BlockID(id)); !ok {
-			continue
-		}
-		if tree.ChildCount(blockchain.BlockID(id)) >= 2 {
-			st.ForkPoints++
-		}
-	}
-	tips := tree.Tips()
-	best := tips[len(tips)-1]
-	st.MainChainBlocks = mustHeight(tree, best)
-	st.Orphans = st.Blocks - st.MainChainBlocks
-	return st
-}
-
-func mustHeight(tree *blockchain.Tree, id blockchain.BlockID) int {
-	h, err := tree.Height(id)
-	if err != nil {
-		return 0
-	}
-	return h
-}
-
 // MainChainShare returns the fraction of all mined blocks that lie on the
-// main chain — a fork-rate summary in [0, 1].
+// main chain — a fork-rate summary in [0, 1], and 1 for a genesis-only
+// tree. The main chain ends at the best block, which is a leaf at
+// MaxHeight and is never retired, so the share is MaxHeight over the
+// non-genesis block count in O(1), exact across compaction.
 func MainChainShare(tree *blockchain.Tree) float64 {
-	st := ComputeForkStats(tree)
-	if st.Blocks == 0 {
+	if tree.Len() == 1 {
 		return 1
 	}
-	return float64(st.MainChainBlocks) / float64(st.Blocks)
+	return float64(tree.MaxHeight()) / float64(tree.Len()-1)
 }

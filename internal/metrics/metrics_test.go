@@ -81,7 +81,7 @@ func TestChainQualityUnknownTip(t *testing.T) {
 	}
 }
 
-func TestForkStats(t *testing.T) {
+func TestMainChainShare(t *testing.T) {
 	tree := qualityTree(t)
 	// Add a fork at block 1: 1 → 20 → 21.
 	if err := tree.Add(&blockchain.Block{ID: 20, Parent: 1, Honest: false}); err != nil {
@@ -90,34 +90,14 @@ func TestForkStats(t *testing.T) {
 	if err := tree.Add(&blockchain.Block{ID: 21, Parent: 20, Honest: false}); err != nil {
 		t.Fatal(err)
 	}
-	st := ComputeForkStats(tree)
-	if st.Blocks != 6 {
-		t.Errorf("blocks = %d, want 6", st.Blocks)
-	}
-	if st.ForkPoints != 1 {
-		t.Errorf("fork points = %d, want 1 (block 1)", st.ForkPoints)
-	}
-	if st.MaxHeight != 4 {
-		t.Errorf("max height = %d, want 4", st.MaxHeight)
-	}
-	if st.MainChainBlocks != 4 {
-		t.Errorf("main chain blocks = %d, want 4", st.MainChainBlocks)
-	}
-	if st.Orphans != 2 {
-		t.Errorf("orphans = %d, want 2", st.Orphans)
-	}
+	// 6 blocks, 4 of them on the main chain to the height-4 tip.
 	if got := MainChainShare(tree); math.Abs(got-4.0/6) > 1e-15 {
 		t.Errorf("main chain share = %g, want 2/3", got)
 	}
 }
 
-func TestForkStatsGenesisOnly(t *testing.T) {
-	tree := blockchain.NewTree()
-	st := ComputeForkStats(tree)
-	if st.Blocks != 0 || st.ForkPoints != 0 || st.Orphans != 0 {
-		t.Errorf("genesis-only stats = %+v", st)
-	}
-	if MainChainShare(tree) != 1 {
+func TestMainChainShareGenesisOnly(t *testing.T) {
+	if MainChainShare(blockchain.NewTree()) != 1 {
 		t.Error("genesis-only share should be 1")
 	}
 }
@@ -154,28 +134,11 @@ func TestQualityFairShareHonestRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tips := res.Tree.Tips()
-	q, err := ChainQuality(res.Tree, tips[len(tips)-1], 0)
+	q, err := ChainQuality(res.Tree, res.Tree.Best(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(q-pr.Mu()) > 0.08 {
 		t.Errorf("chain quality %g, want ≈ µ = %g", q, pr.Mu())
-	}
-}
-
-func BenchmarkComputeForkStats(b *testing.B) {
-	tree := blockchain.NewTree()
-	parent := blockchain.GenesisID
-	for i := 1; i <= 5000; i++ {
-		id := blockchain.BlockID(i)
-		if err := tree.Add(&blockchain.Block{ID: id, Parent: parent, Honest: i%3 != 0}); err != nil {
-			b.Fatal(err)
-		}
-		parent = id
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = ComputeForkStats(tree)
 	}
 }

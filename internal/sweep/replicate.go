@@ -133,7 +133,9 @@ func AggregateReplicates(nu, c float64, reps []AggregateCell) (AggregateCell, er
 // aggregate slice, whose slots outside a non-nil cfg.Cells stay
 // zero-valued. When ctx is cancelled the grid stops promptly — cells
 // already aggregated are returned, unfinished slots stay zero-valued —
-// together with ctx.Err().
+// together with ctx.Err(). A replicate that panics stops the grid the
+// same way, with an error naming its cell, replicate, seed and panic
+// value; no cell reaches onCell after it.
 func RunGrid(ctx context.Context, cfg Config, replicates int, onCell func(AggregateCell)) ([]AggregateCell, error) {
 	if replicates < 1 {
 		return nil, fmt.Errorf("sweep: replicates = %d must be ≥ 1", replicates)

@@ -3,7 +3,7 @@
 // fraction ν and an expected-delay ratio c, executes the Δ-delay
 // protocol under a chosen adversary, and reports consistency violations,
 // the Lemma-1 ledger (convergence opportunities vs adversarial blocks),
-// and fork statistics.
+// and the share of blocks on the main chain.
 //
 // # Concurrency and ownership
 //
@@ -126,11 +126,16 @@ func (cfg Config) validate() error {
 // cancelled, no further jobs are dispatched, in-flight cell engines
 // stop within one round (their cells carry Err = ctx.Err()),
 // already-finished cells still reach collect, and runJobs returns
-// ctx.Err().
+// ctx.Err(). A job that panics is contained the same way: dispatch
+// stops, no later cell reaches collect (one cut short by the stop
+// would carry a result that is not the cell's), and runJobs returns an
+// error naming the job and the panic value.
 func runJobs(ctx context.Context, cfg Config, replicates int, collect func(idx, rep int, cell Cell)) error {
 	if err := cfg.validate(); err != nil {
 		return err
 	}
+	runCtx, stop := context.WithCancel(ctx)
+	defer stop()
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -142,6 +147,7 @@ func runJobs(ctx context.Context, cfg Config, replicates int, collect func(idx, 
 	type result struct {
 		idx, rep int
 		cell     Cell
+		panicked error
 	}
 	cells := cfg.Cells
 	if cells == nil {
@@ -155,7 +161,7 @@ func runJobs(ctx context.Context, cfg Config, replicates int, collect func(idx, 
 		workers = total
 	}
 	nC := len(cfg.CValues)
-	done := ctx.Done()
+	done := runCtx.Done()
 	jobs := make(chan job)
 	results := make(chan result, workers)
 	go func() { // producer
@@ -176,11 +182,17 @@ func runJobs(ctx context.Context, cfg Config, replicates int, collect func(idx, 
 		go func() {
 			defer wg.Done()
 			for j := range jobs {
-				results <- result{
-					idx:  j.idx,
-					rep:  j.rep,
-					cell: runCell(ctx, cfg, j.nu, j.c, CellSeed(cfg.Seed, j.idx, j.rep)),
-				}
+				r := result{idx: j.idx, rep: j.rep}
+				seed := CellSeed(cfg.Seed, j.idx, j.rep)
+				func() {
+					defer func() {
+						if v := recover(); v != nil {
+							r.panicked = fmt.Errorf("sweep: cell ν=%g c=%g replicate %d seed %d panicked: %v", j.nu, j.c, j.rep, seed, v)
+						}
+					}()
+					r.cell = runCell(runCtx, cfg, j.nu, j.c, seed)
+				}()
+				results <- r
 			}
 		}()
 	}
@@ -188,8 +200,19 @@ func runJobs(ctx context.Context, cfg Config, replicates int, collect func(idx, 
 		wg.Wait()
 		close(results)
 	}()
+	var panicked error
 	for r := range results {
-		collect(r.idx, r.rep, r.cell)
+		switch {
+		case panicked != nil:
+		case r.panicked != nil:
+			panicked = r.panicked
+			stop()
+		default:
+			collect(r.idx, r.rep, r.cell)
+		}
+	}
+	if panicked != nil {
+		return panicked
 	}
 	return ctx.Err()
 }

@@ -14,6 +14,8 @@ import (
 	"time"
 
 	"neatbound"
+	"neatbound/internal/engine"
+	"neatbound/internal/network"
 	"neatbound/internal/store"
 	"neatbound/internal/sweep"
 	"neatbound/internal/sweepsvc"
@@ -461,6 +463,54 @@ func TestCancelStoresOnlyWholeCells(t *testing.T) {
 	}
 	if st.Len() != 1 {
 		t.Errorf("store holds %d cells, want 1", st.Len())
+	}
+}
+
+// panicking is a strategy whose Mine panics in round 1 of every run —
+// a stand-in for an engine defect. It is not SpanQuiescent, so the
+// engine steps and reaches Mine.
+type panicking struct{}
+
+func (panicking) Name() string { return "panicking" }
+
+func (panicking) HonestDelayPolicy(*engine.Context) network.DelayPolicy { return network.MinDelay{} }
+
+func (panicking) Mine(*engine.Context, int) { panic("injected defect") }
+
+// TestPanickingJobFails: a panic inside a grid run fails the job
+// instead of ending the process, nothing reaches the store for its
+// cells, and the next job on the same service computes them.
+func TestPanickingJobFails(t *testing.T) {
+	restore := swapRunGrid(t, func(ctx context.Context, cfg sweep.Config, reps int, onCell func(sweep.AggregateCell)) ([]sweep.AggregateCell, error) {
+		cfg.NewAdversary = func() engine.Adversary { return panicking{} }
+		return sweep.RunGrid(ctx, cfg, reps, onCell)
+	})
+	svc, st := newService(t, sweepsvc.Options{})
+	req := testReq()
+	first, err := svc.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fin, _ := waitJob(t, svc, first.ID); fin.State != sweepsvc.StateFailed || !strings.Contains(fin.Error, "injected defect") {
+		t.Fatalf("panicking job ended %s (%q), want failed naming the panic", fin.State, fin.Error)
+	}
+	if st.Len() != 0 {
+		t.Errorf("store holds %d cells after a panicking job, want 0", st.Len())
+	}
+	restore()
+	second, err := svc.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fin, _ := waitJob(t, svc, second.ID); fin.State != sweepsvc.StateDone || fin.CellsComputed != 4 {
+		t.Fatalf("next job: %+v, want done with 4 cells computed", fin)
+	}
+	got, err := svc.Result(second.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := coldBytes(t, req); !bytes.Equal(got, want) {
+		t.Error("next job's result differs from cold RunSweep")
 	}
 }
 
