@@ -18,16 +18,18 @@
 // # Concurrency and ownership
 //
 // A Checker is single-owner: OnRound observes one engine's rounds and
-// Check/MaxForkDepth run after (or between) rounds on the same
-// goroutine; nothing here is safe for concurrent use on one instance,
-// and nothing here spawns a goroutine: the pairwise scans behind Check
-// and MaxForkDepth walk the snapshot-pair upper triangle serially, in
-// lexicographic order. Snapshot tips are copied into a checker-owned
-// arena, so the engine may reuse its buffers freely.
+// Scan runs after (or between) rounds on the same goroutine; nothing
+// here is safe for concurrent use on one instance, and nothing here
+// spawns a goroutine: Scan walks the snapshot-pair upper triangle once,
+// serially, in lexicographic order, and yields both the violations and
+// the deepest fork (Check and MaxForkDepth are its two halves). Each
+// snapshot owns a copy of its tips, so the engine may reuse its buffers
+// freely, and a snapshot retention drops is garbage at once.
 package consistency
 
 import (
 	"fmt"
+	"slices"
 
 	"neatbound/internal/blockchain"
 	"neatbound/internal/engine"
@@ -117,24 +119,10 @@ type Accounting struct {
 // Margin returns C − A; Lemma 1 requires it positive.
 func (a Accounting) Margin() int { return a.Convergence - a.Adversary }
 
-// Account replays a run's records through a ConvergenceCounter and returns
-// the Lemma-1 ledger for the whole run.
-func Account(records []engine.RoundRecord, delta int) (Accounting, error) {
-	rec, err := NewLedgerRecorder(delta)
-	if err != nil {
-		return Accounting{}, err
-	}
-	for _, r := range records {
-		rec.OnRound(nil, r)
-	}
-	return rec.Accounting(), nil
-}
-
-// LedgerRecorder is the streaming form of Account: an engine.Observer
-// that folds every round into the Lemma-1 ledger as the run executes,
-// so the accounting needs no post-run replay of the record slice. The
-// resulting Accounting is bit-identical to Account over the same
-// records (both drive the same ConvergenceCounter on integer counts).
+// LedgerRecorder is an engine.Observer that folds every round into the
+// Lemma-1 ledger as the run executes, so the accounting needs no
+// post-run replay of the record slice. A record slice replays through
+// OnRound with a nil engine.
 type LedgerRecorder struct {
 	counter *ConvergenceCounter
 	adv     int
@@ -193,28 +181,24 @@ type Violation struct {
 
 // Checker samples honest views during a run and evaluates the Definition-1
 // predicate across all sampled round pairs afterwards. Attach the checker
-// as an engine Observer (it implements engine.Observer), then call Check.
+// as an engine Observer (it implements engine.Observer), then call Scan.
 type Checker struct {
 	// T is Definition 1's chop parameter.
 	T int
 	// Every is the sampling interval in rounds (1 = every round).
 	Every int
 
-	snaps []Snapshot
+	// snaps are the retained samples, each owning a copy of its tips;
 	// scratch receives each sampling round's tips from the engine
-	// (AppendDistinctTips) before they are copied into the arena; slab
-	// is the checker-owned arena the snapshots' Tips alias — tips are
-	// packed into chunked slabs instead of one fresh slice per snapshot,
-	// so sampling allocates only when a slab fills. Earlier slabs stay
-	// referenced by their snapshots when a new one is carved.
+	// (AppendDistinctTips) before they are copied.
+	snaps   []Snapshot
 	scratch []blockchain.BlockID
-	slab    []blockchain.BlockID
 	// retain bounds the snapshot history to the most recent retain
 	// samples (0 = keep the whole run); pin is the running common
 	// ancestor of every retained snapshot tip, the single block the
 	// checker reports to the engine's compaction watermark
 	// (AppendRetained) — every retained tip descends from it, so by
-	// ID-monotonic ancestry every tip (and every block a pairwise scan
+	// ID-monotonic ancestry every tip (and every block the scan
 	// visits) survives any compaction at or below the pin. pinBroken
 	// records a failed pin fold, after which the checker vetoes
 	// compaction outright.
@@ -222,8 +206,8 @@ type Checker struct {
 	pin       blockchain.BlockID
 	pinOK     bool
 	pinBroken bool
-	// sub and anchors are the pairwise scans' buffers: the tree's
-	// subtree labels, and the anchors of the r-snapshot being scanned.
+	// sub and anchors are the scan's buffers: the tree's subtree
+	// labels, and the anchors of the r-snapshot being scanned.
 	sub     blockchain.Subtrees
 	anchors []anchor
 }
@@ -248,7 +232,7 @@ func NewChecker(tee, every int) (*Checker, error) {
 	return &Checker{T: tee, Every: every}, nil
 }
 
-// UsePool does nothing: the pairwise scans are serial.
+// UsePool does nothing: the scan is serial.
 //
 // Deprecated: ignored, like pool.Pool.
 func (c *Checker) UsePool(*pool.Pool) {}
@@ -259,60 +243,34 @@ func (c *Checker) UsePool(*pool.Pool) {}
 // (engine.Config.CompactEvery): with full history the checker's oldest
 // tips pin the compaction watermark near genesis and the arena never
 // shrinks, while a bounded window lets the pin — and with it the
-// watermark — advance as old snapshots are released. Check and
-// MaxForkDepth then evaluate Definition 1 over the retained window
-// only.
+// watermark — advance as old snapshots are released. Scan then
+// evaluates Definition 1 over the retained window only.
 //
-// Shrinking the window mid-run releases the dropped snapshots
-// immediately and compacts the tip arena down to the retained window's
-// bounded high-water mark — without this, slabs referenced only by
-// dropped snapshots would stay resident until enough new samples
-// rotated them out. The retention pin is left where it is: it may now
-// sit below the smaller window's true common ancestor, which merely
-// over-retains until the next release in OnRound refolds it (the
-// checker has no tree to refold against here).
+// Shrinking the window mid-run drops the oldest snapshots at once, and
+// with them their tips' storage. The retention pin is left where it
+// is: it may now sit below the smaller window's true common ancestor,
+// which merely over-retains until the next release in OnRound refolds
+// it (the checker has no tree to refold against here).
 func (c *Checker) SetRetention(keep int) {
-	if keep < 0 {
-		keep = 0
-	}
-	shrink := keep > 0 && (c.retain == 0 || keep < c.retain)
-	c.retain = keep
-	if shrink && len(c.snaps) > keep {
-		c.snaps = c.snaps[len(c.snaps)-keep:]
-		c.compactSlab()
+	c.retain = max(keep, 0)
+	if c.retain > 0 && len(c.snaps) > c.retain {
+		c.trim()
 	}
 }
 
-// compactSlab rewrites the retained snapshots' tips into one fresh
-// bounded slab, releasing every slab only dropped snapshots were
-// keeping alive. Appends continue into the new slab's spare capacity,
-// so the rewrite does not disturb arenaCopy's steady state.
-func (c *Checker) compactSlab() {
-	total := 0
-	for i := range c.snaps {
-		total += len(c.snaps[i].Tips)
-	}
-	size := 1024
-	if size < total {
-		size = total
-	}
-	slab := make([]blockchain.BlockID, 0, size)
-	for i := range c.snaps {
-		tips := c.snaps[i].Tips
-		if len(tips) == 0 {
-			continue
-		}
-		lo := len(slab)
-		slab = append(slab, tips...)
-		c.snaps[i].Tips = slab[lo:len(slab):len(slab)]
-	}
-	c.slab = slab
+// trim keeps the newest c.retain snapshots: the survivors are copied
+// down and the tail cleared, so nothing references a dropped
+// snapshot's tips any more.
+func (c *Checker) trim() {
+	n := copy(c.snaps, c.snaps[len(c.snaps)-c.retain:])
+	clear(c.snaps[n:])
+	c.snaps = c.snaps[:n]
 }
 
 // AppendRetained implements engine.Retainer: the pin covers every
 // retained snapshot tip (each descends from it), so reporting the pin
-// alone keeps all of them — and every block the pairwise scans walk
-// between them — out of compaction's reach. A broken pin fold vetoes
+// alone keeps all of them — and every block the scan walks between
+// them — out of compaction's reach. A broken pin fold vetoes
 // compaction for the rest of the run.
 func (c *Checker) AppendRetained(buf []blockchain.BlockID) ([]blockchain.BlockID, bool) {
 	if c.pinBroken {
@@ -354,9 +312,7 @@ func (c *Checker) refoldPin(tree *blockchain.Tree) {
 }
 
 // OnRound implements engine.Observer: it snapshots the engine's distinct
-// honest tips on sampling rounds. The tips are copied into the
-// checker's arena, so a snapshot costs zero allocations in steady state
-// (DistinctTips built a fresh sorted slice per sample).
+// honest tips on sampling rounds.
 func (c *Checker) OnRound(e *engine.Engine, rec engine.RoundRecord) {
 	if rec.Round%c.Every == 0 {
 		c.sample(e, rec.Round)
@@ -372,73 +328,91 @@ func (c *Checker) OnQuietSpan(e *engine.Engine, _ engine.RoundRecord, first, las
 	}
 }
 
-// sample snapshots the engine's distinct honest tips as round's.
+// sample snapshots the engine's distinct honest tips as round's, in a
+// copy of their own, so the engine may reuse its buffers freely.
 func (c *Checker) sample(e *engine.Engine, round int) {
 	c.scratch = e.AppendDistinctTips(c.scratch[:0])
-	c.snaps = append(c.snaps, Snapshot{Round: round, Tips: c.arenaCopy(c.scratch)})
-	c.foldPin(e.Tree(), c.snaps[len(c.snaps)-1].Tips)
+	tips := slices.Clone(c.scratch)
+	c.snaps = append(c.snaps, Snapshot{Round: round, Tips: tips})
+	c.foldPin(e.Tree(), tips)
 	if c.retain > 0 && len(c.snaps) > c.retain {
-		// Release the oldest samples. The slab memory behind them stays
-		// alive until its slab rotates out; with a bounded window both
-		// the snapshot slice and the slabs are bounded too.
-		c.snaps = c.snaps[len(c.snaps)-c.retain:]
+		c.trim()
 		c.refoldPin(e.Tree())
 	}
-}
-
-// arenaCopy copies ids into the checker-owned arena and returns the
-// copy, capacity-capped so later appends cannot clobber a neighbour.
-func (c *Checker) arenaCopy(ids []blockchain.BlockID) []blockchain.BlockID {
-	if len(ids) == 0 {
-		return nil
-	}
-	if cap(c.slab)-len(c.slab) < len(ids) {
-		size := 1024
-		if size < len(ids) {
-			size = len(ids)
-		}
-		// The old slab remains alive through the snapshots aliasing it.
-		c.slab = make([]blockchain.BlockID, 0, size)
-	}
-	lo := len(c.slab)
-	c.slab = append(c.slab, ids...)
-	return c.slab[lo:len(c.slab):len(c.slab)]
 }
 
 // Snapshots returns the samples collected so far.
 func (c *Checker) Snapshots() []Snapshot { return c.snaps }
 
-// Check evaluates the Definition-1 predicate over every sampled pair
-// (r ≤ s) and every tip pair, returning all violations found.
+// Check returns Scan's violations at chop T.
 func (c *Checker) Check(tree *blockchain.Tree) ([]Violation, error) {
-	return c.ViolationsAtChop(tree, c.T)
+	viols, _, err := c.Scan(tree)
+	return viols, err
 }
 
-// ViolationsAtChop evaluates the Definition-1 predicate at an arbitrary
-// chop parameter over the collected snapshots. It supports the S7
-// fork-depth-tail experiment, which scans chop values on one run.
+// MaxForkDepth returns Scan's deepest fork: the smallest T for which the
+// run would have been consistent.
+func (c *Checker) MaxForkDepth(tree *blockchain.Tree) (int, error) {
+	_, depth, err := c.Scan(tree)
+	return depth, err
+}
+
+// Scan evaluates the Definition-1 predicate over every sampled pair
+// (r ≤ s) and every tip pair of a read-only tree in one pass. It
+// returns the violations at chop T in lexicographic (r, s, tip) order,
+// and maxDepth, the deepest fork across all pairs. It stops at the
+// first error and then returns neither.
 //
-// The scan walks a read-only tree's snapshot pairs in lexicographic
-// (r-index, s-index) order; it stops at the first error and then
-// returns no violations. It costs an O(live blocks) labelling of the
-// tree (Tree.Subtrees), O(snaps × tips × log height) anchor
-// resolutions, and O(1) per tip pair.
-func (c *Checker) ViolationsAtChop(tree *blockchain.Tree, chop int) ([]Violation, error) {
-	if chop < 0 {
-		return nil, fmt.Errorf("consistency: chop %d must be ≥ 0", chop)
+// One fact carries both answers: a pair's fork depth h(a) − h(lca(a, b))
+// exceeds a chop exactly when the chain at a, chopped by it, is not a
+// prefix of the chain at b. So each pair is tested at chop
+// min(maxDepth so far, T), and only a pair that fails the test has its
+// depth computed: it is a violation when that depth exceeds T, and it
+// raises the running maximum. The test costs one label comparison
+// against the tip's anchor (its cut, resolved once per r-snapshot, and
+// again while the maximum grows below T). The whole scan costs an
+// O(live blocks) labelling of the tree (Tree.Subtrees), O(snaps × tips
+// × log height) anchor resolutions, and O(1) per tip pair.
+func (c *Checker) Scan(tree *blockchain.Tree) (viols []Violation, maxDepth int, err error) {
+	if c.T < 0 {
+		return nil, 0, fmt.Errorf("consistency: T = %d must be ≥ 0", c.T)
 	}
 	tree.Subtrees(&c.sub)
-	var out []Violation
-	var err error
-	for ri := range c.snaps {
-		c.resolveAnchors(tree, c.snaps[ri].Tips, chop)
-		for si := ri; si < len(c.snaps); si++ {
-			if out, err = c.scanPair(tree, chop, ri, si, out); err != nil {
-				return nil, fmt.Errorf("consistency: %w", err)
+	for ri, sr := range c.snaps {
+		chop := min(maxDepth, c.T)
+		c.resolveAnchors(tree, sr.Tips, chop)
+		for _, ss := range c.snaps[ri:] {
+			for k, a := range sr.Tips {
+				for _, b := range ss.Tips {
+					ok, err := c.prefixHolds(tree, c.anchors[k], a, b, chop)
+					if err != nil {
+						return nil, 0, fmt.Errorf("consistency: %w", err)
+					}
+					if ok {
+						continue
+					}
+					d, err := forkDepth(tree, a, b)
+					if err != nil {
+						return nil, 0, fmt.Errorf("consistency: %w", err)
+					}
+					if d > c.T {
+						viols = append(viols, Violation{
+							RoundR: sr.Round, RoundS: ss.Round,
+							TipA: a, TipB: b, ForkDepth: d,
+						})
+					}
+					if d > maxDepth {
+						maxDepth = d
+						if chop < c.T {
+							chop = min(maxDepth, c.T)
+							c.resolveAnchors(tree, sr.Tips, chop)
+						}
+					}
+				}
 			}
 		}
 	}
-	return out, nil
+	return viols, maxDepth, nil
 }
 
 // anchor is one tip's Definition-1 cut — its ancestor at height
@@ -479,35 +453,6 @@ func (c *Checker) prefixHolds(tree *blockchain.Tree, anc anchor, a, b blockchain
 	return tree.PrefixHolds(a, b, chop)
 }
 
-// scanPair evaluates the predicate for one snapshot pair (ri ≤ si),
-// appending violations to out. c.anchors holds ri's anchors at chop.
-func (c *Checker) scanPair(tree *blockchain.Tree, chop, ri, si int, out []Violation) ([]Violation, error) {
-	sr, ss := c.snaps[ri], c.snaps[si]
-	for k, a := range sr.Tips {
-		for _, b := range ss.Tips {
-			if sr.Round == ss.Round && a == b {
-				continue // a view is trivially consistent with itself
-			}
-			ok, err := c.prefixHolds(tree, c.anchors[k], a, b, chop)
-			if err != nil {
-				return out, err
-			}
-			if ok {
-				continue
-			}
-			depth, err := forkDepth(tree, a, b)
-			if err != nil {
-				return out, err
-			}
-			out = append(out, Violation{
-				RoundR: sr.Round, RoundS: ss.Round,
-				TipA: a, TipB: b, ForkDepth: depth,
-			})
-		}
-	}
-	return out, nil
-}
-
 // forkDepth returns height(a) − height(commonAncestor(a, b)).
 func forkDepth(tree *blockchain.Tree, a, b blockchain.BlockID) (int, error) {
 	anc, err := tree.CommonAncestor(a, b)
@@ -523,53 +468,4 @@ func forkDepth(tree *blockchain.Tree, a, b blockchain.BlockID) (int, error) {
 		return 0, err
 	}
 	return ha - hanc, nil
-}
-
-// MaxForkDepth returns the deepest fork across all sampled pairs — the
-// smallest T for which the run would have been consistent is
-// MaxForkDepth. It is cheaper than Check when only the depth is needed:
-// one running maximum, threaded through the whole triangle, doubles as
-// the pruning bound. Its cost is Check's, plus one anchor re-resolution
-// of a snapshot's tips each time the maximum grows.
-func (c *Checker) MaxForkDepth(tree *blockchain.Tree) (int, error) {
-	tree.Subtrees(&c.sub)
-	max := 0
-	var err error
-	for ri := range c.snaps {
-		c.resolveAnchors(tree, c.snaps[ri].Tips, max)
-		for si := ri; si < len(c.snaps); si++ {
-			if max, err = c.scanPairDepth(tree, ri, si, max); err != nil {
-				return 0, fmt.Errorf("consistency: %w", err)
-			}
-		}
-	}
-	return max, nil
-}
-
-// scanPairDepth deepens max with the forks of one snapshot pair: depth
-// only grows when a chopped by the running max is not a prefix of b, so
-// the threshold doubles as a pruning bound. c.anchors holds ri's
-// anchors at max, and is re-resolved whenever max grows.
-func (c *Checker) scanPairDepth(tree *blockchain.Tree, ri, si, max int) (int, error) {
-	sr, ss := c.snaps[ri], c.snaps[si]
-	for k, a := range sr.Tips {
-		for _, b := range ss.Tips {
-			ok, err := c.prefixHolds(tree, c.anchors[k], a, b, max)
-			if err != nil {
-				return 0, err
-			}
-			if ok {
-				continue
-			}
-			d, err := forkDepth(tree, a, b)
-			if err != nil {
-				return 0, err
-			}
-			if d > max {
-				max = d
-				c.resolveAnchors(tree, sr.Tips, max)
-			}
-		}
-	}
-	return max, nil
 }

@@ -150,10 +150,14 @@ func TestAccount(t *testing.T) {
 		{Round: 5, HonestMined: 0, AdversaryMined: 0},
 		{Round: 6, HonestMined: 0, AdversaryMined: 0},
 	}
-	acc, err := Account(records, 2)
+	rec, err := NewLedgerRecorder(2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, r := range records {
+		rec.OnRound(nil, r)
+	}
+	acc := rec.Accounting()
 	if acc.Rounds != 6 {
 		t.Errorf("rounds = %d", acc.Rounds)
 	}
@@ -169,7 +173,7 @@ func TestAccount(t *testing.T) {
 }
 
 func TestAccountInvalidDelta(t *testing.T) {
-	if _, err := Account(nil, 0); err == nil {
+	if _, err := NewLedgerRecorder(0); err == nil {
 		t.Error("Δ=0 accepted")
 	}
 }

@@ -43,7 +43,7 @@ func attackedChecker(t *testing.T, seed uint64, rounds, every int) (*Checker, *b
 // checker's violations and fork depth, on a fixture that has violations.
 func TestPooledViolationsViaUsePool(t *testing.T) {
 	ck, tree := attackedChecker(t, 3, 2000, 8)
-	want, err := ck.ViolationsAtChop(tree, ck.T)
+	want, err := ck.Check(tree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestPooledViolationsViaUsePool(t *testing.T) {
 		t.Fatal(err)
 	}
 	ck.UsePool(pool.Default())
-	got, err := ck.ViolationsAtChop(tree, ck.T)
+	got, err := ck.Check(tree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,15 +73,15 @@ func TestPooledViolationsViaUsePool(t *testing.T) {
 }
 
 // TestPooledViolationsErrorMatchesSerial pins the error contract: a
-// snapshot referencing an unknown block makes both scans fail, with or
-// without the ignored UsePool, ViolationsAtChop returns no partial
-// violation list, and both scans' errors carry the package prefix while
-// still matching the tree's sentinel under errors.Is.
+// snapshot referencing an unknown block makes Check and MaxForkDepth
+// fail, with or without the ignored UsePool, Check returns no partial
+// violation list, and both errors carry the package prefix while still
+// matching the tree's sentinel under errors.Is.
 func TestPooledViolationsErrorMatchesSerial(t *testing.T) {
 	ck, tree := attackedChecker(t, 3, 1000, 8)
 	// Corrupt a mid-sequence snapshot with a tip the tree never saw.
 	ck.snaps[len(ck.snaps)/2].Tips = []blockchain.BlockID{987654}
-	serialViols, serialErr := ck.ViolationsAtChop(tree, 0)
+	serialViols, serialErr := violationsAt(ck, tree, 0)
 	if serialErr == nil {
 		t.Fatal("scan accepted an unknown tip")
 	}
@@ -95,7 +95,7 @@ func TestPooledViolationsErrorMatchesSerial(t *testing.T) {
 		}
 	}
 	ck.UsePool(pool.Default())
-	pooledViols, pooledErr := ck.ViolationsAtChop(tree, 0)
+	pooledViols, pooledErr := violationsAt(ck, tree, 0)
 	if pooledErr == nil {
 		t.Fatal("scan with UsePool accepted an unknown tip")
 	}
@@ -108,11 +108,12 @@ func TestPooledViolationsErrorMatchesSerial(t *testing.T) {
 }
 
 // TestMaxForkDepthIsSmallestConsistentChop pins MaxForkDepth's
-// definition against ViolationsAtChop on attack runs: with d the depth,
-// the run is consistent at chop d but not at d−1, and the violations at
-// chop 0 have fork depths in [1, d] with d attained. The pruned depth
-// scan and the unpruned violation scan share only the tree queries, so
-// each checks the other.
+// definition against the violation lists at other chops on attack runs:
+// with d the depth, the run is consistent at chop d but not at d−1, and
+// the violations at chop 0 have fork depths in [1, d] with d attained.
+// Depth and violations come out of the same scan, so this checks the
+// scan's two outputs against each other across chops; the per-pair
+// references in scan_test.go check each against the tree predicate.
 func TestMaxForkDepthIsSmallestConsistentChop(t *testing.T) {
 	for _, seed := range []uint64{3, 17, 29} {
 		ck, tree := attackedChecker(t, seed, 2000, 8)
@@ -123,13 +124,13 @@ func TestMaxForkDepthIsSmallestConsistentChop(t *testing.T) {
 		if d < 1 {
 			t.Fatalf("seed=%d: fixture produced no forks (depth %d) — the checks are vacuous", seed, d)
 		}
-		if viols, err := ck.ViolationsAtChop(tree, d); err != nil || len(viols) != 0 {
+		if viols, err := violationsAt(ck, tree, d); err != nil || len(viols) != 0 {
 			t.Fatalf("seed=%d: %d violations (%v) at chop %d = MaxForkDepth, want none", seed, len(viols), err, d)
 		}
-		if viols, err := ck.ViolationsAtChop(tree, d-1); err != nil || len(viols) == 0 {
+		if viols, err := violationsAt(ck, tree, d-1); err != nil || len(viols) == 0 {
 			t.Fatalf("seed=%d: no violations (%v) at chop %d = MaxForkDepth−1", seed, err, d-1)
 		}
-		viols, err := ck.ViolationsAtChop(tree, 0)
+		viols, err := violationsAt(ck, tree, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,12 +149,12 @@ func TestMaxForkDepthIsSmallestConsistentChop(t *testing.T) {
 	}
 }
 
-// TestCheckerArenaSnapshotsStable pins the arena copy: snapshots taken
-// early must keep their tips intact while later samples grow (and
-// recycle) the arena, and every snapshot must match a fresh
+// TestCheckerArenaSnapshotsStable pins the snapshot copies: snapshots
+// taken early must keep their tips intact while the engine reuses its
+// tip buffers for later rounds, and every snapshot must match a fresh
 // DistinctTips-style read taken at sampling time.
 func TestCheckerArenaSnapshotsStable(t *testing.T) {
-	ck, err := NewChecker(3, 1) // sample every round: maximal arena churn
+	ck, err := NewChecker(3, 1) // sample every round: maximal buffer reuse
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +184,7 @@ func TestCheckerArenaSnapshotsStable(t *testing.T) {
 		}
 		for j := range s.Tips {
 			if s.Tips[j] != live[i][j] {
-				t.Fatalf("snapshot %d (round %d) tip %d: arena %d, probe %d — a later sample clobbered the arena",
+				t.Fatalf("snapshot %d (round %d) tip %d: copy %d, probe %d — a later sample clobbered the copy",
 					i, s.Round, j, s.Tips[j], live[i][j])
 			}
 		}

@@ -1,6 +1,7 @@
 package consistency
 
 import (
+	"slices"
 	"testing"
 
 	"neatbound/internal/blockchain"
@@ -131,36 +132,41 @@ func TestCheckerAppendRetained(t *testing.T) {
 	}
 }
 
-// TestSetRetentionShrinkCompactsSlab: shrinking the window mid-run must
-// release the dropped snapshots immediately and repack the survivors'
-// tips into one fresh bounded slab — the arena footprint returns to its
-// high-water mark instead of staying pinned by slabs only dropped
-// snapshots referenced.
-func TestSetRetentionShrinkCompactsSlab(t *testing.T) {
+// TestSetRetentionShrinkDropsSnapshots: shrinking the window mid-run
+// must keep exactly the newest snapshots, intact, and drop the rest at
+// once — no slot of the snapshot slice's backing array past the window
+// may still reference a dropped snapshot's tips.
+func TestSetRetentionShrinkDropsSnapshots(t *testing.T) {
 	ck, err := NewChecker(6, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Grow a full-history run entirely through the sampling path
-	// (arenaCopy): 600 snapshots × 8 tips rotate through several 1024-ID
-	// slabs, each kept alive only by the snapshots carved from it.
 	tips := make([]blockchain.BlockID, 8)
-	for i := 0; i < 600; i++ {
-		for j := range tips {
-			tips[j] = blockchain.BlockID(i*len(tips) + j + 1)
+	appendSnaps := func(from, to int) {
+		for i := from; i < to; i++ {
+			for j := range tips {
+				tips[j] = blockchain.BlockID(i*len(tips) + j + 1)
+			}
+			ck.snaps = append(ck.snaps, Snapshot{Round: i * ck.Every, Tips: slices.Clone(tips)})
 		}
-		ck.snaps = append(ck.snaps, Snapshot{Round: i * ck.Every, Tips: ck.arenaCopy(tips)})
 	}
+	appendSnaps(0, 600)
 	first := ck.snaps[0].Tips
-	if len(ck.slab) == 600*len(tips) {
-		t.Fatal("slab never rotated — the test exercises nothing")
-	}
 
 	// What the retained window must still hold after the shrink.
 	const keep = 4
 	want := make([]Snapshot, keep)
 	for i, s := range ck.snaps[len(ck.snaps)-keep:] {
-		want[i] = Snapshot{Round: s.Round, Tips: append([]blockchain.BlockID(nil), s.Tips...)}
+		want[i] = Snapshot{Round: s.Round, Tips: slices.Clone(s.Tips)}
+	}
+	requireWindow := func(stage string) {
+		t.Helper()
+		for i := range want {
+			s := ck.snaps[i]
+			if s.Round != want[i].Round || !slices.Equal(s.Tips, want[i].Tips) {
+				t.Fatalf("%s: snapshot %d is %+v, want %+v", stage, i, s, want[i])
+			}
+		}
 	}
 
 	ck.SetRetention(keep)
@@ -168,50 +174,19 @@ func TestSetRetentionShrinkCompactsSlab(t *testing.T) {
 	if got := len(ck.Snapshots()); got != keep {
 		t.Fatalf("retained %d snapshots after shrink, want %d", got, keep)
 	}
-	// The slab is back at its floor: one slab, minimum capacity, holding
-	// exactly the retained tips.
-	if got := cap(ck.slab); got != 1024 {
-		t.Errorf("slab capacity %d after shrink, want the 1024 floor", got)
-	}
-	if got, wantLen := len(ck.slab), keep*len(tips); got != wantLen {
-		t.Errorf("slab holds %d ids after shrink, want %d", got, wantLen)
-	}
-	// Every survivor aliases the fresh slab (the old slabs are
-	// unreferenced and collectable), contiguously packed.
-	off := 0
-	for i, s := range ck.snaps {
-		if s.Round != want[i].Round {
-			t.Fatalf("snapshot %d round = %d, want %d", i, s.Round, want[i].Round)
+	requireWindow("after shrink")
+	for i, s := range ck.snaps[keep:cap(ck.snaps)] {
+		if s.Tips != nil {
+			t.Fatalf("slot %d past the window still references round %d's tips", keep+i, s.Round)
 		}
-		for j, tip := range s.Tips {
-			if tip != want[i].Tips[j] {
-				t.Fatalf("snapshot %d tip %d = %d, want %d", i, j, tip, want[i].Tips[j])
-			}
-		}
-		if &s.Tips[0] != &ck.slab[off] {
-			t.Fatalf("snapshot %d not repacked into the fresh slab", i)
-		}
-		off += len(s.Tips)
 	}
 	if first[0] != 1 {
-		t.Fatal("dropped snapshot's backing memory was rewritten")
+		t.Fatal("dropped snapshot's tips were rewritten")
 	}
 
-	// Sampling continues into the fresh slab's spare capacity without
-	// disturbing the repacked survivors.
-	for i := 600; i < 610; i++ {
-		for j := range tips {
-			tips[j] = blockchain.BlockID(i*len(tips) + j + 1)
-		}
-		ck.snaps = append(ck.snaps, Snapshot{Round: i * ck.Every, Tips: ck.arenaCopy(tips)})
-	}
-	for i := range want {
-		for j, tip := range ck.snaps[i].Tips {
-			if tip != want[i].Tips[j] {
-				t.Fatalf("post-shrink sampling corrupted retained snapshot %d tip %d", i, j)
-			}
-		}
-	}
+	// Later samples leave the survivors intact.
+	appendSnaps(600, 610)
+	requireWindow("after later samples")
 
 	// Loosening the window afterwards must not trim anything.
 	before := len(ck.snaps)
@@ -223,7 +198,7 @@ func TestSetRetentionShrinkCompactsSlab(t *testing.T) {
 
 // TestSetRetentionShrinkMidRun is the end-to-end variant: shrink a
 // live full-history checker between two engine runs and confirm the
-// retained window still scans cleanly and the arena stays bounded.
+// retained window keeps its size and still scans cleanly.
 func TestSetRetentionShrinkMidRun(t *testing.T) {
 	ck, err := NewChecker(6, 50)
 	if err != nil {
@@ -237,9 +212,6 @@ func TestSetRetentionShrinkMidRun(t *testing.T) {
 	ck.SetRetention(4)
 	if got := len(ck.Snapshots()); got != 4 {
 		t.Fatalf("retained %d snapshots after shrink, want 4", got)
-	}
-	if got := cap(ck.slab); got != 1024 {
-		t.Errorf("slab capacity %d after shrink, want the 1024 floor", got)
 	}
 	res := runWithCompaction(t, ck, 2000)
 	if got := len(ck.Snapshots()); got != 4 {

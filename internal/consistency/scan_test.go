@@ -3,6 +3,7 @@ package consistency
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"neatbound/internal/adversary"
@@ -71,21 +72,54 @@ func refMaxForkDepth(c *Checker, tree *blockchain.Tree) (int, error) {
 	return max, nil
 }
 
-// requireScansMatchRef checks both scans against the references at
-// chops 0–7: identical violation lists in order, identical depths, and
-// identical error outcomes down to the message. It returns how many
-// violations the chops produced.
+// violationsAt is Check at chop: the S7-style query of one run at
+// several chop values. It leaves ck.T at chop.
+func violationsAt(ck *Checker, tree *blockchain.Tree, chop int) ([]Violation, error) {
+	ck.T = chop
+	return ck.Check(tree)
+}
+
+// sentinel names the tree error err wraps.
+func sentinel(err error) error {
+	for _, s := range []error{blockchain.ErrUnknownBlock, blockchain.ErrCompacted} {
+		if errors.Is(err, s) {
+			return s
+		}
+	}
+	return err
+}
+
+// requireScansMatchRef checks Scan against both references at chops
+// 0–7: the identical violation list in order and the identical depth,
+// or else an error exactly when either reference fails, carrying the
+// package prefix and the sentinel of a failing reference. It returns
+// how many violations the chops produced.
 func requireScansMatchRef(t *testing.T, name string, ck *Checker, tree *blockchain.Tree) int {
 	t.Helper()
-	sameErr := func(got, want error) bool {
-		return (got == nil) == (want == nil) && (got == nil || got.Error() == want.Error())
-	}
 	total := 0
+	wantDepth, depthErr := refMaxForkDepth(ck, tree)
 	for chop := 0; chop <= 7; chop++ {
 		want, wantErr := refViolations(ck, tree, chop)
-		got, err := ck.ViolationsAtChop(tree, chop)
-		if !sameErr(err, wantErr) {
-			t.Fatalf("%s chop %d: error %v, reference %v", name, chop, err, wantErr)
+		ck.T = chop
+		got, depth, err := ck.Scan(tree)
+		if wantErr != nil || depthErr != nil {
+			if err == nil {
+				t.Fatalf("%s chop %d: Scan succeeded, references failed with %v / %v", name, chop, wantErr, depthErr)
+			}
+			s := sentinel(err)
+			if !strings.HasPrefix(err.Error(), "consistency: ") || (s != sentinel(wantErr) && s != sentinel(depthErr)) {
+				t.Fatalf("%s chop %d: Scan error %q, references %v / %v", name, chop, err, wantErr, depthErr)
+			}
+			if got != nil || depth != 0 {
+				t.Fatalf("%s chop %d: Scan returned %d violations and depth %d alongside its error", name, chop, len(got), depth)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s chop %d: Scan error %v, references succeeded", name, chop, err)
+		}
+		if depth != wantDepth {
+			t.Fatalf("%s chop %d: depth %d, reference %d", name, chop, depth, wantDepth)
 		}
 		if len(got) != len(want) {
 			t.Fatalf("%s chop %d: %d violations, reference %d", name, chop, len(got), len(want))
@@ -96,11 +130,6 @@ func requireScansMatchRef(t *testing.T, name string, ck *Checker, tree *blockcha
 			}
 		}
 		total += len(want)
-	}
-	wantDepth, wantErr := refMaxForkDepth(ck, tree)
-	depth, err := ck.MaxForkDepth(tree)
-	if !sameErr(err, wantErr) || depth != wantDepth {
-		t.Fatalf("%s: MaxForkDepth %d (%v), reference %d (%v)", name, depth, err, wantDepth, wantErr)
 	}
 	return total
 }
@@ -121,8 +150,9 @@ func floorCuts(ck *Checker, tree *blockchain.Tree, chop int) int {
 	return n
 }
 
-// TestScanMatchesPerPairPredicate pins the labelled scans against the
-// per-pair PrefixHolds scans they replaced, over attack runs with full
+// TestScanMatchesPerPairPredicate pins the one-pass labelled scan
+// against the two per-pair PrefixHolds scans it replaced, over attack
+// runs with full
 // history and with a bounded window under aggressive compaction, plus a
 // hand-built compacted tree whose snapshots name an orphan branch,
 // unknown and retired tips — where only the exact PrefixHolds fallback
@@ -173,9 +203,10 @@ func TestScanMatchesPerPairPredicate(t *testing.T) {
 
 	// Hand-built: main chain 1…10, a fork 11 off the floor block 5, and
 	// an orphan branch 12…18 off block 1 that compaction at 5 cuts
-	// loose. MaxForkDepth's maximum grows to 5 on (10, 11), which puts
-	// the cut of tip 10 on the floor, so the next pair (10, 18) must
-	// take the fallback's error, not a label comparison's fork walk.
+	// loose. At chop ≥ 5 the running maximum grows to 5 on (10, 11),
+	// which puts the cut of tip 10 on the floor, so the next pair
+	// (10, 18) must take the fallback's error, not a label comparison's
+	// fork walk.
 	tree := blockchain.NewTree()
 	add := func(id, parent blockchain.BlockID) {
 		t.Helper()
@@ -220,8 +251,8 @@ func TestScanMatchesPerPairPredicate(t *testing.T) {
 // sweepd-session cell: n = 40, Δ = 4, 2000 rounds, a private attacker
 // publishing at fork depth 3, T = 4, a snapshot every 40 rounds (the
 // sweep default of rounds/50), at ν = 0.1 and the grid's lowest
-// c = 0.5, its most fork-heavy column. One op is Check plus MaxForkDepth,
-// what sweep.RunOne runs per cell.
+// c = 0.5, its most fork-heavy column. One op is one Scan, what
+// sweep.RunOne runs per cell.
 func BenchmarkCheckerScan(b *testing.B) {
 	ck, err := NewChecker(4, 40)
 	if err != nil {
@@ -243,10 +274,7 @@ func BenchmarkCheckerScan(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ck.Check(res.Tree); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := ck.MaxForkDepth(res.Tree); err != nil {
+		if _, _, err := ck.Scan(res.Tree); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -9,17 +9,17 @@ import (
 	"neatbound/internal/consistency"
 )
 
-// fakeCell builds a raw replicate result with the given ledger/fork
-// numbers, enough for aggregate() to fold.
-func fakeCell(nu, c float64, conv, adv, fork, viols int) Cell {
-	return Cell{
+// fakeRep freezes a raw replicate result with the given ledger/fork
+// numbers into the ReplicateCell record AggregateReplicates folds.
+func fakeRep(nu, c float64, conv, adv, fork, viols int) AggregateCell {
+	return ReplicateCell(Cell{
 		Nu: nu, C: c,
 		Report: Report{
 			Violations:   viols,
 			MaxForkDepth: fork,
 			Ledger:       consistency.Accounting{Rounds: 100, Convergence: conv, Adversary: adv},
 		},
-	}
+	})
 }
 
 // TestMergePairMatchesPooledAggregate pins the cross-process merge
@@ -27,22 +27,22 @@ func fakeCell(nu, c float64, conv, adv, fork, viols int) Cell {
 // must reproduce the single pooled aggregate (counts exactly, summaries
 // to float tolerance — the parallel Welford combine).
 func TestMergePairMatchesPooledAggregate(t *testing.T) {
-	reps := []Cell{
-		fakeCell(0.3, 2, 40, 35, 3, 0),
-		fakeCell(0.3, 2, 52, 31, 5, 2),
-		fakeCell(0.3, 2, 47, 39, 2, 0),
-		fakeCell(0.3, 2, 61, 28, 7, 1),
-		fakeCell(0.3, 2, 44, 33, 4, 0),
+	reps := []AggregateCell{
+		fakeRep(0.3, 2, 40, 35, 3, 0),
+		fakeRep(0.3, 2, 52, 31, 5, 2),
+		fakeRep(0.3, 2, 47, 39, 2, 0),
+		fakeRep(0.3, 2, 61, 28, 7, 1),
+		fakeRep(0.3, 2, 44, 33, 4, 0),
 	}
-	whole, err := aggregate(0.3, 2, reps)
+	whole, err := AggregateReplicates(0.3, 2, reps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	left, err := aggregate(0.3, 2, reps[:2])
+	left, err := AggregateReplicates(0.3, 2, reps[:2])
 	if err != nil {
 		t.Fatal(err)
 	}
-	right, err := aggregate(0.3, 2, reps[2:])
+	right, err := AggregateReplicates(0.3, 2, reps[2:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestMergeCellsKeepsFailedShardError(t *testing.T) {
 	// A cancelled shard streams its cell with zero replicates and an
 	// error; merging it with a successful shard must keep the error
 	// visible so the driver can tell replicates are missing.
-	ok, err := aggregate(0.3, 2, []Cell{fakeCell(0.3, 2, 40, 35, 3, 0)})
+	ok, err := AggregateReplicates(0.3, 2, []AggregateCell{fakeRep(0.3, 2, 40, 35, 3, 0)})
 	if err != nil {
 		t.Fatal(err)
 	}

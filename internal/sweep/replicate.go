@@ -40,18 +40,6 @@ type AggregateCell struct {
 	Err error `json:"-"`
 }
 
-// aggregate folds one cell's replicate results, always in replicate
-// order, so the floating-point summaries are bit-identical no matter how
-// the worker pool interleaved the runs. It is AggregateReplicates over
-// the ReplicateCell forms.
-func aggregate(nu, c float64, reps []Cell) (AggregateCell, error) {
-	rcs := make([]AggregateCell, len(reps))
-	for i, cell := range reps {
-		rcs[i] = ReplicateCell(cell)
-	}
-	return AggregateReplicates(nu, c, rcs)
-}
-
 // ReplicateCell freezes one replicate's outcome as a single-replicate
 // AggregateCell: every summary holds exactly that replicate's value
 // (N = 1, Mean = Min = Max, Std = 0), ViolationRuns flags whether the
@@ -141,21 +129,24 @@ func RunGrid(ctx context.Context, cfg Config, replicates int, onCell func(Aggreg
 		return nil, fmt.Errorf("sweep: replicates = %d must be ≥ 1", replicates)
 	}
 	nCells := len(cfg.NuValues) * len(cfg.CValues)
-	perCell := make([][]Cell, nCells)
+	// Each replicate is frozen to its ReplicateCell as it lands, so a
+	// cell waiting on its other replicates keeps no Report (nor its
+	// ViolationList) alive.
+	perCell := make([][]AggregateCell, nCells)
 	done := make([]int, nCells)
 	out := make([]AggregateCell, nCells)
 	var firstErr error
 	err := runJobs(ctx, cfg, replicates, func(idx, rep int, cell Cell) {
 		if perCell[idx] == nil {
-			perCell[idx] = make([]Cell, replicates)
+			perCell[idx] = make([]AggregateCell, replicates)
 		}
-		perCell[idx][rep] = cell
+		perCell[idx][rep] = ReplicateCell(cell)
 		done[idx]++
 		if done[idx] < replicates {
 			return
 		}
-		agg, err := aggregate(cell.Nu, cell.C, perCell[idx])
-		perCell[idx] = nil // the raw replicates are folded; free them early
+		agg, err := AggregateReplicates(cell.Nu, cell.C, perCell[idx])
+		perCell[idx] = nil // the replicates are folded; free them early
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}

@@ -56,12 +56,14 @@ type Report struct {
 // the default model), installs the Definition-1 checker (chop sem.T,
 // snapshot interval sem.SampleEvery resolved by ResolveSampleEvery,
 // window sem.CheckerRetention), the Lemma-1 ledger and a chain-growth
-// recorder ahead of ecfg.Observer, runs the engine, and assembles the
-// report. All three fold the round stream online, a quiet span in one
-// call each, so RunOne sets ecfg.SkipRecords: the returned Result
-// carries no Records. RunOne also sets ecfg.FastForward: the engine
-// takes its event-driven path wherever it arms and steps otherwise,
-// with the same results either way (docs/fastforward.md).
+// recorder ahead of ecfg.Observer, runs the engine, scans the checker's
+// snapshots once (Checker.Scan yields both the violations and the
+// deepest fork), and assembles the report. All three observers fold
+// the round stream online, a quiet span in one call each, so RunOne
+// sets ecfg.SkipRecords: the returned Result carries no Records. RunOne
+// also sets ecfg.FastForward: the engine takes its event-driven path
+// wherever it arms and steps otherwise, with the same results either
+// way (docs/fastforward.md).
 // sem.Adversary and sem.ForkDepth are not read: the strategy is
 // ecfg.Adversary.
 //
@@ -103,11 +105,7 @@ func RunOne(ctx context.Context, ecfg engine.Config, sem Semantics) (Report, *en
 		return Report{}, nil, err
 	}
 	res, runErr := e.RunContext(ctx)
-	viols, err := checker.Check(res.Tree)
-	if err != nil {
-		return Report{}, nil, err
-	}
-	maxDepth, err := checker.MaxForkDepth(res.Tree)
+	viols, maxDepth, err := checker.Scan(res.Tree)
 	if err != nil {
 		return Report{}, nil, err
 	}

@@ -199,6 +199,14 @@ func WithShards(shards int) Option {
 // WithConsistency sets Definition 1's chop parameter T and the checker's
 // snapshot interval (sampleEvery ≤ 0 picks rounds/50, min 1). Without
 // this option the check runs at T = 0 with the default interval.
+//
+// Definition 1 ranges over every round, but the checker compares only
+// the sampled ones, so the violation count and the deepest fork are
+// lower bounds on the exact figures; a denser interval reads closer to
+// them. The scan's cost, and the number of violating tip pairs the
+// report keeps in ViolationList, can grow with the square of the
+// snapshot count: at T = 0 with a small sampleEvery, one run can build
+// millions of them.
 func WithConsistency(tee, sampleEvery int) Option {
 	return Option{name: "WithConsistency", scope: scopeRun | scopeSweep | scopeSvc,
 		apply: func(o *runOptions) { o.T, o.SampleEvery = tee, sampleEvery }}

@@ -64,9 +64,12 @@ func legacySimulate(t *testing.T, cfg parityCase) SimulationReport {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ledger, err := consistency.Account(res.Records, cfg.Params.Delta)
+	ledger, err := consistency.NewLedgerRecorder(cfg.Params.Delta)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, rec := range res.Records {
+		ledger.OnRound(nil, rec)
 	}
 	quality, err := metrics.ChainQuality(res.Tree, res.Tree.Best(), 0)
 	if err != nil {
@@ -76,7 +79,7 @@ func legacySimulate(t *testing.T, cfg parityCase) SimulationReport {
 		Violations:           len(viols),
 		ViolationList:        viols,
 		MaxForkDepth:         maxDepth,
-		Ledger:               ledger,
+		Ledger:               ledger.Accounting(),
 		PredictedConvergence: float64(cfg.Rounds) * cfg.Params.ConvergenceOpportunityRate(),
 		PredictedAdversary:   float64(cfg.Rounds) * cfg.Params.AdversaryBlockRate(),
 		HonestBlocks:         res.HonestBlocks,
